@@ -31,7 +31,16 @@ def action_p(path: PiecewisePath, p: float) -> float:
 
 def ensemble_action(e: PathEnsemble, p: float) -> float:
     """Weighted average of per-path p-actions."""
-    return float(sum(w * action_p(pp, p) for pp, w in zip(e.paths, e.weights)))
+    if p < 1:
+        raise InputError("p must be >= 1")
+    nodes = e._nodes
+    if nodes is None:
+        actions = [action_p(pp, p) for pp in e.paths]
+    else:
+        dts = np.diff(e.common_grid())
+        speeds = np.linalg.norm(np.diff(nodes, axis=1) / dts[:, None], axis=2)
+        actions = np.sum(dts * speeds**p, axis=1)
+    return float(sum(w * a for a, w in zip(actions, e.weights)))
 
 
 def gronwall_envelope(sigma0: float, lam: float, L: float, T: float, tau: float) -> float:

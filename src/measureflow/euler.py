@@ -388,13 +388,13 @@ def verify_joint_law(
         raise InputError("joint-law verification requires exact-tree provenance")
     if not 0 <= n <= run.n_steps - 2:
         raise InputError(f"step index {n} outside [0, N-2]")
-    xs, vs = [], []
-    for p in ensemble.paths:
-        x0 = p.nodes[n]
-        x1 = p.nodes[n + 1]
-        xs.append(x0)
-        vs.append((x1 - x0) / run.tau)
-    pushed = coalesce(TangentMeasure(np.stack(xs), np.stack(vs), ensemble.weights), 0.0)
+    nodes = ensemble._nodes
+    if nodes is None:
+        pairs = np.stack([p.nodes[n : n + 2] for p in ensemble.paths])
+    else:
+        pairs = nodes[:, n : n + 2]
+    x0, x1 = pairs[:, 0], pairs[:, 1]
+    pushed = coalesce(TangentMeasure(x0, (x1 - x0) / run.tau, ensemble.weights), 0.0)
     ok = tangent_measures_close(pushed, run.sections[n], atom_tol, weight_tol)
     detail = "joint law matches section" if ok else (
         f"joint law at step {n} deviates from the selected section"
@@ -412,9 +412,10 @@ def verify_marginals(
     """Checks (e_t) push of the ensemble against the affine interpolant at each t."""
     if ensemble.provenance.kind != "exact-tree":
         raise InputError("marginal verification requires exact-tree provenance")
+    times = list(times)
     for t in times:
         lhs = ensemble.evaluate(float(t))
         rhs = interpolate_measure(run, float(t))
         if not measures_close(lhs, rhs, atom_tol, weight_tol):
             return VerifyReport(False, f"marginal mismatch at t = {t}")
-    return VerifyReport(True, f"marginals match at {len(list(times))} times")
+    return VerifyReport(True, f"marginals match at {len(times)} times")

@@ -333,11 +333,12 @@ def sticky_property_check(
     paths = ensemble.paths
     n = len(paths)
     grid = ensemble.common_grid()
-    if grid is None:
+    values = ensemble._nodes  # (n, K+1, d)
+    if values is None:
         grid = paths[0].grid
         for p in paths[1:]:
             grid = np.union1d(grid, p.grid)
-    values = np.stack([p(grid) for p in paths])  # (n, K, d)
+        values = np.stack([p(grid) for p in paths])
     if mu0 is not None:
         starts = coalesce(DiscreteMeasure(values[:, 0, :], ensemble.weights), 0.0)
         if not measures_close(starts, coalesce(mu0, 0.0), atom_tol=max(tol, 1e-12)):

@@ -379,6 +379,14 @@ def _merge_exact(rows: Array, weights: Array) -> tuple[Array, Array]:
 def _greedy_pass(rows: Array, weights: Array, tol: float) -> tuple[Array, Array, bool]:
     """One greedy merge pass in lexicographic order; returns (rows, weights, merged?).
 
+    Each row joins the first earlier cluster seed within ``tol``, else seeds a
+    new cluster.  Seeds are appended in row order, so their first coordinates
+    never decrease; a seed whose first coordinate trails the current row by
+    more than ``tol`` trails every later row too (IEEE subtraction is
+    monotone).  The scan therefore starts at a window index that only moves
+    forward, which gives the same clusters as a scan over all seeds at cost
+    O(n * w), w the number of seeds within ``tol`` in the first coordinate.
+
     Singleton clusters keep their row bitwise; only genuine merges move atoms
     (to the weight-weighted mean of their members).
     """
@@ -387,14 +395,14 @@ def _greedy_pass(rows: Array, weights: Array, tol: float) -> tuple[Array, Array,
     w_s = weights[order]
     seeds: list[Array] = []
     members: list[list] = []  # (row, weight) pairs per cluster
+    start = 0  # first seed within tol of the current row in the first coordinate
     merged = False
     for r, w in zip(rows_s, w_s):
+        while start < len(seeds) and r[0] - seeds[start][0] > tol:
+            start += 1
         target = -1
-        for k, seed in enumerate(seeds):
-            # lexicographic order bounds the first-coordinate gap per cluster seed
-            if r[0] - seed[0] > tol:
-                continue
-            if np.linalg.norm(r - seed) <= tol:
+        for k in range(start, len(seeds)):
+            if np.linalg.norm(r - seeds[k]) <= tol:
                 target = k
                 break
         if target < 0:
@@ -515,15 +523,6 @@ def push_forward(m, fn: Callable):
             raise NumericDomainError("map produced non-finite coordinates")
         return coalesce(TuplePlan(out, weights), 0.0)
     raise InputError(f"unsupported measure kind {type(m).__name__}")
-
-
-def exp_map(x: Array, v: Array, t: float) -> Array:
-    """The exponential map (x, v) -> x + t v.
-
-    Single definition so that every caller produces bitwise-identical floats;
-    the exact lifting identities rely on this.
-    """
-    return x + t * v
 
 
 def exp_push(phi: TangentMeasure, t: float) -> DiscreteMeasure:

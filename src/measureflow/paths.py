@@ -6,6 +6,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -134,11 +135,41 @@ class PathEnsemble:
     def dim(self) -> int:
         return self.paths[0].dim
 
+    @cached_property
+    def _grid(self) -> np.ndarray | None:
+        g = self.paths[0].grid
+        for p in self.paths[1:]:
+            if p.grid.shape != g.shape or not np.array_equal(p.grid, g):
+                return None
+        return g
+
+    @cached_property
+    def _nodes(self) -> np.ndarray | None:
+        """All nodes as one (n, K+1, d) array when the paths share a grid, else None."""
+        if self._grid is None:
+            return None
+        return _freeze(np.stack([p.nodes for p in self.paths]))
+
     def evaluate(self, t) -> DiscreteMeasure:
         """Push-forward under the evaluation map e_t, exact duplicates merged."""
-        if t < -HORIZON_TOL or t > self.horizon + HORIZON_TOL:
+        if not -HORIZON_TOL <= t <= self.horizon + HORIZON_TOL:
             raise InputError(f"time {t} outside [0, {self.horizon}]")
-        atoms = np.stack([p(float(t)) for p in self.paths])
+        t = float(t)
+        grid, nodes = self._grid, self._nodes
+        if nodes is None:
+            atoms = np.stack([p(t) for p in self.paths])
+        elif t <= grid[0]:
+            atoms = nodes[:, 0]
+        elif t >= grid[-1]:
+            atoms = nodes[:, -1]
+        else:
+            # np.interp's own arithmetic, so atoms match per-path evaluation bitwise
+            j = int(np.searchsorted(grid, t, side="right")) - 1
+            if grid[j] == t:
+                atoms = nodes[:, j]
+            else:
+                slope = (nodes[:, j + 1] - nodes[:, j]) / (grid[j + 1] - grid[j])
+                atoms = slope * (t - grid[j]) + nodes[:, j]
         return coalesce(DiscreteMeasure(atoms, self.weights), 0.0)
 
     def restricted(self, T: float) -> "PathEnsemble":
@@ -149,11 +180,7 @@ class PathEnsemble:
 
     def common_grid(self) -> np.ndarray | None:
         """The shared grid if all paths use identical grids, else None."""
-        g = self.paths[0].grid
-        for p in self.paths[1:]:
-            if p.grid.shape != g.shape or not np.array_equal(p.grid, g):
-                return None
-        return g
+        return self._grid
 
     def to_json_dict(self) -> dict:
         return {

@@ -404,8 +404,7 @@ def path_sup_distance(p1: PiecewisePath, p2: PiecewisePath) -> float:
 def _sup_matrix(e1: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
     g1, g2 = e1.common_grid(), e2.common_grid()
     if g1 is not None and g2 is not None and g1.shape == g2.shape and np.array_equal(g1, g2):
-        n1 = np.stack([p.nodes for p in e1.paths])  # (n1, K+1, d)
-        n2 = np.stack([p.nodes for p in e2.paths])
+        n1, n2 = e1._nodes, e2._nodes  # (n1, K+1, d), (n2, K+1, d)
         out = np.zeros((n1.shape[0], n2.shape[0]))
         for k in range(g1.shape[0]):
             diff = n1[:, None, k, :] - n2[None, :, k, :]

@@ -176,6 +176,14 @@ def test_final_partial_step_clipping():
     assert ok.passed, ok.detail
 
 
+def test_verify_marginals_counts_times_from_a_generator():
+    run = run_explicit_euler(SDF, dirac(0.0), 0.5, 1.0, 2.0)
+    ens = build_path_ensemble(run)
+    report = verify_marginals(ens, run, (t for t in (0.0, 0.25, 1.0)))
+    assert report.passed
+    assert report.detail == "marginals match at 3 times"
+
+
 def test_verify_joint_law_and_corruption():
     run = run_explicit_euler(SDF, dirac(0.0), 0.5, 1.5, 2.0)
     ens = build_path_ensemble(run)

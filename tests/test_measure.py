@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from measureflow.errors import InputError, NumericDomainError
 from measureflow.measure import (
@@ -173,6 +175,84 @@ def test_coalesce_idempotent_and_mass_preserving():
         assert abs(once.weights.sum() - 1.0) < 1e-13
         assert once.n_atoms == twice.n_atoms
         assert np.array_equal(once.atoms, twice.atoms)
+
+
+def _full_scan_coalesce(m, tol):
+    """Reference greedy coalesce: every row scans all earlier cluster seeds."""
+    rows, weights = m.atoms, m.weights
+    while True:
+        order = np.lexsort(rows.T[::-1])
+        seeds, members = [], []
+        merged = False
+        for r, w in zip(rows[order], weights[order]):
+            target = -1
+            for k, seed in enumerate(seeds):
+                if r[0] - seed[0] > tol:
+                    continue
+                if np.linalg.norm(r - seed) <= tol:
+                    target = k
+                    break
+            if target < 0:
+                seeds.append(r)
+                members.append([(r, w)])
+            else:
+                merged = True
+                members[target].append((r, w))
+        out_rows, out_w = [], []
+        for group in members:
+            total = sum(w for _, w in group)
+            out_w.append(total)
+            if len(group) == 1:
+                out_rows.append(group[0][0])
+            else:
+                out_rows.append(sum(r * w for r, w in group) / total)
+        rows, weights = np.stack(out_rows), np.asarray(out_w)
+        if not merged:
+            return rows, weights
+
+
+# rounded coordinates give tied first coordinates; the offsets straddle each tol
+_COORD = st.one_of(
+    st.builds(
+        lambda k, off: k / 8 + off,
+        st.integers(-8, 8),
+        st.sampled_from([0.0, 0.0, 1e-13, -1e-13, 4e-4, -9e-4, 0.03, 0.08]),
+    ),
+    st.floats(-1.0, 1.0, allow_subnormal=False),
+)
+_TOL = st.sampled_from([1e-12, 1e-3, 0.1])
+
+
+@st.composite
+def _measures(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.lists(_COORD, min_size=d, max_size=d), min_size=n, max_size=n))
+    raw = np.asarray(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), dtype=float)
+    return DiscreteMeasure(np.asarray(rows), raw / raw.sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_measures(), _TOL)
+def test_coalesce_matches_full_scan_bitwise(m, tol):
+    out = coalesce(m, tol)
+    rows, weights = _full_scan_coalesce(m, tol)
+    assert out.atoms.tobytes() == rows.tobytes()
+    assert out.weights.tobytes() == weights.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_measures(), _TOL)
+def test_coalesce_fixpoint_invariants(m, tol):
+    once = coalesce(m, tol)
+    twice = coalesce(once, tol)
+    assert once.atoms.tobytes() == twice.atoms.tobytes()
+    assert once.weights.tobytes() == twice.weights.tobytes()
+    assert abs(once.weights.sum() - m.weights.sum()) < 1e-13
+    # at the fixpoint no greedy pass merges, so the atoms are tol-separated
+    for i in range(once.n_atoms):
+        for j in range(i):
+            assert np.linalg.norm(once.atoms[i] - once.atoms[j]) > tol
 
 
 def test_coupling_marginal_validation():
