@@ -199,7 +199,6 @@ def convergence_sweep(
     sample_count: int = 1000,
     seed: int = 0,
     tuple_cap: int | None = None,
-    jobs: int = 1,
 ) -> SweepResult:
     """W2-sup distances of scheme lifts to a reference flow along a tau sweep.
 
@@ -207,8 +206,6 @@ def convergence_sweep(
     ``steps=N`` each row uses the fixed-depth horizon T_row = N * tau and the
     reference is restricted to it (exact trees grow exponentially in the step
     count, so fixed-T exact sweeps are only possible for non-branching fields).
-    Rows are independent; ``jobs`` > 1 dispatches them to a thread pool, with
-    results reassembled in tau order and per-row seeds fixed up front.
     Fits require >= 3 usable rows spanning >= 2 octaves; otherwise the result
     carries a note instead of a rate.
     """
@@ -218,18 +215,10 @@ def convergence_sweep(
     from .euler import DEFAULT_TUPLE_CAP
 
     cap = tuple_cap if tuple_cap is not None else DEFAULT_TUPLE_CAP
-    args = [
-        (spec, mu0, tau, reference, mode, L, steps, sample_count, seed + i, cap)
+    rows = [
+        _sweep_row(spec, mu0, tau, reference, mode, L, steps, sample_count, seed + i, cap)
         for i, tau in enumerate(taus)
     ]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda a: _sweep_row(*a), args))
-    else:
-        rows = [_sweep_row(*a) for a in args]
-    rows.sort(key=lambda r: -r[0])
     fit_rows = [(t, e) for t, e, _ in rows if e > 1e-12]
     note = ""
     rate = constant = None

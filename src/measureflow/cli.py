@@ -6,7 +6,7 @@ produce byte-identical CSV/JSON artifacts except for wall-time fields
 (the wall_ms column of sweep.csv and the timing block of manifests).
 
 Exit codes: 0 success, 1 verification failures, 2 config error, 3 stability
-violation, 4 resource cap exceeded.
+violation, 4 resource cap exceeded, 5 non-finite numbers.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import convergence_sweep, ensemble_action, solvability_bounds
 from .dsl import field_from_config
-from .errors import InputError, ResourceCapError, StabilityError
+from .errors import InputError, NumericDomainError, ResourceCapError, StabilityError
 from .euler import (
     DEFAULT_ATOM_CAP,
     DEFAULT_TUPLE_CAP,
@@ -51,6 +51,7 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_STABILITY = 3
 EXIT_RESOURCE = 4
+EXIT_NUMERIC = 5
 
 _TOLERANCES = {
     "weight_tol": 1e-12,
@@ -249,7 +250,6 @@ def cmd_sweep(cfg: dict) -> int:
     _, tuple_cap = _caps(cfg)
     mode = cfg.get("mode", "exact")
     seed = int(cfg.get("seed", 0))
-    jobs = int(cfg.get("jobs", 1))
     reference = _sticky_reference(spec, mu0, horizon, cfg)
     result = convergence_sweep(
         spec,
@@ -262,7 +262,6 @@ def cmd_sweep(cfg: dict) -> int:
         sample_count=int(cfg.get("M", 1000)),
         seed=seed,
         tuple_cap=tuple_cap,
-        jobs=jobs,
     )
     out = Path(cfg.get("out", "out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -391,13 +390,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep rows")
         p.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config, args)
-        if args.command == "sweep" and args.jobs != 1:
-            cfg["jobs"] = args.jobs
         handler = {
             "run": cmd_run,
             "sweep": cmd_sweep,
@@ -414,6 +410,9 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except NumericDomainError as exc:
+        print(f"non-finite numbers: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

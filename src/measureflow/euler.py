@@ -23,16 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, ResourceCapError, StabilityError
-from .fields import (
-    InteractionField,
-    PvfSpec,
-    SampledField,
-    StochasticInteractionField,
-    NonlocalSampledField,
-    GradientSumField,
-    evaluate_pvf,
-)
+from .errors import InputError, NumericDomainError, ResourceCapError, StabilityError
+from .fields import PvfSpec, _section, evaluate_pvf
 from .measure import (
     Coupling,
     DiscreteMeasure,
@@ -112,15 +104,8 @@ class EulerRun:
 
 
 def _predicted_section_atoms(spec: PvfSpec, n_atoms: int) -> int:
-    if isinstance(spec, InteractionField):
-        return n_atoms * n_atoms
-    if isinstance(spec, StochasticInteractionField):
-        return n_atoms * n_atoms * len(spec.noise.labels)
-    if isinstance(spec, (SampledField, NonlocalSampledField)):
-        return n_atoms * len(spec.noise.labels)
-    if isinstance(spec, GradientSumField):
-        return n_atoms * len(spec.gradients)
-    return n_atoms
+    rule = _section(spec)
+    return n_atoms * (n_atoms if rule.pairs else 1) * len(rule.terms)
 
 
 def run_explicit_euler(
@@ -295,7 +280,8 @@ def sample_paths_monte_carlo(
     whole population ("shared"); interaction fields draw a partner uniformly
     with replacement from the current population, independently of the
     particle's own index (self-pairing allowed: the independent-copy law is
-    realized at the empirical level).
+    realized at the empirical level).  A non-finite velocity raises
+    :class:`NumericDomainError` naming the step and the particle.
     """
     if sample_count < 1:
         raise InputError("sample_count must be >= 1")
@@ -311,44 +297,31 @@ def sample_paths_monte_carlo(
     traj = np.empty((N + 1, M, mu0.dim))
     traj[0] = X
 
-    def draw_labels(noise):
-        if noise_mode == "shared":
-            lab = noise.labels[rng.choice(len(noise.labels), p=noise.weights)]
-            return [lab] * M
-        idx = rng.choice(len(noise.labels), size=M, p=noise.weights)
-        return [noise.labels[i] for i in idx]
-
-    spec_eval = spec
-    if isinstance(spec, GradientSumField):
-        grads = spec.gradients
-        from .fields import uniform_noise
-
-        spec_eval = SampledField(
-            lambda x, u: -np.asarray(grads[u](x)), uniform_noise(range(len(grads)))
-        )
+    rule = _section(spec)
+    fns = [fn for _, _, fn in rule.terms]
     for n in range(N):
-        V = np.empty_like(X)
-        if isinstance(spec_eval, SampledField):
-            labels = draw_labels(spec_eval.noise)
-            for i in range(M):
-                V[i] = spec_eval.g(X[i], labels[i])
-        elif isinstance(spec_eval, NonlocalSampledField):
-            labels = draw_labels(spec_eval.noise)
-            mu_hat = DiscreteMeasure(X.copy(), np.full(M, 1.0 / M))
-            for i in range(M):
-                V[i] = spec_eval.g(X[i], mu_hat, labels[i])
-        elif isinstance(spec_eval, InteractionField):
-            partners = rng.integers(0, M, size=M)
-            for i in range(M):
-                V[i] = spec_eval.f(X[i], X[partners[i]])
-        elif isinstance(spec_eval, StochasticInteractionField):
-            partners = rng.integers(0, M, size=M)
-            labels = draw_labels(spec_eval.noise)
-            for i in range(M):
-                V[i] = spec_eval.h(X[i], X[partners[i]], labels[i])
+        Y = X[rng.integers(0, M, size=M)] if rule.pairs else [None] * M
+        if rule.noise is None:
+            picks = fns * M
+        elif noise_mode == "shared":
+            picks = [fns[rng.choice(len(fns), p=rule.noise.weights)]] * M
         else:
-            raise InputError(f"unknown field spec {type(spec_eval).__name__}")
-        X = X + tau * V
+            idx = rng.choice(len(fns), size=M, p=rule.noise.weights)
+            picks = [fns[k] for k in idx]
+        mu_hat = None
+        if rule.reads_measure:
+            mu_hat = DiscreteMeasure(X.copy(), np.full(M, 1.0 / M))
+        V = np.empty_like(X)
+        for i, (x, y, fn) in enumerate(zip(X, Y, picks)):
+            V[i] = fn(x, y, mu_hat)
+        finite = np.isfinite(V).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NumericDomainError(
+                f"field produced a non-finite velocity at step {n} (particle {i})",
+                witness=X[i].copy(),
+            )
+        X = X + tau * (rule.sign * V)
         traj[n + 1] = X
 
     grid = tau * np.arange(N + 1)

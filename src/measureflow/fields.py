@@ -115,79 +115,85 @@ def _finite_or_raise(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return v
 
 
+@dataclass(frozen=True)
+class _Section:
+    """How a field kind expands an atom x into (partner y, label u) velocities.
+
+    ``terms`` holds one ``(label, label_weight, fn)`` per label, with
+    ``fn(x, y, mu)`` bound to its label; interaction fields have the single
+    term ``(None, 1.0, f)``.  ``pairs``: partners y are drawn from mu (else y
+    is None).  ``reads_measure``: fn reads mu (else mu is None).  ``sign``
+    multiplies every velocity; consumers apply it once per stacked array or
+    fold it into a coefficient.  ``noise`` is the label law, None when no
+    label is drawn.
+    """
+
+    terms: tuple
+    pairs: bool
+    reads_measure: bool
+    sign: float
+    noise: NoiseSpace | None
+
+
+def _section(spec: PvfSpec) -> _Section:
+    """The section rule of a field spec: the one dispatch over field kinds."""
+    if isinstance(spec, InteractionField):
+        f = spec.f
+        return _Section(((None, 1.0, lambda x, y, mu: f(x, y)),), True, False, 1.0, None)
+    pairs = reads_measure = False
+    sign = 1.0
+    if isinstance(spec, GradientSumField):
+        noise = uniform_noise(range(len(spec.gradients)))
+        fns = [lambda x, y, mu, g=g: g(x) for g in spec.gradients]
+        sign = -1.0
+    elif isinstance(spec, SampledField):
+        noise = spec.noise
+        fns = [lambda x, y, mu, g=spec.g, u=u: g(x, u) for u in noise.labels]
+    elif isinstance(spec, StochasticInteractionField):
+        noise = spec.noise
+        fns = [lambda x, y, mu, h=spec.h, u=u: h(x, y, u) for u in noise.labels]
+        pairs = True
+    elif isinstance(spec, NonlocalSampledField):
+        noise = spec.noise
+        fns = [lambda x, y, mu, g=spec.g, u=u: g(x, mu, u) for u in noise.labels]
+        reads_measure = True
+    else:
+        raise InputError(f"unknown field spec {type(spec).__name__}")
+    terms = tuple(zip(noise.labels, noise.weights, fns))
+    return _Section(terms, pairs, reads_measure, sign, noise)
+
+
 def evaluate_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> TangentMeasure:
     """The tangent measure F[mu] selected by the spec at ``mu``.
 
     The x-marginal of the result equals ``mu``: velocities are attached to the
     existing atoms and only exact duplicate (x, v) pairs are merged.
     """
+    rule = _section(spec)
+    partners = tuple(zip(mu.atoms, mu.weights)) if rule.pairs else ((None, 1.0),)
+    read = mu if rule.reads_measure else None
     xs, vs, ws = [], [], []
-    if isinstance(spec, GradientSumField):
-        grads = spec.gradients
-        spec = SampledField(
-            lambda x, u: -np.asarray(grads[u](x)), uniform_noise(range(len(grads)))
-        )
-    if isinstance(spec, SampledField):
-        for x, w in zip(mu.atoms, mu.weights):
-            for u, uw in zip(spec.noise.labels, spec.noise.weights):
+    for x, w in zip(mu.atoms, mu.weights):
+        for y, wy in partners:
+            for _, uw, fn in rule.terms:
                 xs.append(x)
-                vs.append(_finite_or_raise(spec.g(x, u), x))
-                ws.append(w * uw)
-    elif isinstance(spec, InteractionField):
-        for x, w in zip(mu.atoms, mu.weights):
-            for y, wy in zip(mu.atoms, mu.weights):
-                xs.append(x)
-                vs.append(_finite_or_raise(spec.f(x, y), x))
-                ws.append(w * wy)
-    elif isinstance(spec, StochasticInteractionField):
-        for x, w in zip(mu.atoms, mu.weights):
-            for y, wy in zip(mu.atoms, mu.weights):
-                for u, uw in zip(spec.noise.labels, spec.noise.weights):
-                    xs.append(x)
-                    vs.append(_finite_or_raise(spec.h(x, y, u), x))
-                    ws.append(w * wy * uw)
-    elif isinstance(spec, NonlocalSampledField):
-        for x, w in zip(mu.atoms, mu.weights):
-            for u, uw in zip(spec.noise.labels, spec.noise.weights):
-                xs.append(x)
-                vs.append(_finite_or_raise(spec.g(x, mu, u), x))
-                ws.append(w * uw)
-    else:
-        raise InputError(f"unknown field spec {type(spec).__name__}")
-    phi = TangentMeasure(np.stack(xs), np.stack(vs), np.asarray(ws))
+                vs.append(_finite_or_raise(fn(x, y, read), x))
+                ws.append(w * wy * uw)
+    phi = TangentMeasure(np.stack(xs), rule.sign * np.stack(vs), np.asarray(ws))
     return coalesce(phi, 0.0)
 
 
 def barycenter_field(spec: PvfSpec, x, mu: DiscreteMeasure) -> np.ndarray:
     """The barycentric velocity b(x, mu): the mean of the selected section at x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if isinstance(spec, GradientSumField):
-        out = np.zeros_like(x)
-        for g in spec.gradients:
-            out = out - np.asarray(g(x), dtype=float)
-        return out / len(spec.gradients)
-    if isinstance(spec, SampledField):
-        out = np.zeros_like(x)
-        for u, uw in zip(spec.noise.labels, spec.noise.weights):
-            out = out + uw * _finite_or_raise(spec.g(x, u), x)
-        return out
-    if isinstance(spec, InteractionField):
-        out = np.zeros_like(x)
-        for y, wy in zip(mu.atoms, mu.weights):
-            out = out + wy * _finite_or_raise(spec.f(x, y), x)
-        return out
-    if isinstance(spec, StochasticInteractionField):
-        out = np.zeros_like(x)
-        for y, wy in zip(mu.atoms, mu.weights):
-            for u, uw in zip(spec.noise.labels, spec.noise.weights):
-                out = out + wy * uw * _finite_or_raise(spec.h(x, y, u), x)
-        return out
-    if isinstance(spec, NonlocalSampledField):
-        out = np.zeros_like(x)
-        for u, uw in zip(spec.noise.labels, spec.noise.weights):
-            out = out + uw * _finite_or_raise(spec.g(x, mu, u), x)
-        return out
-    raise InputError(f"unknown field spec {type(spec).__name__}")
+    rule = _section(spec)
+    partners = zip(mu.atoms, mu.weights) if rule.pairs else ((None, 1.0),)
+    read = mu if rule.reads_measure else None
+    out = np.zeros_like(x)
+    for y, wy in partners:
+        for _, uw, fn in rule.terms:
+            out = out + rule.sign * wy * uw * _finite_or_raise(fn(x, y, read), x)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericDomainError
-from .fields import (
-    GradientSumField,
-    InteractionField,
-    NonlocalSampledField,
-    PvfSpec,
-    SampledField,
-    StochasticInteractionField,
-    barycenter_field,
-)
+from .fields import PvfSpec, _section
 from .measure import DiscreteMeasure, coalesce, measures_close
 from .paths import PathEnsemble, PiecewisePath, Provenance
 from .transport import w2_distance, bram_pairing
@@ -100,70 +92,31 @@ class LimitFlow:
         }
 
 
-def _velocity_fn(spec: PvfSpec, dim: int):
+def _velocity_fn(spec: PvfSpec):
     """Batch velocity evaluator for the coupled atom ODE.
 
-    Inlines the barycentric sums for interaction kernels (the per-call measure
-    wrapper would dominate at small dt) and reuses a dummy measure for fields
-    that never read it; semantics match :func:`fields.barycenter_field`.
+    Row i of ``rhs(pos, w)`` equals ``fields.barycenter_field(spec, pos[i],
+    mu)`` bitwise, where mu has atoms ``pos`` and weights ``w / w.sum()``
+    (fields that read mu get ``w`` itself when its mass is within 1e-15 of
+    one).  Partners are iterated without building a measure, and the section
+    rule is built once per flow rather than once per call.
     """
-    if isinstance(spec, InteractionField):
-        f = spec.f
+    rule = _section(spec)
 
-        def rhs(pos: np.ndarray, w: np.ndarray) -> np.ndarray:
-            wn = w / w.sum()
-            out = np.zeros_like(pos)
-            for j in range(pos.shape[0]):
-                y, wy = pos[j], wn[j]
-                for i in range(pos.shape[0]):
-                    out[i] += wy * np.asarray(f(pos[i], y))
-            return out
-    elif isinstance(spec, StochasticInteractionField):
-        h = spec.h
-        noise = spec.noise
-
-        def rhs(pos: np.ndarray, w: np.ndarray) -> np.ndarray:
-            wn = w / w.sum()
-            out = np.zeros_like(pos)
-            for j in range(pos.shape[0]):
-                y, wy = pos[j], wn[j]
-                for u, uw in zip(noise.labels, noise.weights):
-                    for i in range(pos.shape[0]):
-                        out[i] += wy * uw * np.asarray(h(pos[i], y, u))
-            return out
-    elif isinstance(spec, NonlocalSampledField):
-        def rhs(pos: np.ndarray, w: np.ndarray) -> np.ndarray:
-            total = w.sum()
+    def rhs(pos: np.ndarray, w: np.ndarray) -> np.ndarray:
+        total = w.sum()
+        partners = zip(pos, w / total) if rule.pairs else ((None, 1.0),)
+        mu = None
+        if rule.reads_measure:
             mu = DiscreteMeasure(pos, w / total if abs(total - 1.0) > 1e-15 else w)
-            out = np.empty_like(pos)
-            for i in range(pos.shape[0]):
-                out[i] = barycenter_field(spec, pos[i], mu)
-            return out
-    elif isinstance(spec, (SampledField, GradientSumField)):
-        if isinstance(spec, GradientSumField):
-            grads = spec.gradients
-            terms = tuple((g, -1.0 / len(grads)) for g in grads)
-        else:
-            terms = tuple(
-                ((lambda x, g=spec.g, u=u: g(x, u)), float(uw))
-                for u, uw in zip(spec.noise.labels, spec.noise.weights)
-            )
-
-        def rhs(pos: np.ndarray, w: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(pos)
-            for i in range(pos.shape[0]):
-                acc = out[i]
-                for g, uw in terms:
-                    acc += uw * g(pos[i])
-            return out
-    else:
-        dummy = DiscreteMeasure(np.zeros((1, dim)), np.array([1.0]))
-
-        def rhs(pos: np.ndarray, w: np.ndarray) -> np.ndarray:
-            out = np.empty_like(pos)
-            for i in range(pos.shape[0]):
-                out[i] = barycenter_field(spec, pos[i], dummy)
-            return out
+        out = np.zeros_like(pos)
+        vals = np.empty_like(pos)
+        for y, wy in partners:
+            for _, uw, fn in rule.terms:
+                for i, x in enumerate(pos):
+                    vals[i] = fn(x, y, mu)
+                out += rule.sign * wy * uw * vals
+        return out
 
     return rhs
 
@@ -195,7 +148,7 @@ def sticky_flow(
     history = np.empty((n_steps + 1, k, d))
     history[0] = mu0.atoms
     merge_events: list[MergeEvent] = []
-    field = _velocity_fn(spec, d)
+    field = _velocity_fn(spec)
 
     for step in range(n_steps):
         p = pos[live]

@@ -126,15 +126,6 @@ def test_zero_field_sweep_reports_no_rate():
     assert res.fitted_rate is None and "insufficient" in res.note
 
 
-def test_sweep_rows_parallel_matches_serial():
-    ref = sticky_flow(DET, dirac(1.0), 1.0, StickyFlowConfig(dt=1e-3)).ensemble
-    taus = [2.0**-k for k in range(2, 7)]
-    serial = convergence_sweep(DET, dirac(1.0), taus, ref, L=2.0)
-    parallel = convergence_sweep(DET, dirac(1.0), taus, ref, L=2.0, jobs=4)
-    for (ta, ea, _), (tb, eb, _) in zip(serial.rows, parallel.rows):
-        assert ta == tb and ea == eb
-
-
 def test_action_bound_along_tau_sweep_all_scenarios():
     depth = {"sdf-linear": 6, "gradient-sum": 5, "idf-attract": 3,
              "nonlocal-cylinder": 6, "stochastic-idf": 3}

@@ -9,6 +9,7 @@ import pytest
 
 from measureflow.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_STABILITY,
@@ -250,3 +251,30 @@ def test_seed_override(tmp_path):
     assert main(["run", "--config", cfg_a]) == EXIT_OK
     assert main(["run", "--config", cfg_b, "--seed", "2"]) == EXIT_OK
     assert (out_a / "ensemble.csv").read_bytes() != (out_b / "ensemble.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+def test_non_finite_velocity_exits_5(tmp_path, capsys, mode):
+    cfg = _write_cfg(
+        tmp_path,
+        "blowup.json",
+        {
+            "scenario": {
+                "kind": "sampled",
+                "g": "exp(1000 * x) + u",
+                "noise": {"labels": [0, 1], "weights": [0.5, 0.5]},
+            },
+            "dim": 1,
+            "initial": {"atoms": [[1.0]], "weights": [1.0]},
+            "tau": 0.1,
+            "T": 1.0,
+            "L": 10.0,
+            "mode": mode,
+            "M": 8,
+            "out": str(tmp_path / "o"),
+        },
+    )
+    with np.errstate(over="ignore"):
+        assert main(["run", "--config", cfg]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err

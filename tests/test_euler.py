@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from measureflow.analysis import ensemble_action
-from measureflow.errors import InputError, ResourceCapError, StabilityError
+from measureflow.dsl import field_from_config
+from measureflow.errors import (
+    InputError,
+    NumericDomainError,
+    ResourceCapError,
+    StabilityError,
+)
 from measureflow.euler import (
     EulerRun,
     build_path_ensemble,
@@ -277,3 +283,17 @@ def test_monte_carlo_exact_agreement_rate():
     assert errs[2] < errs[1] < errs[0]
     sq_slope = np.polyfit(np.log([100, 1000, 10_000]), np.log(np.square(errs)), 1)[0]
     assert -0.8 <= sq_slope <= -0.3
+
+
+def test_monte_carlo_refuses_non_finite_velocities():
+    blowup = field_from_config(
+        {
+            "kind": "sampled",
+            "g": "exp(1000 * x) + u",
+            "noise": {"labels": [0, 1], "weights": [0.5, 0.5]},
+        },
+        dim=1,
+    )
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericDomainError, match="step 0"):
+            sample_paths_monte_carlo(blowup, dirac(1.0), 0.1, 1.0, 8, seed=0)

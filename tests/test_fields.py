@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from measureflow.dsl import compile_expression, field_from_config
 from measureflow.errors import InputError
+from measureflow.euler import _predicted_section_atoms, sample_paths_monte_carlo
 from measureflow.fields import (
     GradientSumField,
     InteractionField,
+    NonlocalSampledField,
     SampledField,
+    StochasticInteractionField,
     barycenter_field,
     check_growth,
     check_one_sided_lipschitz,
@@ -19,9 +24,12 @@ from measureflow.fields import (
     support_bound,
     uniform_noise,
 )
+from measureflow.limit import _velocity_fn
 from measureflow.measure import (
     DiscreteMeasure,
+    TangentMeasure,
     barycentric_projection,
+    coalesce,
     dirac,
     measures_close,
     mixture,
@@ -248,3 +256,189 @@ def test_dsl_rejects_code_execution():
         compile_expression("open('/etc/passwd')", ("x",))
     with pytest.raises(InputError):
         compile_expression("y + 1", ("x",))  # unknown variable
+
+
+# ---------------------------------------------------------------------------
+# the section rule against per-kind reference loops
+# ---------------------------------------------------------------------------
+
+_DSL_CONFIGS = {
+    "dsl-sampled": (
+        {"kind": "sampled", "g": "-x + u", "noise": {"labels": [1, -1], "weights": [0.25, 0.75]}},
+        1,
+    ),
+    "dsl-interaction": ({"kind": "interaction", "f": "y - x"}, 2),
+    "dsl-stochastic-interaction": (
+        {
+            "kind": "stochastic-interaction",
+            "h": "u * (y - x) - 0.5 * x",
+            "noise": {"labels": [0.5, 1.5], "weights": [0.3, 0.7]},
+        },
+        2,
+    ),
+    "dsl-nonlocal-sampled": (
+        {
+            "kind": "nonlocal-sampled",
+            "g": "-x * (1 + m2) + u * m1",
+            "noise": {"labels": [0, 1, 2], "weights": [0.2, 0.3, 0.5]},
+        },
+        2,
+    ),
+}
+_KINDS = tuple(scenario_names()) + tuple(_DSL_CONFIGS)
+
+
+def _spec_and_dim(name):
+    if name in _DSL_CONFIGS:
+        cfg, dim = _DSL_CONFIGS[name]
+        return field_from_config(cfg, dim), dim
+    sc = scenario(name)
+    return sc.spec, sc.dim
+
+
+def _as_sampled(spec):
+    if isinstance(spec, GradientSumField):
+        grads = spec.gradients
+        return SampledField(
+            lambda x, u: -np.asarray(grads[u](x)), uniform_noise(range(len(grads)))
+        )
+    return spec
+
+
+def _oracle_evaluate_pvf(spec, mu):
+    """The per-kind evaluation loop that the section rule replaced."""
+    spec = _as_sampled(spec)
+    vec = lambda v: np.atleast_1d(np.asarray(v, dtype=float))  # noqa: E731
+    xs, vs, ws = [], [], []
+    if isinstance(spec, SampledField):
+        for x, w in zip(mu.atoms, mu.weights):
+            for u, uw in zip(spec.noise.labels, spec.noise.weights):
+                xs.append(x)
+                vs.append(vec(spec.g(x, u)))
+                ws.append(w * uw)
+    elif isinstance(spec, InteractionField):
+        for x, w in zip(mu.atoms, mu.weights):
+            for y, wy in zip(mu.atoms, mu.weights):
+                xs.append(x)
+                vs.append(vec(spec.f(x, y)))
+                ws.append(w * wy)
+    elif isinstance(spec, StochasticInteractionField):
+        for x, w in zip(mu.atoms, mu.weights):
+            for y, wy in zip(mu.atoms, mu.weights):
+                for u, uw in zip(spec.noise.labels, spec.noise.weights):
+                    xs.append(x)
+                    vs.append(vec(spec.h(x, y, u)))
+                    ws.append(w * wy * uw)
+    else:
+        assert isinstance(spec, NonlocalSampledField)
+        for x, w in zip(mu.atoms, mu.weights):
+            for u, uw in zip(spec.noise.labels, spec.noise.weights):
+                xs.append(x)
+                vs.append(vec(spec.g(x, mu, u)))
+                ws.append(w * uw)
+    return coalesce(TangentMeasure(np.stack(xs), np.stack(vs), np.asarray(ws)), 0.0)
+
+
+def _oracle_monte_carlo(spec, mu0, tau, n_steps, M, seed, noise_mode):
+    """The per-kind particle loop that the section rule replaced: (M, N+1, d) nodes."""
+    spec = _as_sampled(spec)
+    rng = np.random.default_rng(seed)
+    X = mu0.atoms[rng.choice(mu0.n_atoms, size=M, p=mu0.weights)].copy()
+    traj = [X]
+
+    def draw_labels(noise):
+        if noise_mode == "shared":
+            return [noise.labels[rng.choice(len(noise.labels), p=noise.weights)]] * M
+        idx = rng.choice(len(noise.labels), size=M, p=noise.weights)
+        return [noise.labels[i] for i in idx]
+
+    for _ in range(n_steps):
+        V = np.empty_like(X)
+        if isinstance(spec, SampledField):
+            labels = draw_labels(spec.noise)
+            for i in range(M):
+                V[i] = spec.g(X[i], labels[i])
+        elif isinstance(spec, NonlocalSampledField):
+            labels = draw_labels(spec.noise)
+            mu_hat = DiscreteMeasure(X.copy(), np.full(M, 1.0 / M))
+            for i in range(M):
+                V[i] = spec.g(X[i], mu_hat, labels[i])
+        elif isinstance(spec, InteractionField):
+            partners = rng.integers(0, M, size=M)
+            for i in range(M):
+                V[i] = spec.f(X[i], X[partners[i]])
+        else:
+            partners = rng.integers(0, M, size=M)
+            labels = draw_labels(spec.noise)
+            for i in range(M):
+                V[i] = spec.h(X[i], X[partners[i]], labels[i])
+        X = X + tau * V
+        traj.append(X)
+    return np.stack(traj, axis=1)
+
+
+@st.composite
+def _measures(draw, dim, low=0.1, high=1.0, normalise=True):
+    n = draw(st.integers(1, 4))
+    coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    atoms = np.array(draw(st.lists(coord, min_size=n * dim, max_size=n * dim)))
+    w = np.array(draw(st.lists(st.floats(low, high), min_size=n, max_size=n)))
+    return atoms.reshape(n, dim), (w / w.sum() if normalise else w)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", _KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_evaluate_pvf_matches_per_kind_oracle(name, data):
+    spec, dim = _spec_and_dim(name)
+    atoms, w = data.draw(_measures(dim))
+    mu = DiscreteMeasure(atoms, w)
+    got, want = evaluate_pvf(spec, mu), _oracle_evaluate_pvf(spec, mu)
+    assert _bits(got.positions) == _bits(want.positions)
+    assert _bits(got.velocities) == _bits(want.velocities)
+    assert _bits(got.weights) == _bits(want.weights)
+
+
+@pytest.mark.parametrize("noise_mode", ["independent", "shared"])
+@pytest.mark.parametrize("name", _KINDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_monte_carlo_matches_per_kind_oracle(name, noise_mode, data, seed):
+    spec, dim = _spec_and_dim(name)
+    atoms, w = data.draw(_measures(dim))
+    mu0 = DiscreteMeasure(atoms, w)
+    ens = sample_paths_monte_carlo(spec, mu0, 0.25, 0.75, 12, seed, noise_mode)
+    got = np.stack([p.nodes for p in ens.paths])
+    assert _bits(got) == _bits(_oracle_monte_carlo(spec, mu0, 0.25, 3, 12, seed, noise_mode))
+
+
+@pytest.mark.parametrize("name", _KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sticky_rhs_rows_equal_barycenter_field(name, data):
+    # weights summing to 2 or more: the right-hand side normalises them
+    spec, dim = _spec_and_dim(name)
+    pos, w = data.draw(_measures(dim, low=2.0, high=3.0, normalise=False))
+    rhs = _velocity_fn(spec)(pos, w)
+    mu = DiscreteMeasure(pos, w / w.sum())
+    for i in range(pos.shape[0]):
+        assert _bits(rhs[i]) == _bits(barycenter_field(spec, pos[i], mu))
+
+
+def test_unknown_spec_refused_by_every_consumer():
+    bogus = object()
+    mu = dirac(0.0)
+    with pytest.raises(InputError):
+        evaluate_pvf(bogus, mu)
+    with pytest.raises(InputError):
+        barycenter_field(bogus, np.zeros(1), mu)
+    with pytest.raises(InputError):
+        _velocity_fn(bogus)
+    with pytest.raises(InputError):
+        sample_paths_monte_carlo(bogus, mu, 0.5, 1.0, 4, seed=0)
+    with pytest.raises(InputError):
+        _predicted_section_atoms(bogus, 3)
