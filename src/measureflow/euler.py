@@ -264,6 +264,17 @@ def build_path_ensemble(run: EulerRun, cap: int = DEFAULT_TUPLE_CAP) -> PathEnse
     return PathEnsemble(paths, plan.weights, Provenance("exact-tree"))
 
 
+def _refuse_non_finite(values: np.ndarray, what: str, step: int, X: np.ndarray) -> None:
+    """Raise NumericDomainError at the first particle whose row of ``values`` is not finite."""
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NumericDomainError(
+            f"field produced a non-finite {what} at step {step} (particle {i})",
+            witness=X[i].copy(),
+        )
+
+
 def sample_paths_monte_carlo(
     spec: PvfSpec,
     mu0: DiscreteMeasure,
@@ -280,8 +291,9 @@ def sample_paths_monte_carlo(
     whole population ("shared"); interaction fields draw a partner uniformly
     with replacement from the current population, independently of the
     particle's own index (self-pairing allowed: the independent-copy law is
-    realized at the empirical level).  A non-finite velocity raises
-    :class:`NumericDomainError` naming the step and the particle.
+    realized at the empirical level).  A non-finite velocity, or a position
+    that overflows, raises :class:`NumericDomainError` naming the step and the
+    particle.
     """
     if sample_count < 1:
         raise InputError("sample_count must be >= 1")
@@ -314,14 +326,11 @@ def sample_paths_monte_carlo(
         V = np.empty_like(X)
         for i, (x, y, fn) in enumerate(zip(X, Y, picks)):
             V[i] = fn(x, y, mu_hat)
-        finite = np.isfinite(V).all(axis=1)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise NumericDomainError(
-                f"field produced a non-finite velocity at step {n} (particle {i})",
-                witness=X[i].copy(),
-            )
-        X = X + tau * (rule.sign * V)
+        _refuse_non_finite(V, "velocity", n, X)
+        with np.errstate(over="ignore"):  # reported just below, with its step
+            X_next = X + tau * (rule.sign * V)
+        _refuse_non_finite(X_next, "position", n, X)
+        X = X_next
         traj[n + 1] = X
 
     grid = tau * np.arange(N + 1)

@@ -75,6 +75,32 @@ class PiecewisePath:
         return {"grid": self.grid.tolist(), "nodes": self.nodes.tolist()}
 
 
+def _interp_nodes(grid: np.ndarray, nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Paths sharing ``grid``, nodes ``(n, K+1, d)``, at sorted times ``ts``: ``(len(ts), d, n)``.
+
+    Uses np.interp's own arithmetic -- the node value at or outside a grid
+    node, else ``slope * (t - g[j]) + f[j]`` -- so every value matches
+    :meth:`PiecewisePath.__call__` bitwise.  Time leads and paths come last,
+    so each gather copies one contiguous row and the arithmetic runs along
+    the paths.
+    """
+    last = grid.shape[0] - 1
+    j = np.searchsorted(grid, ts, side="right") - 1
+    if last == 0:
+        return np.repeat(nodes.transpose(1, 2, 0), ts.shape[0], axis=0)
+    seg = np.clip(j, 0, last - 1)
+    lo, hi = seg[0], seg[-1] + 2  # ts is sorted: only these nodes are read
+    local = np.ascontiguousarray(nodes[:, lo:hi].transpose(1, 2, 0))  # (hi - lo, d, n)
+    out = np.take(local, np.clip(j, 0, last) - lo, axis=0)
+    between = (j >= 0) & (j < last) & (grid[seg] != ts)
+    slope = np.diff(local, axis=0) / np.diff(grid[lo:hi])[:, None, None]
+    value = np.take(slope, seg - lo, axis=0)
+    value *= (ts - grid[seg])[:, None, None]
+    value += np.take(local, seg - lo, axis=0)
+    np.copyto(out, value, where=between[:, None, None])
+    return out
+
+
 def constant_path(x, T: float) -> PiecewisePath:
     """The path identically equal to ``x`` on [0, T]."""
     pt = np.atleast_1d(np.asarray(x, dtype=float))
@@ -155,21 +181,10 @@ class PathEnsemble:
         if not -HORIZON_TOL <= t <= self.horizon + HORIZON_TOL:
             raise InputError(f"time {t} outside [0, {self.horizon}]")
         t = float(t)
-        grid, nodes = self._grid, self._nodes
-        if nodes is None:
+        if self._nodes is None:
             atoms = np.stack([p(t) for p in self.paths])
-        elif t <= grid[0]:
-            atoms = nodes[:, 0]
-        elif t >= grid[-1]:
-            atoms = nodes[:, -1]
         else:
-            # np.interp's own arithmetic, so atoms match per-path evaluation bitwise
-            j = int(np.searchsorted(grid, t, side="right")) - 1
-            if grid[j] == t:
-                atoms = nodes[:, j]
-            else:
-                slope = (nodes[:, j + 1] - nodes[:, j]) / (grid[j + 1] - grid[j])
-                atoms = slope * (t - grid[j]) + nodes[:, j]
+            atoms = _interp_nodes(self._grid, self._nodes, np.array([t]))[0].T
         return coalesce(DiscreteMeasure(atoms, self.weights), 0.0)
 
     def restricted(self, T: float) -> "PathEnsemble":

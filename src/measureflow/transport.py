@@ -2,12 +2,21 @@
 
 The principal solver is a successive-shortest-augmenting-path min-cost flow on
 the dense bipartite atom graph (Dijkstra with node potentials, lexicographic
-tie-breaking), which returns a vertex of the transport polytope together with
-dual potentials.  One-dimensional problems take the monotone-rearrangement fast
-path, which is optimal for the squared-distance cost.  ``brute_force_w2`` is an
-independent oracle used by the test suite: it enumerates every vertex of the
-transport polytope via spanning-tree supports (or all assignments in the
-uniform case) and never touches the flow solver.
+tie-breaking; Ahuja, Magnanti & Orlin 1993, ch. 9), which returns a vertex of
+the transport polytope together with dual potentials.  Its Dijkstra settles
+all rows tied at the minimum distance in one vectorized step, which gives the
+same updates in the same order as settling them one at a time, so tall
+problems (many rows, few columns) cost a few array operations per
+augmentation instead of one Python iteration per row.  One-dimensional
+problems take the monotone-rearrangement fast path, which is optimal for the
+squared-distance cost.  ``brute_force_w2`` is an independent oracle used by
+the test suite: it enumerates every vertex of the transport polytope via
+spanning-tree supports (or all assignments in the uniform case) and never
+touches the flow solver.
+
+``wasserstein2_sup`` builds its sup-distance cost matrix for two common-grid
+path ensembles on one union grid, block by block, bitwise equal to the
+per-pair ``path_sup_distance``.
 """
 
 from __future__ import annotations
@@ -25,12 +34,13 @@ from .measure import (
     TangentMeasure,
     barycentric_projection,
 )
-from .paths import HORIZON_TOL, PathEnsemble, PiecewisePath
+from .paths import HORIZON_TOL, PathEnsemble, PiecewisePath, _interp_nodes
 
 _MASS_EPS = 1e-14
 _RC_EPS = 1e-12
 _BRUTE_ATOM_CAP = 64
 _BRUTE_ENUM_BUDGET = 700_000
+_SUP_CHUNK_ELEMS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,13 @@ def _solve_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
 
     Returns (flow, row potentials, col potentials).  Potentials satisfy dual
     feasibility cost_ij - p_i - q_j >= -1e-9 with equality on support arcs.
+
+    Each augmentation's Dijkstra settles all unsettled rows tied at the
+    minimum distance in one step (every row with supply starts at 0).  This
+    is exactly the one-row-at-a-time order: rows relax only columns, each
+    candidate is at least the row's distance, and the ``<=`` settles tied rows
+    before any column; taking the first minimum over the batch, then the
+    strict ``<`` against the column's distance, keeps the per-row updates.
     """
     m, n = cost.shape
     flow = np.zeros((m, n))
@@ -96,14 +113,19 @@ def _solve_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
             if dr[ir] <= dc[jc]:
                 if not np.isfinite(dr[ir]):
                     break
-                done_r[ir] = True
-                rc = cost[ir] - p[ir] - q
+                # every row tied at the minimum settles before any column, so
+                # relax them together; the first minimum keeps the row order
+                batch = np.nonzero(dr == dr[ir])[0]
+                done_r[batch] = True
+                rc = cost[batch] - p[batch, None] - q
                 np.maximum(rc, 0.0, out=rc)
-                cand = dist_r[ir] + rc
+                cand = dist_r[batch, None] + rc
+                first = np.argmin(cand, axis=0)
+                cand = cand[first, np.arange(n)]
                 better = cand < dist_c
                 if better.any():
                     dist_c[better] = cand[better]
-                    pred_c[better] = ir
+                    pred_c[better] = batch[first[better]]
             else:
                 if not np.isfinite(dc[jc]):
                     break
@@ -402,36 +424,54 @@ def path_sup_distance(p1: PiecewisePath, p2: PiecewisePath) -> float:
 
 
 def _sup_matrix(e1: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
+    """All pairwise ``path_sup_distance`` values, bitwise, as an (n1, n2) matrix.
+
+    When each ensemble has a common grid, both are evaluated on the one union
+    grid, and the squared norm is summed over the coordinates in order, as
+    ``np.linalg.norm`` does; the sup of the root is the root of the sup, since
+    sqrt is monotone and correctly rounded.  The union grid is walked in
+    blocks of about ``_SUP_CHUNK_ELEMS`` pair differences (at least one time),
+    so memory does not grow with the grid.  Ensembles without a common grid
+    fall back to one ``path_sup_distance`` call per pair.
+    """
     g1, g2 = e1.common_grid(), e2.common_grid()
-    if g1 is not None and g2 is not None and g1.shape == g2.shape and np.array_equal(g1, g2):
-        n1, n2 = e1._nodes, e2._nodes  # (n1, K+1, d), (n2, K+1, d)
-        out = np.zeros((n1.shape[0], n2.shape[0]))
-        for k in range(g1.shape[0]):
-            diff = n1[:, None, k, :] - n2[None, :, k, :]
-            np.maximum(out, np.linalg.norm(diff, axis=2), out=out)
+    if g1 is None or g2 is None:
+        out = np.empty((e1.n_paths, e2.n_paths))
+        for i, pi in enumerate(e1.paths):
+            for j, pj in enumerate(e2.paths):
+                out[i, j] = path_sup_distance(pi, pj)
         return out
-    out = np.empty((e1.n_paths, e2.n_paths))
-    for i, pi in enumerate(e1.paths):
-        for j, pj in enumerate(e2.paths):
-            out[i, j] = path_sup_distance(pi, pj)
-    return out
+    ts = np.union1d(g1, g2)
+    n1, n2 = e1.n_paths, e2.n_paths
+    width = max(1, _SUP_CHUNK_ELEMS // (n1 * n2))
+    sq = np.zeros((n1, n2))
+    for start in range(0, ts.shape[0], width):
+        block = ts[start : start + width]
+        x1 = _interp_nodes(g1, e1._nodes, block)  # (B, d, n1)
+        x2 = _interp_nodes(g2, e2._nodes, block)  # (B, d, n2)
+        acc = np.zeros((block.shape[0], n2, n1))
+        diff = np.empty_like(acc)
+        for k in range(e1.dim):
+            np.subtract(x1[:, None, k], x2[:, k, :, None], out=diff)
+            diff *= diff
+            acc += diff
+        np.maximum(sq, acc.max(axis=0).T, out=sq)
+    return np.sqrt(sq)
 
 
 def wasserstein2_sup(e1: PathEnsemble, e2: PathEnsemble) -> float:
     """W2 between path ensembles under the sup-norm ground metric."""
     if abs(e1.horizon - e2.horizon) > HORIZON_TOL * max(1.0, abs(e1.horizon)):
         raise InputError(f"mismatched horizons: {e1.horizon} vs {e2.horizon}")
+    dist = _sup_matrix(e1, e2)
     if e1.n_paths == 1 or e2.n_paths == 1:
         # coupling with a Dirac is forced, no optimization needed
-        if e1.n_paths == 1:
-            single, many = e1.paths[0], e2
-        else:
-            single, many = e2.paths[0], e1
+        many = e2 if e1.n_paths == 1 else e1
         total = 0.0
-        for p, w in zip(many.paths, many.weights):
-            total += w * path_sup_distance(p, single) ** 2
+        for d, w in zip(dist.ravel().tolist(), many.weights):
+            total += w * d**2
         return math.sqrt(max(total, 0.0))
-    cost = _sup_matrix(e1, e2) ** 2
+    cost = dist**2
     flow, p, q = _solve_flow(cost, e1.weights, e2.weights)
     return math.sqrt(max(float(np.sum(flow * cost)), 0.0))
 

@@ -278,3 +278,28 @@ def test_non_finite_velocity_exits_5(tmp_path, capsys, mode):
         assert main(["run", "--config", cfg]) == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "non-finite" in err and "Traceback" not in err
+
+
+def test_monte_carlo_position_overflow_exits_5(tmp_path, capsys):
+    cfg = _write_cfg(
+        tmp_path,
+        "overflow.json",
+        {
+            "scenario": {
+                "kind": "sampled",
+                "g": "1e308 + 0 * x + 0 * u",
+                "noise": {"labels": [0], "weights": [1.0]},
+            },
+            "dim": 1,
+            "initial": {"atoms": [[0.0]], "weights": [1.0]},
+            "tau": 1.0,
+            "T": 2.0,
+            "L": 10.0,
+            "mode": "monte-carlo",
+            "M": 4,
+            "out": str(tmp_path / "o"),
+        },
+    )
+    assert main(["run", "--config", cfg]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "non-finite position at step 1" in err and "Traceback" not in err

@@ -297,3 +297,18 @@ def test_monte_carlo_refuses_non_finite_velocities():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericDomainError, match="step 0"):
             sample_paths_monte_carlo(blowup, dirac(1.0), 0.1, 1.0, 8, seed=0)
+
+
+def test_monte_carlo_refuses_position_overflow():
+    # every velocity is finite, but the second step leaves the float range
+    huge = field_from_config(
+        {
+            "kind": "sampled",
+            "g": "1e308 + 0 * x + 0 * u",
+            "noise": {"labels": [0], "weights": [1.0]},
+        },
+        dim=1,
+    )
+    with pytest.raises(NumericDomainError, match="position at step 1") as info:
+        sample_paths_monte_carlo(huge, dirac(0.0), 1.0, 2.0, 4, seed=0)
+    assert np.array_equal(info.value.witness, [1e308])
