@@ -2,8 +2,9 @@
 
 Commands: run | sweep | verify | bounds.  One self-contained JSON config per
 invocation; --out and --seed override the config.  Identical config and seed
-produce byte-identical CSV/JSON artifacts except for wall-time fields
-(the wall_ms column of sweep.csv and the timing block of manifests).
+produce byte-identical CSV/JSON artifacts except for ``wall_ms``, the only
+timing field (a column of sweep.csv and a key of each sweep.json row);
+manifests carry no timing.
 
 Exit codes: 0 success, 1 verification failures, 2 config error, 3 stability
 violation, 4 resource cap exceeded, 5 non-finite numbers.
@@ -216,8 +217,8 @@ def cmd_run(cfg: dict) -> int:
         ensemble = sample_paths_monte_carlo(spec, mu0, tau, T, M, seed)
     else:
         raise ConfigError(f"unknown mode {mode!r}")
-    _write_json(out / "ensemble.json", ensemble.to_json_dict())
-    (out / "ensemble.csv").write_text(ensemble.to_csv())
+    with open(out / "ensemble.json", "w") as json_out, open(out / "ensemble.csv", "w") as csv_out:
+        ensemble.write_artifacts(json_out, csv_out)
     _write_json(
         out / "manifest.json",
         _manifest(cfg, {"command": "run", "n_paths": ensemble.n_paths}),

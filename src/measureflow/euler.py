@@ -291,9 +291,10 @@ def sample_paths_monte_carlo(
     whole population ("shared"); interaction fields draw a partner uniformly
     with replacement from the current population, independently of the
     particle's own index (self-pairing allowed: the independent-copy law is
-    realized at the empirical level).  A non-finite velocity, or a position
-    that overflows, raises :class:`NumericDomainError` naming the step and the
-    particle.
+    realized at the empirical level).  Each step calls each drawn label's
+    kernel once, on all the particles that drew it.  A non-finite velocity, or
+    a position that overflows, raises :class:`NumericDomainError` naming the
+    step and the particle.
     """
     if sample_count < 1:
         raise InputError("sample_count must be >= 1")
@@ -312,20 +313,21 @@ def sample_paths_monte_carlo(
     rule = _section(spec)
     fns = [fn for _, _, fn in rule.terms]
     for n in range(N):
-        Y = X[rng.integers(0, M, size=M)] if rule.pairs else [None] * M
+        Y = X[rng.integers(0, M, size=M)] if rule.pairs else None
         if rule.noise is None:
-            picks = fns * M
+            groups = [(fns[0], slice(None))]
         elif noise_mode == "shared":
-            picks = [fns[rng.choice(len(fns), p=rule.noise.weights)]] * M
+            groups = [(fns[rng.choice(len(fns), p=rule.noise.weights)], slice(None))]
         else:
             idx = rng.choice(len(fns), size=M, p=rule.noise.weights)
-            picks = [fns[k] for k in idx]
+            groups = [(fn, np.flatnonzero(idx == k)) for k, fn in enumerate(fns)]
+            groups = [(fn, rows) for fn, rows in groups if rows.size]
         mu_hat = None
         if rule.reads_measure:
             mu_hat = DiscreteMeasure(X.copy(), np.full(M, 1.0 / M))
         V = np.empty_like(X)
-        for i, (x, y, fn) in enumerate(zip(X, Y, picks)):
-            V[i] = fn(x, y, mu_hat)
+        for fn, rows in groups:
+            V[rows] = fn(X[rows], None if Y is None else Y[rows], mu_hat)
         _refuse_non_finite(V, "velocity", n, X)
         with np.errstate(over="ignore"):  # reported just below, with its step
             X_next = X + tau * (rule.sign * V)

@@ -5,6 +5,12 @@ measure yields exactly one tangent measure whose x-marginal is the input
 measure (the structural condition of the scheme).  Multivalued experiments
 supply several specs.  Field closures must be pure and reentrant.
 
+A spec built with ``batched=True`` declares its closure array-native: given
+an ``(n, d)`` array of points (and of partners, where the kind has them) it
+returns ``(n, d)`` velocities whose row i equals the call on row i alone, bit
+for bit.  The built-in scenarios and DSL fields declare it; any other closure
+is called once per point.
+
 The ``check_*`` functions are sample-based certifiers, not proofs: the
 dissipativity conditions quantify over all measures and couplings, which has
 no finite certificate, so reports carry explicit violation witnesses and an
@@ -61,6 +67,7 @@ class SampledField:
 
     g: Callable[[np.ndarray, object], np.ndarray]
     noise: NoiseSpace
+    batched: bool = False
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,7 @@ class InteractionField:
     """v = f(x, y) with the partner y drawn from the measure itself."""
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    batched: bool = False
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,7 @@ class StochasticInteractionField:
 
     h: Callable[[np.ndarray, np.ndarray, object], np.ndarray]
     noise: NoiseSpace
+    batched: bool = False
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,7 @@ class NonlocalSampledField:
 
     g: Callable[[np.ndarray, DiscreteMeasure, object], np.ndarray]
     noise: NoiseSpace
+    batched: bool = False
 
 
 @dataclass(frozen=True)
@@ -91,6 +101,7 @@ class GradientSumField:
     """v = -grad H_u(x) for a finite family of potentials, uniform noise."""
 
     gradients: tuple
+    batched: bool = False
 
     def __post_init__(self):
         grads = tuple(self.gradients)
@@ -108,21 +119,38 @@ PvfSpec = Union[
 ]
 
 
-def _finite_or_raise(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if not np.all(np.isfinite(v)):
-        raise NumericDomainError("field produced a non-finite velocity", witness=x)
-    return v
+def _finite_or_raise(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``V`` unchanged, or NumericDomainError witnessed by the point of its first non-finite row."""
+    finite = np.isfinite(V).all(axis=-1)
+    if not finite.all():
+        raise NumericDomainError(
+            "field produced a non-finite velocity", witness=X[int(np.argmin(finite))].copy()
+        )
+    return V
+
+
+def _per_point(fn: Callable) -> Callable:
+    """The batch form of a per-point term: the one loop that calls a field once per point."""
+
+    def batch(X, Y, mu):
+        V = np.empty(X.shape)
+        for i, x in enumerate(X):
+            V[i] = fn(x, None if Y is None else Y[i], mu)
+        return V
+
+    return batch
 
 
 @dataclass(frozen=True)
 class _Section:
-    """How a field kind expands an atom x into (partner y, label u) velocities.
+    """How a field kind expands atoms x into (partner y, label u) velocities.
 
     ``terms`` holds one ``(label, label_weight, fn)`` per label, with
-    ``fn(x, y, mu)`` bound to its label; interaction fields have the single
-    term ``(None, 1.0, f)``.  ``pairs``: partners y are drawn from mu (else y
-    is None).  ``reads_measure``: fn reads mu (else mu is None).  ``sign``
+    ``fn(X, Y, mu)`` bound to its label; interaction fields have the single
+    term ``(None, 1.0, f)``.  fn takes a batch: points ``X`` of shape
+    ``(n, d)``, partners ``Y`` of the same shape (None when ``pairs`` is
+    false) and returns ``(n, d)`` velocities.  ``pairs``: partners are drawn
+    from mu.  ``reads_measure``: fn reads mu (else mu is None).  ``sign``
     multiplies every velocity; consumers apply it once per stacked array or
     fold it into a coefficient.  ``noise`` is the label law, None when no
     label is drawn.
@@ -137,12 +165,13 @@ class _Section:
 
 def _section(spec: PvfSpec) -> _Section:
     """The section rule of a field spec: the one dispatch over field kinds."""
-    if isinstance(spec, InteractionField):
-        f = spec.f
-        return _Section(((None, 1.0, lambda x, y, mu: f(x, y)),), True, False, 1.0, None)
     pairs = reads_measure = False
     sign = 1.0
-    if isinstance(spec, GradientSumField):
+    if isinstance(spec, InteractionField):
+        noise = None
+        fns = [lambda x, y, mu, f=spec.f: f(x, y)]
+        pairs = True
+    elif isinstance(spec, GradientSumField):
         noise = uniform_noise(range(len(spec.gradients)))
         fns = [lambda x, y, mu, g=g: g(x) for g in spec.gradients]
         sign = -1.0
@@ -159,7 +188,12 @@ def _section(spec: PvfSpec) -> _Section:
         reads_measure = True
     else:
         raise InputError(f"unknown field spec {type(spec).__name__}")
-    terms = tuple(zip(noise.labels, noise.weights, fns))
+    if not spec.batched:
+        fns = [_per_point(fn) for fn in fns]
+    if noise is None:
+        terms = ((None, 1.0, fns[0]),)
+    else:
+        terms = tuple(zip(noise.labels, noise.weights, fns))
     return _Section(terms, pairs, reads_measure, sign, noise)
 
 
@@ -167,33 +201,60 @@ def evaluate_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> TangentMeasure:
     """The tangent measure F[mu] selected by the spec at ``mu``.
 
     The x-marginal of the result equals ``mu``: velocities are attached to the
-    existing atoms and only exact duplicate (x, v) pairs are merged.
+    existing atoms and only exact duplicate (x, v) pairs are merged.  Rows are
+    expanded atom by atom, then partner by partner, then label by label, and
+    each label's kernel is called once on all (atom, partner) rows.
     """
     rule = _section(spec)
-    partners = tuple(zip(mu.atoms, mu.weights)) if rule.pairs else ((None, 1.0),)
+    n, d = mu.atoms.shape
+    X, wx = mu.atoms, mu.weights
+    Y = None
+    if rule.pairs:
+        X, Y = np.repeat(mu.atoms, n, axis=0), np.tile(mu.atoms, (n, 1))
+        wx = np.repeat(mu.weights, n) * np.tile(mu.weights, n)
     read = mu if rule.reads_measure else None
-    xs, vs, ws = [], [], []
-    for x, w in zip(mu.atoms, mu.weights):
-        for y, wy in partners:
-            for _, uw, fn in rule.terms:
-                xs.append(x)
-                vs.append(_finite_or_raise(fn(x, y, read), x))
-                ws.append(w * wy * uw)
-    phi = TangentMeasure(np.stack(xs), rule.sign * np.stack(vs), np.asarray(ws))
+    V = np.empty((X.shape[0], len(rule.terms), d))
+    for k, (_, _, fn) in enumerate(rule.terms):
+        V[:, k] = _finite_or_raise(fn(X, Y, read), X)
+    uw = np.array([uw for _, uw, _ in rule.terms])
+    phi = TangentMeasure(
+        np.repeat(X, len(rule.terms), axis=0),
+        rule.sign * V.reshape(-1, d),
+        (wx[:, None] * uw).ravel(),
+    )
     return coalesce(phi, 0.0)
+
+
+def _mean_velocity(
+    rule: _Section, X: np.ndarray, atoms: np.ndarray, weights: np.ndarray, mu
+) -> np.ndarray:
+    """The barycentric velocity at each row of ``X`` against partners ``atoms``.
+
+    Each label's kernel is called once on every (row, partner) pair.  The
+    terms ``sign * wy * uw * v`` are then added partner by partner and label
+    by label, starting from zero, as the per-point sum does, so row i equals
+    the sum at ``X[i]`` alone bitwise.
+    """
+    m, d = X.shape
+    if rule.pairs:
+        k = atoms.shape[0]
+        X, Y = np.repeat(X, k, axis=0), np.tile(atoms, (m, 1))
+    else:
+        k, Y, weights = 1, None, (1.0,)
+    vals = [fn(X, Y, mu).reshape(m, k, d) for _, _, fn in rule.terms]
+    out = np.zeros((m, d))
+    for j, wy in enumerate(weights):
+        for (_, uw, _), v in zip(rule.terms, vals):
+            out += rule.sign * wy * uw * v[:, j]
+    return out
 
 
 def barycenter_field(spec: PvfSpec, x, mu: DiscreteMeasure) -> np.ndarray:
     """The barycentric velocity b(x, mu): the mean of the selected section at x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
     rule = _section(spec)
-    partners = zip(mu.atoms, mu.weights) if rule.pairs else ((None, 1.0),)
     read = mu if rule.reads_measure else None
-    out = np.zeros_like(x)
-    for y, wy in partners:
-        for _, uw, fn in rule.terms:
-            out = out + rule.sign * wy * uw * _finite_or_raise(fn(x, y, read), x)
-    return out
+    return _finite_or_raise(_mean_velocity(rule, x, mu.atoms, mu.weights, read), x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -374,29 +435,20 @@ def check_growth(
 
 
 def support_bound(
-    spec: PvfSpec, R: float, probes: int, seed: int = 0, dim: int | None = None
+    spec: PvfSpec, R: float, probes: int, seed: int = 0, *, dim: int
 ) -> float:
-    """Empirical rho_R: the largest |(x, v)| of F[mu] over probed mu in B_R.
+    """Empirical rho_R: the largest |(x, v)| of F[mu] over probed mu in B_R of R^dim.
 
     Probing is deterministic given the seed and always includes axis-aligned
-    boundary Diracs, so suprema attained on the boundary are found.  When
-    ``dim`` is omitted the ambient dimension is found by probing the origin.
+    boundary Diracs, so suprema attained on the boundary are found.
     """
     if probes < 1:
         raise InputError("probes must be >= 1")
     if R < 0:
         raise InputError("R must be nonnegative")
+    if not isinstance(dim, int) or dim < 1:
+        raise InputError("dim must be an integer >= 1")
     rng = np.random.default_rng(seed)
-    if dim is None:
-        for d in (1, 2, 3):
-            try:
-                evaluate_pvf(spec, DiscreteMeasure(np.zeros((1, d)), np.array([1.0])))
-                dim = d
-                break
-            except Exception:
-                continue
-    if dim is None:
-        raise InputError("could not determine the field dimension by probing")
     mus = [DiscreteMeasure(np.zeros((1, dim)), np.array([1.0]))]
     if R > 0:
         for k in range(dim):

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericDomainError
-from .fields import PvfSpec, _section
+from .fields import PvfSpec, _mean_velocity, _section
 from .measure import DiscreteMeasure, coalesce, measures_close
 from .paths import PathEnsemble, PiecewisePath, Provenance
 from .transport import w2_distance, bram_pairing
@@ -98,25 +98,18 @@ def _velocity_fn(spec: PvfSpec):
     Row i of ``rhs(pos, w)`` equals ``fields.barycenter_field(spec, pos[i],
     mu)`` bitwise, where mu has atoms ``pos`` and weights ``w / w.sum()``
     (fields that read mu get ``w`` itself when its mass is within 1e-15 of
-    one).  Partners are iterated without building a measure, and the section
-    rule is built once per flow rather than once per call.
+    one).  Each label's kernel is called once per evaluation, on all atoms
+    (and all atom pairs for interaction fields), and the section rule is
+    built once per flow rather than once per call.
     """
     rule = _section(spec)
 
     def rhs(pos: np.ndarray, w: np.ndarray) -> np.ndarray:
         total = w.sum()
-        partners = zip(pos, w / total) if rule.pairs else ((None, 1.0),)
         mu = None
         if rule.reads_measure:
             mu = DiscreteMeasure(pos, w / total if abs(total - 1.0) > 1e-15 else w)
-        out = np.zeros_like(pos)
-        vals = np.empty_like(pos)
-        for y, wy in partners:
-            for _, uw, fn in rule.terms:
-                for i, x in enumerate(pos):
-                    vals[i] = fn(x, y, mu)
-                out += rule.sign * wy * uw * vals
-        return out
+        return _mean_velocity(rule, pos, pos, w / total, mu)
 
     return rhs
 
@@ -171,7 +164,9 @@ def sticky_flow(
             arr = pos[live]
             diff = arr[:, None, :] - arr[None, :, :]
             sq = np.einsum("ijk,ijk->ij", diff, diff)
-            iu = _triu_cache.setdefault(len(live), np.triu_indices(len(live), k=1))
+            iu = _triu_cache.get(len(live))
+            if iu is None:
+                iu = _triu_cache[len(live)] = np.triu_indices(len(live), k=1)
             hits = np.nonzero(sq[iu] <= config.merge_tol**2)[0]
             if hits.size == 0:
                 break

@@ -197,13 +197,16 @@ class PathEnsemble:
         """The shared grid if all paths use identical grids, else None."""
         return self._grid
 
+    def _provenance_dict(self) -> dict:
+        return {
+            "kind": self.provenance.kind,
+            "seed": self.provenance.seed,
+            "sample_count": self.provenance.sample_count,
+        }
+
     def to_json_dict(self) -> dict:
         return {
-            "provenance": {
-                "kind": self.provenance.kind,
-                "seed": self.provenance.seed,
-                "sample_count": self.provenance.sample_count,
-            },
+            "provenance": self._provenance_dict(),
             "weights": self.weights.tolist(),
             "paths": [p.to_json_dict() for p in self.paths],
         }
@@ -219,6 +222,74 @@ class PathEnsemble:
             for t, node in zip(p.grid, p.nodes):
                 writer.writerow([i, repr(float(t)), *[repr(float(c)) for c in node], repr(float(w))])
         return buf.getvalue()
+
+    def _node_blocks(self):
+        """(first path id, grid, nodes ``(b, K+1, d)``) for consecutive paths on one grid."""
+        if self._nodes is None:
+            for i, p in enumerate(self.paths):
+                yield i, p.grid, p.nodes[None]
+        else:
+            for start in range(0, self.n_paths, _WRITE_BLOCK):
+                yield start, self._grid, self._nodes[start : start + _WRITE_BLOCK]
+
+    def write_artifacts(self, json_out, csv_out) -> None:
+        """Write the ensemble's JSON to ``json_out`` and its CSV to ``csv_out``, streamed.
+
+        The bytes equal ``json.dumps(self.to_json_dict(), sort_keys=True,
+        indent=1) + "\\n"`` and ``self.to_csv()``.  Paths are written in blocks
+        of ``_WRITE_BLOCK``, so neither text is held whole.  Every float is
+        rendered once, by ``repr`` as both encoders render it, into both
+        files; a common grid is rendered once for all paths.
+        """
+        d = self.dim
+        weights = list(map(repr, self.weights.tolist()))
+        csv_out.write(",".join(["path_id", "time", *[f"x{k}" for k in range(d)], "weight"]) + "\n")
+        json_out.write('{\n "paths": [\n')
+        grid = None
+        for start, block_grid, nodes in self._node_blocks():
+            if block_grid is not grid:
+                grid = block_grid
+                json_t, csv_t = _path_templates(list(map(repr, grid.tolist())), d)
+            size = nodes[0].size
+            flat = list(map(repr, nodes.ravel().tolist()))
+            coords = [flat[k : k + size] for k in range(0, len(flat), size)]
+            json_out.write((",\n" if start else "") + ",\n".join(json_t.format(*c) for c in coords))
+            csv_out.write(
+                "".join(
+                    csv_t.format(str(start + b), weights[start + b], *c)
+                    for b, c in enumerate(coords)
+                )
+            )
+        provenance = json.dumps(self._provenance_dict(), sort_keys=True, indent=1)
+        json_out.write(
+            '\n ],\n "provenance": ' + provenance.replace("\n", "\n ") + ',\n "weights": [\n'
+        )
+        json_out.write(",\n".join("  " + w for w in weights) + "\n ]\n}\n")
+
+
+_WRITE_BLOCK = 256  # paths rendered per write in PathEnsemble.write_artifacts
+
+
+def _path_templates(grid: list, d: int) -> tuple[str, str]:
+    """Format strings for one path on ``grid`` (rendered times) in R^d.
+
+    The first renders the path's object in ``ensemble.json`` from its node
+    coordinates in order; the second renders its rows in ``ensemble.csv``
+    from the path id (field 0), the weight (field 1) and the coordinates.
+    """
+    node = "    [\n" + ",\n".join(["     {}"] * d) + "\n    ]"
+    json_t = (
+        '  {{\n   "grid": [\n'
+        + ",\n".join("    " + t for t in grid)
+        + '\n   ],\n   "nodes": [\n'
+        + ",\n".join([node] * len(grid))
+        + "\n   ]\n  }}"
+    )
+    csv_t = "".join(
+        "{0}," + t + "".join(f",{{{2 + k * d + c}}}" for c in range(d)) + ",{1}\n"
+        for k, t in enumerate(grid)
+    )
+    return json_t, csv_t
 
 
 def ensemble_from_json(s: str) -> PathEnsemble:

@@ -1,11 +1,15 @@
 """Field evaluation, barycenters, certifiers, and the expression DSL."""
 
+import ast
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measureflow.dsl import compile_expression, field_from_config
+from measureflow.dsl import _as_velocity, compile_expression, field_from_config
 from measureflow.errors import InputError
 from measureflow.euler import _predicted_section_atoms, sample_paths_monte_carlo
 from measureflow.fields import (
@@ -14,6 +18,7 @@ from measureflow.fields import (
     NonlocalSampledField,
     SampledField,
     StochasticInteractionField,
+    _section,
     barycenter_field,
     check_growth,
     check_one_sided_lipschitz,
@@ -195,16 +200,16 @@ def test_velocity_growth_constants_of_scenarios():
 
 def test_support_bound_examples():
     shrink = SampledField(lambda x, u: -x, uniform_noise([0]))
-    assert np.isclose(support_bound(shrink, 1.0, probes=16), np.sqrt(2.0))
-    assert np.isclose(support_bound(ZERO_F, 5.0, probes=16), 5.0)
+    assert np.isclose(support_bound(shrink, 1.0, probes=16, dim=1), np.sqrt(2.0))
+    assert np.isclose(support_bound(ZERO_F, 5.0, probes=16, dim=1), 5.0)
     const = SampledField(lambda x, u: np.array([2.0]), uniform_noise([0]))
-    assert np.isclose(support_bound(const, 0.0, probes=1), 2.0)
+    assert np.isclose(support_bound(const, 0.0, probes=1, dim=1), 2.0)
 
 
 def test_support_bound_deterministic_given_seed():
     sc = scenario("sdf-linear")
-    a = support_bound(sc.spec, 2.0, probes=32, seed=5)
-    b = support_bound(sc.spec, 2.0, probes=32, seed=5)
+    a = support_bound(sc.spec, 2.0, probes=32, seed=5, dim=sc.dim)
+    b = support_bound(sc.spec, 2.0, probes=32, seed=5, dim=sc.dim)
     assert a == b
 
 
@@ -247,6 +252,23 @@ def test_dsl_nonlocal_moments():
     assert np.isclose(vel[1.0], -2.0) and np.isclose(vel[-1.0], 2.0)
 
 
+def test_dsl_rejects_malformed_shapes():
+    x = np.array([1.0, 2.0])
+    with pytest.raises(InputError):
+        compile_expression("x[2]", ("x",))({"x": x})  # index beyond the vector
+    with pytest.raises(InputError):
+        compile_expression("[x, 1]", ("x",))({"x": x})  # non-scalar element
+    with pytest.raises(InputError):
+        compile_expression("dot(x, [1, 2, 3])", ("x",))({"x": x})
+    with pytest.raises(InputError):
+        compile_expression("[]", ("x",))
+    with pytest.raises(InputError):
+        compile_expression("x[True]", ("x",))
+    spec = field_from_config({"kind": "interaction", "f": "x[0] + y[0]"}, dim=2)
+    with pytest.raises(InputError):
+        evaluate_pvf(spec, mixture([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5]))
+
+
 def test_dsl_rejects_code_execution():
     with pytest.raises(InputError):
         compile_expression("__import__('os').system('true')", ("x",))
@@ -284,16 +306,30 @@ _DSL_CONFIGS = {
         },
         2,
     ),
+    "dsl-reductions": (
+        {
+            "kind": "stochastic-interaction",
+            "h": "u * (y - x) * sin(norm(x - y)) - 0.5 * dot(x, y) * x",
+            "noise": {"labels": [0.5, 1.5], "weights": [0.3, 0.7]},
+        },
+        3,
+    ),
 }
 _KINDS = tuple(scenario_names()) + tuple(_DSL_CONFIGS)
+# the same fields declared per-point, so the section rule wraps them in its adapter
+_PER_POINT = tuple(f"{name}:per-point" for name in _KINDS)
 
 
 def _spec_and_dim(name):
-    if name in _DSL_CONFIGS:
-        cfg, dim = _DSL_CONFIGS[name]
-        return field_from_config(cfg, dim), dim
-    sc = scenario(name)
-    return sc.spec, sc.dim
+    base = name.removesuffix(":per-point")
+    if base in _DSL_CONFIGS:
+        cfg, dim = _DSL_CONFIGS[base]
+        spec = field_from_config(cfg, dim)
+    else:
+        sc = scenario(base)
+        spec, dim = sc.spec, sc.dim
+    assert spec.batched
+    return dataclasses.replace(spec, batched=base == name), dim
 
 
 def _as_sampled(spec):
@@ -377,6 +413,29 @@ def _oracle_monte_carlo(spec, mu0, tau, n_steps, M, seed, noise_mode):
     return np.stack(traj, axis=1)
 
 
+def _oracle_barycenter(spec, x, mu):
+    """The per-point barycenter sum: partner by partner, then label by label."""
+    sign, noise, pairs = 1.0, getattr(spec, "noise", None), False
+    if isinstance(spec, GradientSumField):
+        sign, noise = -1.0, uniform_noise(range(len(spec.gradients)))
+        call = lambda y, u: spec.gradients[u](x)  # noqa: E731
+    elif isinstance(spec, SampledField):
+        call = lambda y, u: spec.g(x, u)  # noqa: E731
+    elif isinstance(spec, InteractionField):
+        call, pairs = (lambda y, u: spec.f(x, y)), True
+    elif isinstance(spec, StochasticInteractionField):
+        call, pairs = (lambda y, u: spec.h(x, y, u)), True
+    else:
+        call = lambda y, u: spec.g(x, mu, u)  # noqa: E731
+    partners = list(zip(mu.atoms, mu.weights)) if pairs else [(None, 1.0)]
+    labels = [(None, 1.0)] if noise is None else list(zip(noise.labels, noise.weights))
+    out = np.zeros_like(x)
+    for y, wy in partners:
+        for u, uw in labels:
+            out = out + sign * wy * uw * np.asarray(call(y, u), dtype=float)
+    return out
+
+
 @st.composite
 def _measures(draw, dim, low=0.1, high=1.0, normalise=True):
     n = draw(st.integers(1, 4))
@@ -390,7 +449,7 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("name", _KINDS)
+@pytest.mark.parametrize("name", _KINDS + _PER_POINT)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_evaluate_pvf_matches_per_kind_oracle(name, data):
@@ -404,7 +463,7 @@ def test_evaluate_pvf_matches_per_kind_oracle(name, data):
 
 
 @pytest.mark.parametrize("noise_mode", ["independent", "shared"])
-@pytest.mark.parametrize("name", _KINDS)
+@pytest.mark.parametrize("name", _KINDS + _PER_POINT)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_monte_carlo_matches_per_kind_oracle(name, noise_mode, data, seed):
@@ -416,7 +475,7 @@ def test_monte_carlo_matches_per_kind_oracle(name, noise_mode, data, seed):
     assert _bits(got) == _bits(_oracle_monte_carlo(spec, mu0, 0.25, 3, 12, seed, noise_mode))
 
 
-@pytest.mark.parametrize("name", _KINDS)
+@pytest.mark.parametrize("name", _KINDS + _PER_POINT)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_sticky_rhs_rows_equal_barycenter_field(name, data):
@@ -427,6 +486,7 @@ def test_sticky_rhs_rows_equal_barycenter_field(name, data):
     mu = DiscreteMeasure(pos, w / w.sum())
     for i in range(pos.shape[0]):
         assert _bits(rhs[i]) == _bits(barycenter_field(spec, pos[i], mu))
+        assert _bits(rhs[i]) == _bits(_oracle_barycenter(spec, pos[i], mu))
 
 
 def test_unknown_spec_refused_by_every_consumer():
@@ -442,3 +502,143 @@ def test_unknown_spec_refused_by_every_consumer():
         sample_paths_monte_carlo(bogus, mu, 0.5, 1.0, 4, seed=0)
     with pytest.raises(InputError):
         _predicted_section_atoms(bogus, 3)
+
+
+# ---------------------------------------------------------------------------
+# batch kernels against single-point calls
+# ---------------------------------------------------------------------------
+
+
+def _strided(a):
+    """A view with the values of ``a`` whose rows and columns are both strided."""
+    n, d = a.shape
+    big = np.full((2 * n, d + 1), np.nan)
+    big[::2, 1:] = a
+    return big[::2, 1:]
+
+
+@pytest.mark.parametrize("name", _KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_section_kernel_rows_equal_single_point_calls(name, data):
+    spec, dim = _spec_and_dim(name)
+    atoms, w = data.draw(_measures(dim))
+    mu = DiscreteMeasure(atoms, w)
+    pts = data.draw(_measures(dim))[0]
+    X, Y = _strided(pts), _strided(pts[::-1])
+    rule = _section(spec)
+    read = mu if rule.reads_measure else None
+    for _, _, fn in rule.terms:
+        batch = fn(X, Y if rule.pairs else None, read)
+        for i in range(X.shape[0]):
+            one = fn(X[i], Y[i] if rule.pairs else None, read)
+            assert _bits(batch[i]) == _bits(one)
+
+
+def _parent_compile(text):
+    """The per-point DSL compiler that the array compiler replaced (reference only)."""
+    functions = {
+        "sin": np.sin, "cos": np.cos, "tanh": np.tanh, "exp": np.exp, "sqrt": np.sqrt,
+        "abs": np.abs, "min": np.minimum, "max": np.maximum,
+    }
+    binops = {
+        ast.Add: lambda a, b: a + b,
+        ast.Sub: lambda a, b: a - b,
+        ast.Mult: lambda a, b: a * b,
+        ast.Div: lambda a, b: a / b,
+        ast.Pow: lambda a, b: a**b,
+    }
+    unary = {ast.USub: lambda a: -a, ast.UAdd: lambda a: a}
+
+    def node_fn(node):
+        if isinstance(node, ast.Constant):
+            value = float(node.value)
+            return lambda env: value
+        if isinstance(node, ast.Name):
+            return lambda env: env[node.id]
+        if isinstance(node, ast.BinOp):
+            op, left, right = binops[type(node.op)], node_fn(node.left), node_fn(node.right)
+            return lambda env: op(left(env), right(env))
+        if isinstance(node, ast.UnaryOp):
+            op, operand = unary[type(node.op)], node_fn(node.operand)
+            return lambda env: op(operand(env))
+        if isinstance(node, ast.Call):
+            fn, args = functions[node.func.id], [node_fn(a) for a in node.args]
+            return lambda env: fn(*(a(env) for a in args))
+        if isinstance(node, ast.List):
+            elems = [node_fn(e) for e in node.elts]
+            return lambda env: np.asarray(
+                [float(np.asarray(e(env), dtype=float).reshape(())) for e in elems]
+            )
+        base, idx = node_fn(node.value), node.slice.value
+        return lambda env: np.atleast_1d(base(env))[idx]
+
+    fn = node_fn(ast.parse(text, mode="eval").body)
+    return lambda env: np.atleast_1d(np.asarray(fn(env), dtype=float))
+
+
+# (expression over x, y, u, m1, m2 in R^3, whether the per-point compiler is an oracle).
+# norm and dot now sum in index order where the per-point compiler called BLAS, and
+# ** on a per-point scalar (x[k], norm, dot) now takes numpy's array power where the
+# per-point compiler took the scalar one; both can differ in the last bit, so those
+# expressions are checked only batch against single point.
+_GRAMMAR = {
+    "functions": ("sin(x) + cos(y) - tanh(x * y) + exp(-abs(u * x))", True),
+    "sqrt-moments": ("sqrt(abs(x - y)) / (1 + abs(m1)) - m2 * x", True),
+    "array-power": ("x ** 2 + abs(y) ** 1.5 - 2 ** u + (-x) ** 3", True),
+    "index-literal": ("[x[0] * y[1], min(x[1], y[2]) - max(x[2], u), sin(x[2]) + m1[0]]", True),
+    "unary-broadcast": ("+x - -y * m1[1] + [1, u, m2]", True),
+    "no-batch-axis": ("m1 * u - [m2, 1, 2 ** u]", True),  # _as_velocity broadcasts it
+    "scalar-power": ("[x[1] ** 3, abs(y[0]) ** 0.5, 2 ** x[2]]", False),
+    "norm-dot": ("norm(x - y) * x + dot(x, y) * y - norm(u)", False),
+    "norm-dot-literal": ("[norm(x), dot(x, m1), dot(y, [1, 2, 3]) ** 2]", False),
+}
+_VARS = ("x", "y", "u", "m1", "m2")
+
+
+@pytest.mark.parametrize("text, parent_oracle", _GRAMMAR.values(), ids=_GRAMMAR.keys())
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), u=st.sampled_from([0.5, -1.5, 3.0]))
+def test_dsl_batch_rows_equal_single_point_calls(text, parent_oracle, data, u):
+    pts = data.draw(_measures(3))[0]
+    m1 = data.draw(_measures(3))[0][0]
+    X, Y = _strided(pts), _strided(pts[::-1] * 1.5)
+    kernel = compile_expression(text, _VARS)
+    env = lambda x, y: {"x": x, "y": y, "u": u, "m1": m1, "m2": 0.75}  # noqa: E731
+    batch = _as_velocity(kernel(env(X, Y)), X, 3)
+    assert batch.shape == X.shape
+    for i in range(X.shape[0]):
+        one = _as_velocity(kernel(env(X[i], Y[i])), X[i], 3)
+        assert _bits(batch[i]) == _bits(one)
+        if parent_oracle:
+            assert _bits(one) == _bits(_parent_compile(text)(env(X[i], Y[i])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dsl_norm_and_dot_are_ordered_sums(data):
+    pts = data.draw(_measures(3))[0]
+    env = {"x": _strided(pts), "y": _strided(pts[::-1] * 0.7)}
+    norm = compile_expression("norm(x)", ("x", "y"))(env)
+    dot = compile_expression("dot(x, y)", ("x", "y"))(env)
+    for i, (x, y) in enumerate(zip(env["x"].tolist(), env["y"].tolist())):
+        assert norm[i, 0] == math.sqrt((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2])
+        assert dot[i, 0] == (x[0] * y[0] + x[1] * y[1]) + x[2] * y[2]
+
+
+def test_monte_carlo_calls_each_drawn_label_once_per_step():
+    spec, dim = _spec_and_dim("dsl-stochastic-interaction")
+    mu0 = mixture([[0.5, -0.2], [-0.3, 0.8]], [0.4, 0.6])
+    want = sample_paths_monte_carlo(spec, mu0, 0.25, 1.0, 500, seed=4)
+    rows = []
+
+    def counted(x, y, u):
+        rows.append(x.shape[0] if x.ndim == 2 else 1)
+        return spec.h(x, y, u)
+
+    for batched, most in ((True, 4 * 2), (False, 4 * 500)):
+        rows.clear()
+        traced = dataclasses.replace(spec, h=counted, batched=batched)  # as a tracer rebuilds it
+        got = sample_paths_monte_carlo(traced, mu0, 0.25, 1.0, 500, seed=4)
+        assert len(rows) <= most and sum(rows) == 4 * 500
+        assert _bits(got._nodes) == _bits(want._nodes)

@@ -1,9 +1,13 @@
-"""Path ensembles: the shared node array against per-path evaluation."""
+"""Path ensembles: the shared node array against per-path evaluation, and the writers."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from measureflow.analysis import action_p, ensemble_action
 from measureflow.errors import InputError
@@ -13,6 +17,7 @@ from measureflow.euler import (
     sample_paths_monte_carlo,
     verify_joint_law,
 )
+from measureflow.limit import StickyFlowConfig, sticky_flow
 from measureflow.measure import DiscreteMeasure, coalesce, mixture
 from measureflow.paths import (
     HORIZON_TOL,
@@ -131,3 +136,83 @@ def test_joint_law_on_node_array_and_per_path_fallback():
         assert not verify_joint_law(bad, run, 0).passed
         assert not verify_joint_law(bad, run, 1).passed
         assert verify_joint_law(bad, run, 2).passed
+
+
+# ---------------------------------------------------------------------------
+# ensemble.json / ensemble.csv writers against the encoders
+# ---------------------------------------------------------------------------
+
+
+def _oracle_csv(ens):
+    """The per-row csv.writer loop that rendered ensemble.csv before the block writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["path_id", "time", *[f"x{k}" for k in range(ens.dim)], "weight"])
+    for i, (p, w) in enumerate(zip(ens.paths, ens.weights)):
+        for t, node in zip(p.grid, p.nodes):
+            writer.writerow([i, repr(float(t)), *[repr(float(c)) for c in node], repr(float(w))])
+    return buf.getvalue()
+
+
+def _assert_writers_match_oracles(ens):
+    json_out, csv_out = io.StringIO(), io.StringIO()
+    ens.write_artifacts(json_out, csv_out)
+    assert json_out.getvalue() == json.dumps(ens.to_json_dict(), sort_keys=True, indent=1) + "\n"
+    assert csv_out.getvalue() == _oracle_csv(ens)
+    assert csv_out.getvalue() == ens.to_csv()
+
+
+_SPECIAL = (-0.0, 0.0, 5e-324, 1e16, 1e-7, -1e16, 1.0 / 3.0)
+_COORD = st.one_of(
+    st.sampled_from(_SPECIAL), st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def _drawn_ensembles(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    mixed = draw(st.booleans())
+    K = draw(st.integers(2 if mixed else 0, 4))
+    times = st.sampled_from((5e-324, 1e-7, 0.25, 1.0 / 3.0, 1.0, 1e16))
+    grid = np.array([0.0, *sorted(draw(st.lists(times, min_size=K, max_size=K, unique=True)))])
+    nodes = np.array(draw(st.lists(_COORD, min_size=n * (K + 1) * d, max_size=n * (K + 1) * d)))
+    raw = np.array(draw(st.lists(st.sampled_from((1e-7, 0.3, 1.0, 2.5)), min_size=n, max_size=n)))
+    prov = Provenance(
+        draw(st.sampled_from(("exact-tree", "monte-carlo", "limit-flow"))),
+        draw(st.none() | st.integers(0, 2**40)),
+        draw(st.none() | st.integers(1, 10**6)),
+    )
+    nodes = nodes.reshape(n, K + 1, d)
+    ens = PathEnsemble(
+        tuple(PiecewisePath(grid, nodes[i]) for i in range(n)), raw / raw.sum(), prov
+    )
+    if not mixed:
+        return ens
+    doc = ens.to_json_dict()  # path 0 keeps only its end points
+    first = doc["paths"][0]
+    first["grid"] = [first["grid"][0], first["grid"][-1]]
+    first["nodes"] = [first["nodes"][0], first["nodes"][-1]]
+    return ensemble_from_json(json.dumps(doc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ens=_drawn_ensembles())
+def test_writers_match_encoders_on_drawn_ensembles(ens):
+    _assert_writers_match_oracles(ens)
+
+
+def test_writers_match_encoders_on_every_producer():
+    gs = scenario("gradient-sum").spec
+    mu2 = mixture([[0.5, -0.2], [-0.3, 0.8]], [0.4, 0.6])
+    producers = [
+        build_path_ensemble(run_explicit_euler(SDF, MU0, 0.25, 0.9, 4.0)),
+        build_path_ensemble(run_explicit_euler(gs, mu2, 0.25, 0.5, 10.0)),
+        sample_paths_monte_carlo(gs, mu2, 0.3, 1.0, 600, seed=2),  # 600 paths: three blocks
+        sticky_flow(gs, mu2, 0.5, StickyFlowConfig(dt=0.01)).ensemble,
+        _random_ensemble(np.random.default_rng(3), 7, 3, 3),
+    ]
+    for ens in producers:
+        for e in (ens, _mixed_grid_copy(ens)):
+            _assert_writers_match_oracles(e)
+    assert producers[2]._nodes is not None and _mixed_grid_copy(producers[2])._nodes is None
