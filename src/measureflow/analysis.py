@@ -33,13 +33,9 @@ def ensemble_action(e: PathEnsemble, p: float) -> float:
     """Weighted average of per-path p-actions."""
     if p < 1:
         raise InputError("p must be >= 1")
-    nodes = e._nodes
-    if nodes is None:
-        actions = [action_p(pp, p) for pp in e.paths]
-    else:
-        dts = np.diff(e.common_grid())
-        speeds = np.linalg.norm(np.diff(nodes, axis=1) / dts[:, None], axis=2)
-        actions = np.sum(dts * speeds**p, axis=1)
+    dts = np.diff(e.grid)
+    speeds = np.linalg.norm(np.diff(e.nodes, axis=1) / dts[:, None], axis=2)
+    actions = np.sum(dts * speeds**p, axis=1)
     return float(sum(w * a for a, w in zip(actions, e.weights)))
 
 

@@ -304,12 +304,9 @@ def cmd_verify(cfg: dict) -> int:
     grid = [n * tau for n in range(run.n_steps)] + [T]
     mids = [min((n + 0.5) * tau, T) for n in range(min(3, run.n_steps))]
     checks["marginals"] = verify_marginals(ensemble, run, grid + mids).passed
-    joint_ok = True
-    for n in range(max(0, run.n_steps - 1)):
-        if not verify_joint_law(ensemble, run, n).passed:
-            joint_ok = False
-            break
-    checks["joint_law"] = joint_ok
+    checks["joint_law"] = all(
+        verify_joint_law(ensemble, run, n).passed for n in range(run.n_steps)
+    )
     L_obs = max(velocity_moment(phi) for phi in run.sections)
     checks["action_bound"] = ensemble_action(ensemble, 2.0) <= L_obs**2 * (T + tau) + 1e-12
 

@@ -36,7 +36,7 @@ from .measure import (
     tangent_measures_close,
     velocity_moment,
 )
-from .paths import PathEnsemble, PiecewisePath, Provenance
+from .paths import PathEnsemble, PiecewisePath, Provenance, _interp_nodes
 
 __all__ = [
     "DEFAULT_ATOM_CAP",
@@ -175,36 +175,35 @@ def single_step_plan(phi: TangentMeasure, tau: float) -> Coupling:
     )
 
 
-def _successor_table(phi: TangentMeasure, tau: float):
-    """Per-position successor rows and conditional weights of the single-step plan."""
-    succ_rows: dict[bytes, list] = {}
-    succ_w: dict[bytes, list] = {}
-    mass: dict[bytes, float] = {}
-    nxt = phi.positions + tau * phi.velocities
-    for x, y, w in zip(phi.positions, nxt, phi.weights):
-        key = x.tobytes()
-        succ_rows.setdefault(key, []).append(y)
-        succ_w.setdefault(key, []).append(w)
-        mass[key] = mass.get(key, 0.0) + w
-    return {
-        key: (np.stack(rows), np.asarray(succ_w[key]) / mass[key])
-        for key, rows in succ_rows.items()
-    }
-
-
 def multi_step_plan(run: EulerRun, cap: int = DEFAULT_TUPLE_CAP) -> TuplePlan:
     """The exact joint law of the whole discrete trajectory (x_0, ..., x_N).
 
     Built by the disintegration recursion, so restriction to the first n+1
-    coordinates reproduces the n-step plan by construction.
+    coordinates reproduces the n-step plan by construction.  Each tuple is
+    extended by the successors of the section rows whose position equals its
+    last coordinate bitwise, in section order, with conditional weights
+    w / (their total, summed in section order).  A tuple whose last coordinate
+    is no atom of the section (a coalescing run) is refused.
     """
     mu0 = run.measures[0]
     pts = mu0.atoms[:, None, :].copy()
     weights = mu0.weights.copy()
-    for n in range(run.n_steps):
-        table = _successor_table(run.sections[n], run.tau)
-        keys = [pts[i, -1, :].tobytes() for i in range(pts.shape[0])]
-        counts = np.asarray([table[k][0].shape[0] for k in keys])
+    for n, phi in enumerate(run.sections):
+        m = phi.positions.shape[0]
+        keys = np.concatenate([phi.positions, pts[:, -1, :]])
+        _, group = np.unique(
+            keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel(),
+            return_inverse=True,
+        )
+        row_group, tuple_group = group[:m], group[m:]
+        size = np.bincount(row_group, minlength=group.max() + 1)
+        counts = size[tuple_group]
+        if not counts.all():
+            raise InputError(
+                f"multi-step plan: {np.sum(counts == 0)} tuple end points at step {n} are no "
+                f"atoms of section {n}; the exact lift needs coalesce_tol = 0 "
+                f"(got {run.coalesce_tol})"
+            )
         predicted = int(counts.sum())
         if predicted > cap:
             raise ResourceCapError(
@@ -212,11 +211,16 @@ def multi_step_plan(run: EulerRun, cap: int = DEFAULT_TUPLE_CAP) -> TuplePlan:
                 predicted=predicted,
                 cap=cap,
             )
+        mass = np.bincount(row_group, weights=phi.weights, minlength=size.shape[0])
+        # tuple i takes the counts[i] rows of its group, in section order
+        order = np.argsort(row_group, kind="stable")
+        group_start = np.cumsum(size) - size
         rep = np.repeat(np.arange(pts.shape[0]), counts)
-        new_last = np.concatenate([table[k][0] for k in keys], axis=0)
-        cond_w = np.concatenate([table[k][1] for k in keys])
+        offset = np.arange(predicted) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = order[group_start[tuple_group][rep] + offset]
+        new_last = (phi.positions + run.tau * phi.velocities)[rows]
         pts = np.concatenate([pts[rep], new_last[:, None, :]], axis=1)
-        weights = weights[rep] * cond_w
+        weights = weights[rep] * (phi.weights[rows] / mass[row_group[rows]])
     return TuplePlan(pts, weights)
 
 
@@ -236,14 +240,28 @@ def piecewise_velocity(run: EulerRun, t: float) -> TangentMeasure:
     return run.sections[n]
 
 
-def _clipped_grid(run: EulerRun) -> tuple[np.ndarray, bool]:
-    N = run.n_steps
-    grid = run.tau * np.arange(N + 1)
-    overshoot = grid[-1] > run.T + 1e-12 * max(1.0, run.T)
+def _clipped_grid(N: int, tau: float, T: float) -> tuple[np.ndarray, bool]:
+    """{0, tau, ..., N tau} with its last time set to T when N tau overshoots T."""
+    grid = tau * np.arange(N + 1)
+    overshoot = grid[-1] > T + 1e-12 * max(1.0, T)
     if overshoot:
-        grid = grid.copy()
-        grid[-1] = run.T
+        grid[-1] = T
     return grid, overshoot
+
+
+def _on_clipped_grid(nodes: np.ndarray, tau: float, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``(n, N+1, d)`` at the step times, moved onto the clipped grid.
+
+    When the final step overshoots, the last node becomes the affine
+    evaluation of the final segment at T.
+    """
+    N = nodes.shape[1] - 1
+    grid, overshoot = _clipped_grid(N, tau, T)
+    if overshoot:
+        frac = (T - tau * (N - 1)) / tau
+        last = nodes[:, N - 1] + frac * (nodes[:, N] - nodes[:, N - 1])
+        nodes = np.concatenate([nodes[:, :N], last[:, None]], axis=1)
+    return grid, nodes
 
 
 def build_path_ensemble(run: EulerRun, cap: int = DEFAULT_TUPLE_CAP) -> PathEnsemble:
@@ -253,15 +271,8 @@ def build_path_ensemble(run: EulerRun, cap: int = DEFAULT_TUPLE_CAP) -> PathEnse
     overshoots, the last node is the affine evaluation of the final segment at T.
     """
     plan = multi_step_plan(run, cap)
-    grid, overshoot = _clipped_grid(run)
-    N = run.n_steps
-    pts = plan.points
-    if overshoot and N >= 1:
-        frac = (run.T - run.tau * (N - 1)) / run.tau
-        last = pts[:, N - 1, :] + frac * (pts[:, N, :] - pts[:, N - 1, :])
-        pts = np.concatenate([pts[:, :N, :], last[:, None, :]], axis=1)
-    paths = tuple(PiecewisePath(grid, pts[i]) for i in range(pts.shape[0]))
-    return PathEnsemble(paths, plan.weights, Provenance("exact-tree"))
+    grid, nodes = _on_clipped_grid(plan.points, run.tau, run.T)
+    return PathEnsemble(grid, nodes, plan.weights, Provenance("exact-tree"))
 
 
 def _refuse_non_finite(values: np.ndarray, what: str, step: int, X: np.ndarray) -> None:
@@ -335,16 +346,9 @@ def sample_paths_monte_carlo(
         X = X_next
         traj[n + 1] = X
 
-    grid = tau * np.arange(N + 1)
-    if grid[-1] > T + 1e-12 * max(1.0, T):
-        frac = (T - tau * (N - 1)) / tau
-        traj[N] = traj[N - 1] + frac * (traj[N] - traj[N - 1])
-        grid = grid.copy()
-        grid[-1] = T
-    paths = tuple(PiecewisePath(grid, traj[:, i, :]) for i in range(M))
-    return PathEnsemble(
-        paths, np.full(M, 1.0 / M), Provenance("monte-carlo", seed=seed, sample_count=M)
-    )
+    grid, nodes = _on_clipped_grid(traj.transpose(1, 0, 2), tau, T)
+    prov = Provenance("monte-carlo", seed=seed, sample_count=M)
+    return PathEnsemble(grid, nodes, np.full(M, 1.0 / M), prov)
 
 
 @dataclass(frozen=True)
@@ -363,22 +367,22 @@ def verify_joint_law(
     atom_tol: float = 1e-9,
     weight_tol: float = 1e-12,
 ) -> VerifyReport:
-    """Checks (e_{n tau}, (e_{(n+1) tau} - e_{n tau}) / tau) push = Phi^n.
+    """Checks (e_{n tau}, (e_{(n+1) tau} - e_{n tau}) / tau) push = Phi^n, n in [0, N-1].
 
-    Only exact-tree ensembles qualify; Monte-Carlo ensembles call for a
+    When the last step overshoots T, the final segment ends at T and its
+    difference is divided by its clipped length instead of tau.  Only
+    exact-tree ensembles qualify; Monte-Carlo ensembles call for a
     statistical comparison instead and are refused.
     """
     if ensemble.provenance.kind != "exact-tree":
         raise InputError("joint-law verification requires exact-tree provenance")
-    if not 0 <= n <= run.n_steps - 2:
-        raise InputError(f"step index {n} outside [0, N-2]")
-    nodes = ensemble._nodes
-    if nodes is None:
-        pairs = np.stack([p.nodes[n : n + 2] for p in ensemble.paths])
-    else:
-        pairs = nodes[:, n : n + 2]
-    x0, x1 = pairs[:, 0], pairs[:, 1]
-    pushed = coalesce(TangentMeasure(x0, (x1 - x0) / run.tau, ensemble.weights), 0.0)
+    N = run.n_steps
+    if not 0 <= n <= N - 1:
+        raise InputError(f"step index {n} outside [0, N-1] = [0, {N - 1}]")
+    grid, overshoot = _clipped_grid(N, run.tau, run.T)
+    x0, x1 = _interp_nodes(ensemble.grid, ensemble.nodes, grid[n : n + 2]).transpose(0, 2, 1)
+    dt = grid[N] - grid[N - 1] if overshoot and n == N - 1 else run.tau
+    pushed = coalesce(TangentMeasure(x0, (x1 - x0) / dt, ensemble.weights), 0.0)
     ok = tangent_measures_close(pushed, run.sections[n], atom_tol, weight_tol)
     detail = "joint law matches section" if ok else (
         f"joint law at step {n} deviates from the selected section"

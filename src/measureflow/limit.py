@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InputError, NumericDomainError
 from .fields import PvfSpec, _mean_velocity, _section
 from .measure import DiscreteMeasure, coalesce, measures_close
-from .paths import PathEnsemble, PiecewisePath, Provenance
+from .paths import PathEnsemble, Provenance
 from .transport import _SUP_CHUNK_ELEMS, bram_pairing, w2_distance
 
 
@@ -329,8 +329,8 @@ def sticky_flow(
             s, node, y, k1 = s1, last + 1, y1, k_next
         H = H_next
 
-    paths = tuple(PiecewisePath(grid, history[:, i, :]) for i in range(k))
-    ensemble = PathEnsemble(paths, mu0.weights, Provenance("limit-flow"))
+    nodes = history.transpose(1, 0, 2)
+    ensemble = PathEnsemble(grid, nodes, mu0.weights, Provenance("limit-flow"))
     return LimitFlow(ensemble, tuple(merge_events), config, float(T))
 
 
@@ -421,15 +421,9 @@ def sticky_property_check(
     when mu0 is None).  P3: once two paths come within tol at a grid time they
     stay within tol at every later grid time.  The first violation is reported.
     """
-    paths = ensemble.paths
-    n = len(paths)
-    grid = ensemble.common_grid()
-    values = ensemble._nodes  # (n, K+1, d)
-    if values is None:
-        grid = paths[0].grid
-        for p in paths[1:]:
-            grid = np.union1d(grid, p.grid)
-        values = np.stack([p(grid) for p in paths])
+    n = ensemble.n_paths
+    grid = ensemble.grid
+    values = ensemble.nodes  # (n, K+1, d)
     if mu0 is not None:
         starts = coalesce(DiscreteMeasure(values[:, 0, :], ensemble.weights), 0.0)
         if not measures_close(starts, coalesce(mu0, 0.0), atom_tol=max(tol, 1e-12)):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -124,78 +124,106 @@ class Provenance:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """A weighted finite set of piecewise-affine paths on a common horizon."""
+    """A weighted finite set of piecewise-affine paths on one time grid.
 
-    paths: tuple
-    weights: np.ndarray
+    The paths are held as one node array: ``nodes[i, k]`` is path i at
+    ``grid[k]``.  Ensembles of separate :class:`PiecewisePath` objects come
+    in through :meth:`from_paths`.
+    """
+
+    grid: np.ndarray  # (K+1,)
+    nodes: np.ndarray  # (n, K+1, d)
+    weights: np.ndarray  # (n,)
     provenance: Provenance
 
     def __post_init__(self):
-        paths = tuple(self.paths)
-        if len(paths) < 1:
-            raise InputError("an ensemble needs at least one path")
+        grid = np.asarray(self.grid, dtype=float)
+        nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float).ravel()
-        if weights.shape[0] != len(paths):
-            raise InputError("paths and weights must have equal length")
+        if (
+            grid.ndim != 1
+            or nodes.ndim != 3
+            or 0 in nodes.shape
+            or nodes.shape[1] != grid.shape[0]
+            or weights.shape != nodes.shape[:1]
+        ):
+            raise InputError(
+                "an ensemble needs grid (K+1,), nodes (n, K+1, d) and weights (n,), n >= 1; "
+                f"got {grid.shape}, {nodes.shape}, {weights.shape}"
+            )
+        if not np.all(np.isfinite(grid)) or not np.all(np.isfinite(nodes)):
+            raise InputError("grid and nodes must be finite")
+        if np.any(np.diff(grid) <= 0):
+            raise InputError("grid times must be strictly increasing")
         if np.any(weights <= 0) or abs(float(weights.sum()) - 1.0) > 1e-12:
             raise InputError("weights must be positive and sum to 1 within 1e-12")
-        T = paths[0].horizon
-        d = paths[0].dim
-        for p in paths:
-            if abs(p.horizon - T) > HORIZON_TOL:
-                raise InputError("all paths must share the ensemble horizon")
-            if p.dim != d:
-                raise InputError("all paths must share the ambient dimension")
-        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "grid", _freeze(grid))
+        object.__setattr__(self, "nodes", _freeze(nodes))
         object.__setattr__(self, "weights", _freeze(weights))
+
+    @classmethod
+    def from_paths(cls, paths, weights, provenance: Provenance) -> "PathEnsemble":
+        """The ensemble of ``paths`` (:class:`PiecewisePath` objects).
+
+        Paths on one grid are stacked as they are.  Otherwise every path is
+        evaluated on the union of their grids, which keeps each polyline
+        up to rounding in its refined nodes.
+        """
+        paths = tuple(paths)
+        if not paths:
+            raise InputError("an ensemble needs at least one path")
+        grid = paths[0].grid
+        if any(abs(p.horizon - grid[-1]) > HORIZON_TOL or p.dim != paths[0].dim for p in paths):
+            raise InputError("all paths must share the ensemble horizon and dimension")
+        if all(np.array_equal(p.grid, grid) for p in paths):
+            nodes = np.stack([p.nodes for p in paths])
+        else:
+            grid = functools.reduce(np.union1d, [p.grid for p in paths])
+            nodes = np.stack([p(grid) for p in paths])
+        return cls(grid, nodes, weights, provenance)
 
     @property
     def n_paths(self) -> int:
-        return len(self.paths)
+        return self.nodes.shape[0]
 
     @property
     def horizon(self) -> float:
-        return self.paths[0].horizon
+        return float(self.grid[-1])
 
     @property
     def dim(self) -> int:
-        return self.paths[0].dim
+        return self.nodes.shape[2]
 
     @cached_property
-    def _grid(self) -> np.ndarray | None:
-        g = self.paths[0].grid
-        for p in self.paths[1:]:
-            if p.grid.shape != g.shape or not np.array_equal(p.grid, g):
-                return None
-        return g
-
-    @cached_property
-    def _nodes(self) -> np.ndarray | None:
-        """All nodes as one (n, K+1, d) array when the paths share a grid, else None."""
-        if self._grid is None:
-            return None
-        return _freeze(np.stack([p.nodes for p in self.paths]))
+    def paths(self) -> tuple:
+        """One :class:`PiecewisePath` view per path, built on first use."""
+        return tuple(PiecewisePath(self.grid, nodes) for nodes in self.nodes)
 
     def evaluate(self, t) -> DiscreteMeasure:
         """Push-forward under the evaluation map e_t, exact duplicates merged."""
         if not -HORIZON_TOL <= t <= self.horizon + HORIZON_TOL:
             raise InputError(f"time {t} outside [0, {self.horizon}]")
-        t = float(t)
-        if self._nodes is None:
-            atoms = np.stack([p(t) for p in self.paths])
-        else:
-            atoms = _interp_nodes(self._grid, self._nodes, np.array([t]))[0].T
+        atoms = _interp_nodes(self.grid, self.nodes, np.array([float(t)]))[0].T
         return coalesce(DiscreteMeasure(atoms, self.weights), 0.0)
 
     def restricted(self, T: float) -> "PathEnsemble":
-        """The ensemble with every path restricted to [0, T]."""
+        """The ensemble with every path restricted to [0, T], as PiecewisePath.restricted."""
+        if T > self.horizon + HORIZON_TOL:
+            raise InputError(f"cannot restrict to T={T} beyond horizon {self.horizon}")
+        if abs(T - self.horizon) <= HORIZON_TOL:
+            return self
+        keep = self.grid < T - HORIZON_TOL
+        end = _interp_nodes(self.grid, self.nodes, np.array([float(T)]))[0].T
         return PathEnsemble(
-            tuple(p.restricted(T) for p in self.paths), self.weights, self.provenance
+            np.concatenate([self.grid[keep], [T]]),
+            np.concatenate([self.nodes[:, keep], end[:, None, :]], axis=1),
+            self.weights,
+            self.provenance,
         )
 
-    def common_grid(self) -> np.ndarray | None:
-        """The shared grid if all paths use identical grids, else None."""
-        return self._grid
+    def common_grid(self) -> np.ndarray:
+        """The grid every path is stored on."""
+        return self.grid
 
     def _provenance_dict(self) -> dict:
         return {
@@ -205,32 +233,18 @@ class PathEnsemble:
         }
 
     def to_json_dict(self) -> dict:
+        grid = self.grid.tolist()
         return {
             "provenance": self._provenance_dict(),
             "weights": self.weights.tolist(),
-            "paths": [p.to_json_dict() for p in self.paths],
+            "paths": [{"grid": list(grid), "nodes": nodes} for nodes in self.nodes.tolist()],
         }
 
     def to_csv(self) -> str:
-        """One row per (path id, time, coordinates..., weight)."""
+        """One row per (path id, time, coordinates..., weight); renders the JSON and drops it."""
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["path_id", "time", *[f"x{k}" for k in range(self.dim)], "weight"]
-        )
-        for i, (p, w) in enumerate(zip(self.paths, self.weights)):
-            for t, node in zip(p.grid, p.nodes):
-                writer.writerow([i, repr(float(t)), *[repr(float(c)) for c in node], repr(float(w))])
+        self.write_artifacts(io.StringIO(), buf)
         return buf.getvalue()
-
-    def _node_blocks(self):
-        """(first path id, grid, nodes ``(b, K+1, d)``) for consecutive paths on one grid."""
-        if self._nodes is None:
-            for i, p in enumerate(self.paths):
-                yield i, p.grid, p.nodes[None]
-        else:
-            for start in range(0, self.n_paths, _WRITE_BLOCK):
-                yield start, self._grid, self._nodes[start : start + _WRITE_BLOCK]
 
     def write_artifacts(self, json_out, csv_out) -> None:
         """Write the ensemble's JSON to ``json_out`` and its CSV to ``csv_out``, streamed.
@@ -239,19 +253,16 @@ class PathEnsemble:
         indent=1) + "\\n"`` and ``self.to_csv()``.  Paths are written in blocks
         of ``_WRITE_BLOCK``, so neither text is held whole.  Every float is
         rendered once, by ``repr`` as both encoders render it, into both
-        files; a common grid is rendered once for all paths.
+        files; the grid is rendered once for all paths.
         """
         d = self.dim
         weights = list(map(repr, self.weights.tolist()))
         csv_out.write(",".join(["path_id", "time", *[f"x{k}" for k in range(d)], "weight"]) + "\n")
         json_out.write('{\n "paths": [\n')
-        grid = None
-        for start, block_grid, nodes in self._node_blocks():
-            if block_grid is not grid:
-                grid = block_grid
-                json_t, csv_t = _path_templates(list(map(repr, grid.tolist())), d)
-            size = nodes[0].size
-            flat = list(map(repr, nodes.ravel().tolist()))
+        json_t, csv_t = _path_templates(list(map(repr, self.grid.tolist())), d)
+        size = self.nodes[0].size
+        for start in range(0, self.n_paths, _WRITE_BLOCK):
+            flat = list(map(repr, self.nodes[start : start + _WRITE_BLOCK].ravel().tolist()))
             coords = [flat[k : k + size] for k in range(0, len(flat), size)]
             json_out.write((",\n" if start else "") + ",\n".join(json_t.format(*c) for c in coords))
             csv_out.write(
@@ -293,13 +304,11 @@ def _path_templates(grid: list, d: int) -> tuple[str, str]:
 
 
 def ensemble_from_json(s: str) -> PathEnsemble:
+    """The ensemble an ``ensemble.json`` holds; paths on different grids load onto their union."""
     d = json.loads(s)
     prov = d["provenance"]
-    return PathEnsemble(
-        tuple(
-            PiecewisePath(np.asarray(p["grid"]), np.asarray(p["nodes"]))
-            for p in d["paths"]
-        ),
+    return PathEnsemble.from_paths(
+        (PiecewisePath(np.asarray(p["grid"]), np.asarray(p["nodes"])) for p in d["paths"]),
         np.asarray(d["weights"], dtype=float),
         Provenance(prov["kind"], prov.get("seed"), prov.get("sample_count")),
     )

@@ -426,29 +426,22 @@ def path_sup_distance(p1: PiecewisePath, p2: PiecewisePath) -> float:
 def _sup_matrix(e1: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
     """All pairwise ``path_sup_distance`` values, bitwise, as an (n1, n2) matrix.
 
-    When each ensemble has a common grid, both are evaluated on the one union
-    grid, and the squared norm is summed over the coordinates in order, as
+    Both ensembles are evaluated on the union of their grids, and the
+    squared norm is summed over the coordinates in order, as
     ``np.linalg.norm`` does; the sup of the root is the root of the sup, since
     sqrt is monotone and correctly rounded.  The union grid is walked in
     blocks of about ``_SUP_CHUNK_ELEMS`` pair differences (at least one time),
-    so memory does not grow with the grid.  Ensembles without a common grid
-    fall back to one ``path_sup_distance`` call per pair.
+    so memory does not grow with the grid.
     """
-    g1, g2 = e1.common_grid(), e2.common_grid()
-    if g1 is None or g2 is None:
-        out = np.empty((e1.n_paths, e2.n_paths))
-        for i, pi in enumerate(e1.paths):
-            for j, pj in enumerate(e2.paths):
-                out[i, j] = path_sup_distance(pi, pj)
-        return out
+    g1, g2 = e1.grid, e2.grid
     ts = np.union1d(g1, g2)
     n1, n2 = e1.n_paths, e2.n_paths
     width = max(1, _SUP_CHUNK_ELEMS // (n1 * n2))
     sq = np.zeros((n1, n2))
     for start in range(0, ts.shape[0], width):
         block = ts[start : start + width]
-        x1 = _interp_nodes(g1, e1._nodes, block)  # (B, d, n1)
-        x2 = _interp_nodes(g2, e2._nodes, block)  # (B, d, n2)
+        x1 = _interp_nodes(g1, e1.nodes, block)  # (B, d, n1)
+        x2 = _interp_nodes(g2, e2.nodes, block)  # (B, d, n2)
         acc = np.zeros((block.shape[0], n2, n1))
         diff = np.empty_like(acc)
         for k in range(e1.dim):

@@ -156,7 +156,7 @@ def test_criterion_05_stochastic_convergence():
     sc = scenario("sdf-linear")
     N = 12
     taus = [2.0**-k for k in range(2, 12)]
-    reference = PathEnsemble(
+    reference = PathEnsemble.from_paths(
         (constant_path([0.0], N * max(taus)),), np.array([1.0]), Provenance("limit-flow")
     )
     res = convergence_sweep(sc.spec, sc.default_initial, taus, reference, L=2.0, steps=N)

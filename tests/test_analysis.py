@@ -15,18 +15,14 @@ from measureflow.analysis import (
     stability_rhs,
 )
 from measureflow.errors import InsufficientDataError
-from measureflow.euler import (
-    _successor_table,
-    build_path_ensemble,
-    multi_step_plan,
-    run_explicit_euler,
-)
+from measureflow.euler import build_path_ensemble, multi_step_plan, run_explicit_euler
 from measureflow.fields import InteractionField, SampledField, uniform_noise
 from measureflow.limit import StickyFlowConfig, sticky_flow
 from measureflow.measure import dirac, mixture, velocity_moment
 from measureflow.paths import PathEnsemble, PiecewisePath, Provenance, constant_path
 from measureflow.scenarios import scenario
 from measureflow.transport import optimal_coupling, w2_distance
+from test_euler import _successor_table
 
 DET = SampledField(lambda x, u: -x, uniform_noise([0]))
 SDF = scenario("sdf-linear").spec
@@ -44,9 +40,9 @@ def test_action_examples():
 def test_ensemble_action_examples():
     straight = PiecewisePath(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]))
     spike = PiecewisePath(np.array([0.0, 0.5, 1.0]), np.array([[0.0], [1.0], [0.0]]))
-    single = PathEnsemble((straight,), np.array([1.0]), Provenance("exact-tree"))
+    single = PathEnsemble.from_paths((straight,), np.array([1.0]), Provenance("exact-tree"))
     assert ensemble_action(single, 2.0) == 1.0
-    mixed = PathEnsemble(
+    mixed = PathEnsemble.from_paths(
         (constant_path(0.0, 1.0), spike), np.array([0.5, 0.5]), Provenance("exact-tree")
     )
     assert ensemble_action(mixed, 2.0) == 2.0

@@ -15,6 +15,7 @@ from measureflow.cli import (
     EXIT_STABILITY,
     main,
 )
+from measureflow.euler import verify_joint_law
 
 
 def _write_cfg(tmp_path: Path, name: str, payload: dict) -> str:
@@ -303,3 +304,46 @@ def test_monte_carlo_position_overflow_exits_5(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "non-finite position at step 1" in err and "Traceback" not in err
+
+
+def test_exact_run_of_a_coalescing_config_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    base = {
+        "scenario": "sdf-linear",
+        "initial": {"atoms": [[0.0], [1e-4]], "weights": [0.5, 0.5]},
+        "tau": 0.25,
+        "T": 1.0,
+        "L": 4.0,
+        "mode": "exact",
+        "out": str(out),
+    }
+    cfg = _write_cfg(tmp_path, "merging.json", {**base, "coalesce_tol": 0.01})
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "step 1" in err and "coalesce_tol = 0" in err and "Traceback" not in err
+    # a tolerance that merges nothing still runs
+    cfg = _write_cfg(tmp_path, "apart.json", {**base, "coalesce_tol": 1e-6})
+    assert main(["run", "--config", cfg]) == EXIT_OK
+    assert len(json.loads((out / "ensemble.json").read_text())["paths"]) == 32
+
+
+@pytest.mark.parametrize("T, n_steps", [(0.25, 1), (0.9, 4)])
+def test_verify_checks_the_joint_law_of_every_section(tmp_path, monkeypatch, T, n_steps):
+    from measureflow import cli
+
+    checked = []
+
+    def recording(ensemble, run, n):
+        checked.append(n)
+        return verify_joint_law(ensemble, run, n)
+
+    monkeypatch.setattr(cli, "verify_joint_law", recording)
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path,
+        "verify.json",
+        {"scenario": "sdf-linear", "tau": 0.25, "T": T, "L": 2.0, "out": str(out)},
+    )
+    assert main(["verify", "--config", cfg]) == EXIT_OK
+    assert checked == list(range(n_steps))
+    assert json.loads((out / "verify_report.json").read_text())["checks"]["joint_law"] is True

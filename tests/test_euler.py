@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from measureflow.analysis import ensemble_action
 from measureflow.dsl import field_from_config
@@ -25,6 +27,8 @@ from measureflow.euler import (
 )
 from measureflow.fields import InteractionField, SampledField, uniform_noise
 from measureflow.measure import (
+    DiscreteMeasure,
+    TangentMeasure,
     coalesce,
     dirac,
     measures_close,
@@ -32,7 +36,7 @@ from measureflow.measure import (
     tangent_atoms,
     velocity_moment,
 )
-from measureflow.paths import PathEnsemble, Provenance
+from measureflow.paths import PathEnsemble, PiecewisePath, Provenance
 from measureflow.scenarios import scenario
 from measureflow.transport import w2_distance
 
@@ -199,10 +203,8 @@ def test_verify_joint_law_and_corruption():
     paths = list(ens.paths)
     nodes = paths[0].nodes.copy()
     nodes[1, 0] += 1e-3
-    from measureflow.paths import PiecewisePath
-
     paths[0] = PiecewisePath(paths[0].grid, nodes)
-    bad = PathEnsemble(tuple(paths), ens.weights, Provenance("exact-tree"))
+    bad = PathEnsemble.from_paths(tuple(paths), ens.weights, Provenance("exact-tree"))
     assert not verify_joint_law(bad, run, 0).passed
     assert not verify_marginals(bad, run, [0.5]).passed
 
@@ -312,3 +314,165 @@ def test_monte_carlo_refuses_position_overflow():
     with pytest.raises(NumericDomainError, match="position at step 1") as info:
         sample_paths_monte_carlo(huge, dirac(0.0), 1.0, 2.0, 4, seed=0)
     assert np.array_equal(info.value.witness, [1e308])
+
+
+def test_exact_lift_of_a_coalescing_run_is_refused():
+    # 0 and 1e-4 step to successors that coalesce_tol = 0.01 merges, so the
+    # tuples' end points are no atoms of the next section
+    run = run_explicit_euler(SDF, mixture([0.0, 1e-4], [0.5, 0.5]), 0.25, 1.0, 4.0, 0.01)
+    with pytest.raises(InputError, match="step 1 .* coalesce_tol = 0"):
+        build_path_ensemble(run)
+    # a tolerance that merges nothing keeps the exact lift, bit for bit
+    mu0 = mixture([-0.7, 0.2, 0.9], [0.2, 0.5, 0.3])
+    loose = build_path_ensemble(run_explicit_euler(SDF, mu0, 0.25, 1.0, 4.0, 1e-9))
+    exact = build_path_ensemble(run_explicit_euler(SDF, mu0, 0.25, 1.0, 4.0))
+    assert loose.nodes.tobytes() == exact.nodes.tobytes()
+    assert loose.weights.tobytes() == exact.weights.tobytes()
+
+
+@pytest.mark.parametrize("tau, T", [(0.25, 0.25), (0.25, 1.0), (0.25, 0.9), (0.3, 0.7)])
+def test_verify_joint_law_checks_the_final_section(tau, T):
+    # one-step, whole-step and clipped runs: the last section is checked too
+    run = run_explicit_euler(SDF, mixture([-0.7, 0.2, 0.9], [0.2, 0.5, 0.3]), tau, T, 4.0)
+    ens = build_path_ensemble(run)
+    N = run.n_steps
+    for n in range(N):
+        assert verify_joint_law(ens, run, n).passed, n
+    nodes = ens.nodes.copy()
+    nodes[0, N, 0] += 1e-3
+    bad = PathEnsemble(ens.grid, nodes, ens.weights, ens.provenance)
+    assert not verify_joint_law(bad, run, N - 1).passed
+    assert N == 1 or verify_joint_law(bad, run, N - 2).passed
+    for n in (-1, N):
+        with pytest.raises(InputError):
+            verify_joint_law(ens, run, n)
+
+
+# ---------------------------------------------------------------------------
+# the array lift against the dict-keyed recursion it replaced
+# ---------------------------------------------------------------------------
+
+
+def _successor_table(phi: TangentMeasure, tau: float):
+    """Per-position successor rows and conditional weights of the single-step plan."""
+    succ_rows: dict[bytes, list] = {}
+    succ_w: dict[bytes, list] = {}
+    mass: dict[bytes, float] = {}
+    nxt = phi.positions + tau * phi.velocities
+    for x, y, w in zip(phi.positions, nxt, phi.weights):
+        key = x.tobytes()
+        succ_rows.setdefault(key, []).append(y)
+        succ_w.setdefault(key, []).append(w)
+        mass[key] = mass.get(key, 0.0) + w
+    return {
+        key: (np.stack(rows), np.asarray(succ_w[key]) / mass[key])
+        for key, rows in succ_rows.items()
+    }
+
+
+def _oracle_multi_step_plan(run: EulerRun):
+    """The per-tuple recursion over ``_successor_table``: (points, weights)."""
+    pts = run.measures[0].atoms[:, None, :].copy()
+    weights = run.measures[0].weights.copy()
+    for n in range(run.n_steps):
+        table = _successor_table(run.sections[n], run.tau)
+        keys = [pts[i, -1, :].tobytes() for i in range(pts.shape[0])]
+        counts = np.asarray([table[k][0].shape[0] for k in keys])
+        rep = np.repeat(np.arange(pts.shape[0]), counts)
+        new_last = np.concatenate([table[k][0] for k in keys], axis=0)
+        cond_w = np.concatenate([table[k][1] for k in keys])
+        pts = np.concatenate([pts[rep], new_last[:, None, :]], axis=1)
+        weights = weights[rep] * cond_w
+    return pts, weights
+
+
+def _oracle_exact_nodes(run: EulerRun) -> np.ndarray:
+    """One PiecewisePath per tuple on the clipped grid, stacked."""
+    pts, _ = _oracle_multi_step_plan(run)
+    N = run.n_steps
+    grid = run.tau * np.arange(N + 1)
+    if grid[-1] > run.T + 1e-12 * max(1.0, run.T):
+        grid[-1] = run.T
+        frac = (run.T - run.tau * (N - 1)) / run.tau
+        last = pts[:, N - 1, :] + frac * (pts[:, N, :] - pts[:, N - 1, :])
+        pts = np.concatenate([pts[:, :N, :], last[:, None, :]], axis=1)
+    return np.stack([PiecewisePath(grid, pts[i]).nodes for i in range(pts.shape[0])])
+
+
+_LATTICE = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+_SPEEDS = (-1.0, -0.0, 0.0, 1.0)  # tau = 0.5 steps 0.5 to +0.0, -0.0 to -0.0
+_RAW_WEIGHTS = (1.0, 1.0, 2.0, 3.0)  # tied weights
+
+
+@st.composite
+def _section_runs(draw):
+    """A run of 1-3 drawn sections whose positions are the previous successors.
+
+    Each position holds 1-3 rows in a drawn order, so groups interleave,
+    positions repeat and ±0.0 are distinct keys.
+    """
+    d = draw(st.integers(1, 2))
+    tau = 0.5
+    point = st.lists(st.sampled_from(_LATTICE), min_size=d, max_size=d)
+    n0 = draw(st.integers(1, 3))
+    raw = np.array(draw(st.lists(st.sampled_from(_RAW_WEIGHTS), min_size=n0, max_size=n0)))
+    atoms = np.array(draw(st.lists(point, min_size=n0, max_size=n0)))
+    mu0 = DiscreteMeasure(atoms, raw / raw.sum())
+    ends, sections = mu0.atoms, []
+    for _ in range(draw(st.integers(1, 3))):
+        positions = list({x.tobytes(): x for x in ends}.values())
+        rows = [
+            (x, draw(st.lists(st.sampled_from(_SPEEDS), min_size=d, max_size=d)))
+            for x in positions
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        order = draw(st.permutations(range(len(rows))))
+        raw = np.array(
+            draw(st.lists(st.sampled_from(_RAW_WEIGHTS), min_size=len(rows), max_size=len(rows)))
+        )
+        phi = TangentMeasure(
+            np.array([rows[i][0] for i in order]),
+            np.array([rows[i][1] for i in order]),
+            raw / raw.sum(),
+        )
+        sections.append(phi)
+        ends = phi.positions + tau * phi.velocities
+    return EulerRun(None, tau, tau * len(sections), 1.0, (mu0,), tuple(sections))
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=_section_runs())
+def test_multi_step_plan_matches_dict_keyed_recursion_bitwise(run):
+    plan = multi_step_plan(run)
+    pts, weights = _oracle_multi_step_plan(run)
+    assert plan.points.shape == pts.shape
+    assert plan.points.tobytes() == pts.tobytes()
+    assert plan.weights.tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("name", ["sdf-linear", "gradient-sum", "idf-attract", "stochastic-idf"])
+@pytest.mark.parametrize("T", [0.75, 0.7])
+def test_exact_lift_nodes_equal_stacked_per_path_nodes(name, T):
+    sc = scenario(name)
+    run = run_explicit_euler(sc.spec, sc.default_initial, 0.25, T, 50.0)
+    ens = build_path_ensemble(run)
+    assert ens.nodes.tobytes() == _oracle_exact_nodes(run).tobytes()
+    for p, nodes in zip(ens.paths, ens.nodes):
+        assert np.shares_memory(p.grid, ens.grid) and np.shares_memory(p.nodes, ens.nodes)
+        assert p.nodes.tobytes() == nodes.tobytes()
+
+
+def test_monte_carlo_nodes_equal_stacked_per_particle_trajectories():
+    # x' = x - tau x from three atoms, the last step clipped at T = 0.7
+    mu0 = mixture([-0.7, 0.2, 0.9], [0.2, 0.5, 0.3])
+    ens = sample_paths_monte_carlo(DET, mu0, 0.25, 0.7, 40, seed=3)
+    starts = ens.nodes[:, 0, :]
+    traj = [starts]
+    for _ in range(3):
+        traj.append(traj[-1] + 0.25 * -traj[-1])
+    traj[3] = traj[2] + (0.7 - 0.25 * 2) / 0.25 * (traj[3] - traj[2])
+    grid = np.array([0.0, 0.25, 0.5, 0.7])
+    want = np.stack([PiecewisePath(grid, np.stack(traj)[:, i, :]).nodes for i in range(40)])
+    assert set(starts.ravel().tolist()) <= {-0.7, 0.2, 0.9}
+    assert ens.grid.tobytes() == grid.tobytes()
+    assert ens.nodes.tobytes() == want.tobytes()

@@ -641,4 +641,4 @@ def test_monte_carlo_calls_each_drawn_label_once_per_step():
         traced = dataclasses.replace(spec, h=counted, batched=batched)  # as a tracer rebuilds it
         got = sample_paths_monte_carlo(traced, mu0, 0.25, 1.0, 500, seed=4)
         assert len(rows) <= most and sum(rows) == 4 * 500
-        assert _bits(got._nodes) == _bits(want._nodes)
+        assert _bits(got.nodes) == _bits(want.nodes)

@@ -102,7 +102,7 @@ def test_et_consistency_at_grid_times():
 
 
 def test_sticky_property_check_examples():
-    two = PathEnsemble(
+    two = PathEnsemble.from_paths(
         (constant_path(0.0, 1.0), constant_path(1.0, 1.0)),
         np.array([0.5, 0.5]),
         Provenance("limit-flow"),
@@ -113,11 +113,11 @@ def test_sticky_property_check_examples():
     grid = np.array([0.0, 0.5, 1.0])
     a = PiecewisePath(grid, np.array([[0.0], [1.0], [0.0]]))
     b = PiecewisePath(grid, np.array([[2.0], [1.0], [2.0]]))
-    crossing = PathEnsemble((a, b), np.array([0.5, 0.5]), Provenance("limit-flow"))
+    crossing = PathEnsemble.from_paths((a, b), np.array([0.5, 0.5]), Provenance("limit-flow"))
     rep = sticky_property_check(crossing, 1e-8)
     assert not rep.passed and "P3" in rep.detail
 
-    dup = PathEnsemble(
+    dup = PathEnsemble.from_paths(
         (constant_path(0.0, 1.0), constant_path(0.0, 1.0)),
         np.array([0.5, 0.5]),
         Provenance("limit-flow"),

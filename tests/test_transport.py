@@ -145,7 +145,7 @@ def test_path_sup_distance_horizon_mismatch():
 
 
 def _ensemble(paths, weights):
-    return PathEnsemble(tuple(paths), np.asarray(weights), Provenance("exact-tree"))
+    return PathEnsemble.from_paths(tuple(paths), np.asarray(weights), Provenance("exact-tree"))
 
 
 def test_wasserstein2_sup_examples():
