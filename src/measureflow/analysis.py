@@ -11,7 +11,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError, InsufficientDataError
-from .euler import build_path_ensemble, run_explicit_euler, sample_paths_monte_carlo
+from .euler import (
+    DEFAULT_TUPLE_CAP,
+    build_path_ensemble,
+    run_explicit_euler,
+    sample_paths_monte_carlo,
+)
 from .fields import PvfSpec
 from .measure import DiscreteMeasure
 from .paths import PathEnsemble, PiecewisePath
@@ -208,8 +213,6 @@ def convergence_sweep(
     taus = [float(t) for t in taus]
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise InputError("taus must be strictly decreasing")
-    from .euler import DEFAULT_TUPLE_CAP
-
     cap = tuple_cap if tuple_cap is not None else DEFAULT_TUPLE_CAP
     rows = [
         _sweep_row(spec, mu0, tau, reference, mode, L, steps, sample_count, seed + i, cap)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import convergence_sweep, ensemble_action, solvability_bounds
+from .analysis import convergence_sweep, ensemble_action, rate_fit, solvability_bounds
 from .dsl import field_from_config
 from .errors import InputError, NumericDomainError, ResourceCapError, StabilityError
 from .euler import (
@@ -119,12 +120,10 @@ def _resolve_scenario(cfg: dict) -> tuple[object, DiscreteMeasure, Scenario | No
         dim = built.dim
         meta = built
     elif isinstance(sc, dict):
-        dim = cfg.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise ConfigError("custom fields need an integer 'dim' >= 1")
+        dim = _number(cfg.get("dim"), "dim", integer=True, positive=True)
         try:
             spec = field_from_config(sc, dim)
-        except (InputError, KeyError) as exc:
+        except (InputError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad custom field: {exc}") from exc
         meta = None
     else:
@@ -140,7 +139,7 @@ def _resolve_scenario(cfg: dict) -> tuple[object, DiscreteMeasure, Scenario | No
                 np.asarray(init["atoms"], dtype=float),
                 np.asarray(init["weights"], dtype=float),
             )
-        except (InputError, KeyError, TypeError) as exc:
+        except (InputError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad initial measure: {exc}") from exc
         if mu0.dim != dim:
             raise ConfigError(f"initial measure dim {mu0.dim} != field dim {dim}")
@@ -154,30 +153,46 @@ def _resolve_L(cfg: dict, meta: Scenario | None) -> float:
             raise ConfigError(
                 "'auto' L needs a scenario with declared growth constants a and rho_R"
             )
-        bounds_cfg = cfg.get("bounds", {})
-        R = float(bounds_cfg.get("R", 1.0))
-        T = float(cfg.get("T", 1.0))
+        R = _number(_table(cfg, "bounds").get("R", 1.0), "bounds.R")
+        T = _number(cfg.get("T", 1.0), "T")
         report = solvability_bounds(R, meta.growth_a, T, meta.rho)
         return report.L
-    if not isinstance(L, (int, float)) or L <= 0:
-        raise ConfigError("'L' must be positive or 'auto'")
-    return float(L)
+    return _number(L, "L", positive=True)
 
 
-def _positive(cfg: dict, key: str, default=None) -> float:
-    val = cfg.get(key, default)
-    if val is None:
-        raise ConfigError(f"config needs '{key}'")
-    if not isinstance(val, (int, float)) or val <= 0:
-        raise ConfigError(f"'{key}' must be a positive number")
-    return float(val)
+def _number(value, name: str, *, integer: bool = False, positive: bool = False):
+    """A config value as a finite float, or as an int >= 0 when ``integer``.
+
+    ``None`` (a missing key without default), booleans, strings, non-finite
+    and fractional values (for integers) are refused with ConfigError.
+    """
+    if value is None:
+        raise ConfigError(f"config needs '{name}'")
+    bad = (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not math.isfinite(value))
+        or (integer and (value < 0 or value != int(value)))
+        or (positive and value <= 0)
+    )
+    if bad:
+        sign = "positive" if positive else "nonnegative" if integer else "finite"
+        raise ConfigError(f"'{name}' must be a {sign} {'integer' if integer else 'number'}")
+    return int(value) if integer else float(value)
+
+
+def _table(cfg: dict, key: str) -> dict:
+    table = cfg.get(key, {})
+    if not isinstance(table, dict):
+        raise ConfigError(f"'{key}' must be an object")
+    return table
 
 
 def _caps(cfg: dict) -> tuple[int, int]:
-    caps = cfg.get("caps", {})
+    caps = _table(cfg, "caps")
     return (
-        int(caps.get("atoms", DEFAULT_ATOM_CAP)),
-        int(caps.get("tuples", DEFAULT_TUPLE_CAP)),
+        _number(caps.get("atoms", DEFAULT_ATOM_CAP), "caps.atoms", integer=True),
+        _number(caps.get("tuples", DEFAULT_TUPLE_CAP), "caps.tuples", integer=True),
     )
 
 
@@ -199,21 +214,21 @@ def _manifest(cfg: dict, extra: dict) -> dict:
 
 def cmd_run(cfg: dict) -> int:
     spec, mu0, meta = _resolve_scenario(cfg)
-    tau = _positive(cfg, "tau")
-    T = _positive(cfg, "T")
+    tau = _number(cfg.get("tau"), "tau", positive=True)
+    T = _number(cfg.get("T"), "T", positive=True)
     L = _resolve_L(cfg, meta)
     atom_cap, tuple_cap = _caps(cfg)
     mode = cfg.get("mode", "exact")
     out = Path(cfg.get("out", "out"))
     out.mkdir(parents=True, exist_ok=True)
-    coalesce_tol = float(cfg.get("coalesce_tol", 0.0))
-    seed = int(cfg.get("seed", 0))
+    coalesce_tol = _number(cfg.get("coalesce_tol", 0.0), "coalesce_tol")
+    seed = _number(cfg.get("seed", 0), "seed", integer=True)
     if mode == "exact":
         run = run_explicit_euler(spec, mu0, tau, T, L, coalesce_tol, atom_cap)
         ensemble = build_path_ensemble(run, tuple_cap)
         _write_json(out / "measures.json", run.to_json_dict())
     elif mode == "monte-carlo":
-        M = int(cfg.get("M", 1000))
+        M = _number(cfg.get("M", 1000), "M", integer=True)
         ensemble = sample_paths_monte_carlo(spec, mu0, tau, T, M, seed)
     else:
         raise ConfigError(f"unknown mode {mode!r}")
@@ -228,8 +243,7 @@ def cmd_run(cfg: dict) -> int:
 
 
 def _sticky_reference(spec, mu0, horizon: float, cfg: dict):
-    ref_cfg = cfg.get("reference", {})
-    dt = float(ref_cfg.get("dt", 1e-4))
+    dt = _number(_table(cfg, "reference").get("dt", 1e-4), "reference.dt", positive=True)
     flow = sticky_flow(spec, mu0, horizon, StickyFlowConfig(dt=dt))
     return flow.ensemble
 
@@ -239,18 +253,17 @@ def cmd_sweep(cfg: dict) -> int:
     taus = cfg.get("taus")
     if not isinstance(taus, list) or len(taus) < 2:
         raise ConfigError("sweep needs 'taus': a decreasing list of step sizes")
-    taus = [float(t) for t in taus]
+    taus = [_number(t, "taus", positive=True) for t in taus]
     steps = cfg.get("steps")
-    if steps is not None and (not isinstance(steps, int) or steps < 1):
-        raise ConfigError("'steps' must be a positive integer when given")
     if steps is None:
-        horizon = _positive(cfg, "T")
+        horizon = _number(cfg.get("T"), "T", positive=True)
     else:
+        steps = _number(steps, "steps", integer=True, positive=True)
         horizon = steps * max(taus)
     L = _resolve_L(cfg, meta)
     _, tuple_cap = _caps(cfg)
     mode = cfg.get("mode", "exact")
-    seed = int(cfg.get("seed", 0))
+    seed = _number(cfg.get("seed", 0), "seed", integer=True)
     reference = _sticky_reference(spec, mu0, horizon, cfg)
     result = convergence_sweep(
         spec,
@@ -260,7 +273,7 @@ def cmd_sweep(cfg: dict) -> int:
         mode=mode,
         L=L,
         steps=steps,
-        sample_count=int(cfg.get("M", 1000)),
+        sample_count=_number(cfg.get("M", 1000), "M", integer=True),
         seed=seed,
         tuple_cap=tuple_cap,
     )
@@ -269,16 +282,9 @@ def cmd_sweep(cfg: dict) -> int:
     lines = ["tau,w2sup,rate_running,wall_ms"]
     for k in range(len(result.rows)):
         tau, err, ms = result.rows[k]
+        # every prefix row has err > 0, so three rows always fit
         prefix = [(t, e) for t, e, _ in result.rows[: k + 1] if e > 1e-12]
-        if len(prefix) >= 3:
-            from .analysis import rate_fit
-
-            try:
-                running = repr(rate_fit(prefix, min_rows=3)[0])
-            except Exception:
-                running = ""
-        else:
-            running = ""
+        running = repr(rate_fit(prefix, min_rows=3)[0]) if len(prefix) >= 3 else ""
         lines.append(f"{tau!r},{err!r},{running},{ms!r}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     _write_json(out / "sweep.json", result.to_json_dict())
@@ -293,8 +299,8 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_verify(cfg: dict) -> int:
     spec, mu0, meta = _resolve_scenario(cfg)
-    tau = _positive(cfg, "tau", 0.25)
-    T = _positive(cfg, "T", 1.0)
+    tau = _number(cfg.get("tau", 0.25), "tau", positive=True)
+    T = _number(cfg.get("T", 1.0), "T", positive=True)
     L = _resolve_L(cfg, meta)
     atom_cap, tuple_cap = _caps(cfg)
     run = run_explicit_euler(spec, mu0, tau, T, L, 0.0, atom_cap)
@@ -313,7 +319,7 @@ def cmd_verify(cfg: dict) -> int:
     flow = sticky_flow(spec, mu0, T, StickyFlowConfig(dt=min(tau / 20.0, 1e-3)))
     checks["sticky_properties"] = sticky_property_check(flow.ensemble, 1e-8, mu0).passed
 
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(_number(cfg.get("seed", 0), "seed", integer=True))
     if meta is not None and meta.lambda_diss is not None:
         pts = rng.normal(size=(64, 2, mu0.dim))
         pairs = [(p[0], p[1]) for p in pts]
@@ -348,18 +354,20 @@ def cmd_verify(cfg: dict) -> int:
 
 def cmd_bounds(cfg: dict) -> int:
     _, _, meta = _resolve_scenario(cfg)
-    bounds_cfg = cfg.get("bounds", {})
-    R = float(bounds_cfg.get("R", 1.0))
+    bounds_cfg = _table(cfg, "bounds")
+    R = _number(bounds_cfg.get("R", 1.0), "bounds.R")
     a = bounds_cfg.get("a")
-    T = float(bounds_cfg.get("T", cfg.get("T", 1.0)))
+    T = _number(bounds_cfg.get("T", _number(cfg.get("T", 1.0), "T")), "bounds.T")
     tau = bounds_cfg.get("tau")
+    tau = None if tau is None else _number(tau, "bounds.tau")
     rho_linear = bounds_cfg.get("rho_linear")
     if rho_linear is not None:
-        rho = lambda r: float(rho_linear) * r  # noqa: E731
-        a = float(a if a is not None else 0.0)
+        slope = _number(rho_linear, "bounds.rho_linear")
+        rho = lambda r: slope * r  # noqa: E731
+        a = _number(a if a is not None else 0.0, "bounds.a")
     elif meta is not None and meta.has_bounds_data:
         rho = meta.rho
-        a = meta.growth_a if a is None else float(a)
+        a = meta.growth_a if a is None else _number(a, "bounds.a")
     else:
         raise ConfigError(
             "bounds needs a scenario with declared growth data or an explicit rho_linear"

@@ -30,10 +30,10 @@ from .measure import (
     DiscreteMeasure,
     TangentMeasure,
     TuplePlan,
+    _disintegrate,
     coalesce,
     exp_push,
     measures_close,
-    tangent_measures_close,
     velocity_moment,
 )
 from .paths import PathEnsemble, PiecewisePath, Provenance, _interp_nodes
@@ -181,23 +181,16 @@ def multi_step_plan(run: EulerRun, cap: int = DEFAULT_TUPLE_CAP) -> TuplePlan:
     Built by the disintegration recursion, so restriction to the first n+1
     coordinates reproduces the n-step plan by construction.  Each tuple is
     extended by the successors of the section rows whose position equals its
-    last coordinate bitwise, in section order, with conditional weights
-    w / (their total, summed in section order).  A tuple whose last coordinate
-    is no atom of the section (a coalescing run) is refused.
+    last coordinate (as numbers, so -0.0 equals 0.0), in section order, with
+    conditional weights w / (their total, summed in section order).  A tuple
+    whose last coordinate is no atom of the section (a coalescing run) is
+    refused.
     """
     mu0 = run.measures[0]
     pts = mu0.atoms[:, None, :].copy()
     weights = mu0.weights.copy()
     for n, phi in enumerate(run.sections):
-        m = phi.positions.shape[0]
-        keys = np.concatenate([phi.positions, pts[:, -1, :]])
-        _, group = np.unique(
-            keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel(),
-            return_inverse=True,
-        )
-        row_group, tuple_group = group[:m], group[m:]
-        size = np.bincount(row_group, minlength=group.max() + 1)
-        counts = size[tuple_group]
+        counts, start, order, mass = _disintegrate(phi, pts[:, -1, :])
         if not counts.all():
             raise InputError(
                 f"multi-step plan: {np.sum(counts == 0)} tuple end points at step {n} are no "
@@ -211,16 +204,13 @@ def multi_step_plan(run: EulerRun, cap: int = DEFAULT_TUPLE_CAP) -> TuplePlan:
                 predicted=predicted,
                 cap=cap,
             )
-        mass = np.bincount(row_group, weights=phi.weights, minlength=size.shape[0])
-        # tuple i takes the counts[i] rows of its group, in section order
-        order = np.argsort(row_group, kind="stable")
-        group_start = np.cumsum(size) - size
+        # tuple i takes the counts[i] rows at its end point, in section order
         rep = np.repeat(np.arange(pts.shape[0]), counts)
         offset = np.arange(predicted) - np.repeat(np.cumsum(counts) - counts, counts)
-        rows = order[group_start[tuple_group][rep] + offset]
+        rows = order[start[rep] + offset]
         new_last = (phi.positions + run.tau * phi.velocities)[rows]
         pts = np.concatenate([pts[rep], new_last[:, None, :]], axis=1)
-        weights = weights[rep] * (phi.weights[rows] / mass[row_group[rows]])
+        weights = weights[rep] * (phi.weights[rows] / mass[rep])
     return TuplePlan(pts, weights)
 
 
@@ -383,7 +373,7 @@ def verify_joint_law(
     x0, x1 = _interp_nodes(ensemble.grid, ensemble.nodes, grid[n : n + 2]).transpose(0, 2, 1)
     dt = grid[N] - grid[N - 1] if overshoot and n == N - 1 else run.tau
     pushed = coalesce(TangentMeasure(x0, (x1 - x0) / dt, ensemble.weights), 0.0)
-    ok = tangent_measures_close(pushed, run.sections[n], atom_tol, weight_tol)
+    ok = measures_close(pushed, run.sections[n], atom_tol, weight_tol)
     detail = "joint law matches section" if ok else (
         f"joint law at step {n} deviates from the selected section"
     )

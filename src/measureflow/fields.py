@@ -30,6 +30,7 @@ from .measure import (
     DiscreteMeasure,
     TangentCoupling,
     TangentMeasure,
+    _disintegrate,
     coalesce,
 )
 
@@ -350,34 +351,22 @@ def product_disintegration_coupling(
     """The canonical coupling of two tangent measures along a spatial plan.
 
     Disintegrates each tangent measure over its positions and takes, above
-    every atom of ``gamma``, the product of the two conditional velocity laws.
+    every atom of ``gamma``, the product of the two conditional velocity laws:
+    atom by atom of ``gamma``, then row by row of ``phi``, then of ``psi``.
     """
-    def conditionals(tm: TangentMeasure):
-        groups: dict[bytes, list] = {}
-        mass: dict[bytes, float] = {}
-        for x, v, w in zip(tm.positions, tm.velocities, tm.weights):
-            key = x.tobytes()
-            groups.setdefault(key, []).append((v, w))
-            mass[key] = mass.get(key, 0.0) + w
-        return groups, mass
-
-    g0, m0 = conditionals(phi)
-    g1, m1 = conditionals(psi)
-    x0s, v0s, x1s, v1s, ws = [], [], [], [], []
-    for x0, x1, w in zip(gamma.first_atoms, gamma.second_atoms, gamma.weights):
-        k0, k1 = x0.tobytes(), x1.tobytes()
-        if k0 not in g0 or k1 not in g1:
-            raise InputError("gamma is not a coupling of the tangent x-marginals")
-        for v0, w0 in g0[k0]:
-            for v1, w1 in g1[k1]:
-                x0s.append(x0)
-                v0s.append(v0)
-                x1s.append(x1)
-                v1s.append(v1)
-                ws.append(w * (w0 / m0[k0]) * (w1 / m1[k1]))
+    c0, s0, order0, m0 = _disintegrate(phi, gamma.first_atoms)
+    c1, s1, order1, m1 = _disintegrate(psi, gamma.second_atoms)
+    if not (c0.all() and c1.all()):
+        raise InputError("gamma is not a coupling of the tangent x-marginals")
+    c = c0 * c1
+    rep = np.repeat(np.arange(gamma.n_atoms), c)
+    k = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
+    r0 = order0[s0[rep] + k // c1[rep]]
+    r1 = order1[s1[rep] + k % c1[rep]]
+    w = gamma.weights[rep] * (phi.weights[r0] / m0[rep]) * (psi.weights[r1] / m1[rep])
     return TangentCoupling(
-        np.stack(x0s), np.stack(v0s), np.stack(x1s), np.stack(v1s), np.asarray(ws),
-        phi, psi,
+        gamma.first_atoms[rep], phi.velocities[r0], gamma.second_atoms[rep], psi.velocities[r1],
+        w, phi, psi,
     )
 
 

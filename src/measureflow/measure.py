@@ -224,16 +224,8 @@ class Coupling:
         object.__setattr__(self, "first_atoms", _freeze(fa))
         object.__setattr__(self, "second_atoms", _freeze(sa))
         object.__setattr__(self, "weights", _freeze(weights))
-        _require_equal_measures(
-            coalesce(DiscreteMeasure(self.first_atoms, self.weights), 0.0),
-            coalesce(self.mu, 0.0),
-            "first marginal",
-        )
-        _require_equal_measures(
-            coalesce(DiscreteMeasure(self.second_atoms, self.weights), 0.0),
-            coalesce(self.nu, 0.0),
-            "second marginal",
-        )
+        _require_equal(DiscreteMeasure(self.first_atoms, self.weights), self.mu, "first marginal")
+        _require_equal(DiscreteMeasure(self.second_atoms, self.weights), self.nu, "second marginal")
 
     @property
     def n_atoms(self) -> int:
@@ -277,10 +269,8 @@ class TangentCoupling:
         for name, a in arrays.items():
             object.__setattr__(self, name, _freeze(a))
         object.__setattr__(self, "weights", _freeze(weights))
-        left = coalesce(TangentMeasure(self.x0, self.v0, self.weights), 0.0)
-        right = coalesce(TangentMeasure(self.x1, self.v1, self.weights), 0.0)
-        _require_equal_tangent(left, coalesce(self.phi0, 0.0), "first marginal")
-        _require_equal_tangent(right, coalesce(self.phi1, 0.0), "second marginal")
+        _require_equal(TangentMeasure(self.x0, self.v0, self.weights), self.phi0, "first marginal")
+        _require_equal(TangentMeasure(self.x1, self.v1, self.weights), self.phi1, "second marginal")
 
 
 @dataclass(frozen=True)
@@ -363,17 +353,43 @@ def _rebuild(m, rows: Array, weights: Array):
     raise InputError(f"unsupported measure kind {type(m).__name__}")
 
 
-def _merge_exact(rows: Array, weights: Array) -> tuple[Array, Array]:
+def _group_rows(rows: Array) -> tuple[Array, Array]:
+    """The one rule for "the same atom": rows equal as numbers in every coordinate.
+
+    Returns ``(first, group)``.  ``group[i]`` numbers the group of ``rows[i]``,
+    groups counted from 0 in lexicographic order; ``first[g]`` is the index of
+    the first row of group ``g`` in input order.  The comparison is ``!=`` after
+    a stable lexsort, so -0.0 and 0.0 are one coordinate.
+    """
     order = np.lexsort(rows.T[::-1])
     rows_s = rows[order]
-    w_s = weights[order]
-    if rows_s.shape[0] == 1:
-        return rows_s, w_s
     new_group = np.any(rows_s[1:] != rows_s[:-1], axis=1)
-    starts = np.concatenate([[0], np.nonzero(new_group)[0] + 1])
-    group_id = np.cumsum(np.concatenate([[0], new_group.astype(int)]))
-    merged_w = np.bincount(group_id, weights=w_s)
-    return rows_s[starts], merged_w
+    group = np.empty(rows.shape[0], dtype=np.intp)
+    group[order] = np.concatenate([[0], np.cumsum(new_group)])
+    return order[np.concatenate([[0], np.flatnonzero(new_group) + 1])], group
+
+
+def _disintegrate(phi: TangentMeasure, points: Array) -> tuple[Array, Array, Array, Array]:
+    """Where each of ``points`` sits in the disintegration of ``phi`` over positions.
+
+    Returns ``(count, start, order, mass)`` per point: the rows of ``phi`` at
+    the point are ``order[start : start + count]`` in row order, and ``mass``
+    is their total weight, summed in row order.  A point that is no position
+    of ``phi`` has count 0.
+    """
+    m = phi.n_atoms
+    _, group = _group_rows(np.concatenate([phi.positions, points]))
+    row_group, point_group = group[:m], group[m:]
+    size = np.bincount(row_group, minlength=group.max() + 1)
+    mass = np.bincount(row_group, weights=phi.weights, minlength=size.shape[0])
+    order = np.argsort(row_group, kind="stable")
+    start = np.cumsum(size) - size
+    return size[point_group], start[point_group], order, mass[point_group]
+
+
+def _merge_exact(rows: Array, weights: Array) -> tuple[Array, Array]:
+    first, group = _group_rows(rows)
+    return rows[first], np.bincount(group, weights=weights)
 
 
 def _greedy_pass(rows: Array, weights: Array, tol: float) -> tuple[Array, Array, bool]:
@@ -443,20 +459,11 @@ def coalesce(m, tol: float = 0.0):
     return _rebuild(m, rows, weights)
 
 
-def _require_equal_measures(a: DiscreteMeasure, b: DiscreteMeasure, what: str) -> None:
-    if a.n_atoms != b.n_atoms or not np.array_equal(a.atoms, b.atoms):
+def _require_equal(computed, declared, what: str) -> None:
+    """Refuse ``computed`` unless it equals ``declared`` after exact coalescing."""
+    a, b = coalesce(computed, 0.0), coalesce(declared, 0.0)
+    if not np.array_equal(_rows_of(a), _rows_of(b)):
         raise InputError(f"{what} does not match the declared measure")
-    if np.max(np.abs(a.weights - b.weights)) > WEIGHT_TOL:
-        raise InputError(f"{what} weights deviate beyond {WEIGHT_TOL}")
-
-
-def _require_equal_tangent(a: TangentMeasure, b: TangentMeasure, what: str) -> None:
-    if (
-        a.n_atoms != b.n_atoms
-        or not np.array_equal(a.positions, b.positions)
-        or not np.array_equal(a.velocities, b.velocities)
-    ):
-        raise InputError(f"{what} does not match the declared tangent measure")
     if np.max(np.abs(a.weights - b.weights)) > WEIGHT_TOL:
         raise InputError(f"{what} weights deviate beyond {WEIGHT_TOL}")
 
@@ -555,61 +562,30 @@ def velocity_moment(phi: TangentMeasure) -> float:
 def barycentric_projection(phi: TangentMeasure) -> TangentMeasure:
     """Replace the velocity distribution at each position by its mean.
 
-    Positions are grouped by exact coordinate equality after an exact-duplicate
-    coalesce pass at tolerance 1e-12 in pair space; the x-marginal is preserved.
+    A coalesce pass at tolerance 1e-12 in pair space first merges
+    position-velocity rows within 1e-12 of each other to their weighted mean;
+    positions are then grouped by exact equality.  The x-marginal is preserved.
     """
     phi = coalesce(phi, 1e-12) if phi.n_atoms > 1 else phi
-    order = np.lexsort(phi.positions.T[::-1])
-    pos = phi.positions[order]
-    vel = phi.velocities[order]
-    w = phi.weights[order]
-    if pos.shape[0] > 1:
-        new_group = np.any(pos[1:] != pos[:-1], axis=1)
-        group_id = np.cumsum(np.concatenate([[0], new_group.astype(int)]))
-    else:
-        group_id = np.zeros(1, dtype=int)
-    n_groups = int(group_id[-1]) + 1
-    gw = np.bincount(group_id, weights=w, minlength=n_groups)
-    gv = np.zeros((n_groups, phi.dim))
-    for k in range(phi.dim):
-        gv[:, k] = np.bincount(group_id, weights=w * vel[:, k], minlength=n_groups) / gw
-    # positions are identical within a group; keep the first row of each
-    starts = np.searchsorted(group_id, np.arange(n_groups))
-    gx = pos[starts]
-    return TangentMeasure(gx, gv, gw)
+    first, group = _group_rows(phi.positions)
+    gw = np.bincount(group, weights=phi.weights)
+    gv = np.stack(
+        [np.bincount(group, weights=phi.weights * v) / gw for v in phi.velocities.T], axis=1
+    )
+    return TangentMeasure(phi.positions[first], gv, gw)
 
 
-def measures_close(
-    a: DiscreteMeasure,
-    b: DiscreteMeasure,
-    atom_tol: float = 1e-12,
-    weight_tol: float = WEIGHT_TOL,
-) -> bool:
-    """Atom-by-atom comparison after coalescing, up to the given tolerances."""
+def measures_close(a, b, atom_tol: float = 1e-12, weight_tol: float = WEIGHT_TOL) -> bool:
+    """Atom-by-atom comparison of two measures of one kind after coalescing.
+
+    Plain and tangent measures and tuple plans compare through their rows, up
+    to ``atom_tol`` in the coordinates and ``weight_tol`` in the weights.
+    """
     ca = coalesce(a, atom_tol)
     cb = coalesce(b, atom_tol)
-    if ca.n_atoms != cb.n_atoms or ca.dim != cb.dim:
+    ra, rb = _rows_of(ca), _rows_of(cb)
+    if type(ca) is not type(cb) or ca.dim != cb.dim or ra.shape != rb.shape:
         return False
-    oa = np.lexsort(ca.atoms.T[::-1])
-    ob = np.lexsort(cb.atoms.T[::-1])
-    if np.max(np.abs(ca.atoms[oa] - cb.atoms[ob])) > max(atom_tol, 4e-16):
-        return False
-    return float(np.max(np.abs(ca.weights[oa] - cb.weights[ob]))) <= weight_tol
-
-
-def tangent_measures_close(
-    a: TangentMeasure,
-    b: TangentMeasure,
-    atom_tol: float = 1e-12,
-    weight_tol: float = WEIGHT_TOL,
-) -> bool:
-    """Pair-space analogue of :func:`measures_close`."""
-    ca = coalesce(a, atom_tol)
-    cb = coalesce(b, atom_tol)
-    if ca.n_atoms != cb.n_atoms or ca.dim != cb.dim:
-        return False
-    ra = np.hstack([ca.positions, ca.velocities])
-    rb = np.hstack([cb.positions, cb.velocities])
     oa = np.lexsort(ra.T[::-1])
     ob = np.lexsort(rb.T[::-1])
     if np.max(np.abs(ra[oa] - rb[ob])) > max(atom_tol, 4e-16):

@@ -32,6 +32,7 @@ from .measure import (
     Coupling,
     DiscreteMeasure,
     TangentMeasure,
+    _group_rows,
     barycentric_projection,
 )
 from .paths import HORIZON_TOL, PathEnsemble, PiecewisePath, _interp_nodes
@@ -491,12 +492,14 @@ def bram_pairing_detailed(
     proj = barycentric_projection(phi)
     xmarg = DiscreteMeasure(proj.positions, proj.weights)
     res = optimal_coupling(xmarg, nu, method="flow")
-    bry = {x.tobytes(): v for x, v in zip(proj.positions, proj.velocities)}
+    # the first row of each group is the projection's own row at that position
+    first, group = _group_rows(np.concatenate([proj.positions, res.coupling.first_atoms]))
+    bry = proj.velocities[first[group[proj.n_atoms :]]]
     value = 0.0
-    for x0, x1, w in zip(
-        res.coupling.first_atoms, res.coupling.second_atoms, res.coupling.weights
+    for v, x0, x1, w in zip(
+        bry, res.coupling.first_atoms, res.coupling.second_atoms, res.coupling.weights
     ):
-        value += w * float(np.dot(bry[x0.tobytes()], x0 - x1))
+        value += w * float(np.dot(v, x0 - x1))
     return value, res
 
 

@@ -153,8 +153,8 @@ def _coupled_plans(run_a, run_b, rho0):
         tb = _successor_table(run_b.sections[n], tau)
         new_xa, new_xb, new_w = [], [], []
         for i in range(xa.shape[0]):
-            sa_rows, sa_w = ta[xa[i, -1, :].tobytes()]
-            sb_rows, sb_w = tb[xb[i, -1, :].tobytes()]
+            sa_rows, sa_w = ta[(xa[i, -1, :] + 0.0).tobytes()]
+            sb_rows, sb_w = tb[(xb[i, -1, :] + 0.0).tobytes()]
             for ra, wa in zip(sa_rows, sa_w):
                 for rb, wb in zip(sb_rows, sb_w):
                     new_xa.append(np.vstack([xa[i], ra[None, :]]))

@@ -347,3 +347,120 @@ def test_verify_checks_the_joint_law_of_every_section(tmp_path, monkeypatch, T, 
     assert main(["verify", "--config", cfg]) == EXIT_OK
     assert checked == list(range(n_steps))
     assert json.loads((out / "verify_report.json").read_text())["checks"]["joint_law"] is True
+
+
+def test_signed_zero_end_points_run_and_verify(tmp_path):
+    # x * u sends -0.0 to -0.0 and 0.0, and 0.25 to 0.0: tuples end at 0.0
+    # while M^1 holds -0.0, the same atom
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path,
+        "zeros.json",
+        {
+            "scenario": {
+                "kind": "sampled",
+                "g": "x * u",
+                "noise": {"labels": [1.0, -4.0], "weights": [0.5, 0.5]},
+            },
+            "dim": 1,
+            "initial": {"atoms": [[-0.0], [0.25]], "weights": [0.5, 0.5]},
+            "tau": 0.25,
+            "T": 0.5,
+            "L": 4.0,
+            "out": str(out),
+        },
+    )
+    assert main(["run", "--config", cfg]) == EXIT_OK
+    assert len(json.loads((out / "ensemble.json").read_text())["paths"]) == 4
+    assert main(["verify", "--config", cfg]) == EXIT_OK
+    checks = json.loads((out / "verify_report.json").read_text())["checks"]
+    assert checks == dict.fromkeys(
+        ["marginals", "joint_law", "action_bound", "sticky_properties"], True
+    )
+
+
+_NUMERIC_BASES = {
+    "run": {
+        "scenario": "sdf-linear",
+        "tau": 0.5,
+        "T": 1.0,
+        "L": 2.0,
+        "mode": "monte-carlo",
+        "M": 8,
+    },
+    "sweep": {
+        "scenario": "sdf-linear",
+        "taus": [0.25, 0.125],
+        "steps": 2,
+        "L": 3.0,
+        "reference": {"dt": 0.01},
+    },
+    "bounds": {"scenario": "sdf-linear", "bounds": {"R": 1.0, "T": 1.0}},
+}
+
+
+def _with(cfg: dict, key: str, value) -> dict:
+    cfg = json.loads(json.dumps(cfg))
+    *tables, last = key.split(".")
+    table = cfg
+    for name in tables:
+        table = table.setdefault(name, {})
+    table[last] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command", sorted(_NUMERIC_BASES))
+def test_numeric_config_bases_run(tmp_path, command):
+    cfg = _write_cfg(tmp_path, "ok.json", {**_NUMERIC_BASES[command], "out": str(tmp_path / "o")})
+    assert main([command, "--config", cfg]) == EXIT_OK
+
+
+@pytest.mark.parametrize("value", [True, "lots"])
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("run", "tau"),
+        ("run", "T"),
+        ("run", "L"),
+        ("run", "M"),
+        ("run", "seed"),
+        ("run", "coalesce_tol"),
+        ("run", "caps.atoms"),
+        ("run", "caps.tuples"),
+        ("sweep", "steps"),
+        ("sweep", "reference.dt"),
+        ("bounds", "bounds.R"),
+        ("bounds", "bounds.T"),
+    ],
+)
+def test_malformed_numeric_config_values_exit_2(tmp_path, capsys, command, key, value):
+    payload = _with({**_NUMERIC_BASES[command], "out": str(tmp_path / "o")}, key, value)
+    cfg = _write_cfg(tmp_path, "bad.json", payload)
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{key}' must be" in err and "Traceback" not in err
+
+
+_CUSTOM = {
+    "scenario": {
+        "kind": "sampled",
+        "g": "-x + u",
+        "noise": {"labels": [1, -1], "weights": [0.5, 0.5]},
+    },
+    "dim": 1,
+    "initial": {"atoms": [[0.0]], "weights": [1.0]},
+    "tau": 0.5,
+    "T": 1.0,
+    "L": 2.0,
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("dim", True), ("initial.atoms", [["a"]]), ("scenario.noise.labels", ["a", "b"])],
+)
+def test_malformed_field_and_initial_values_exit_2(tmp_path, capsys, key, value):
+    payload = _with({**_CUSTOM, "out": str(tmp_path / "o")}, key, value)
+    cfg = _write_cfg(tmp_path, "bad.json", payload)
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err

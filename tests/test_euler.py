@@ -354,13 +354,16 @@ def test_verify_joint_law_checks_the_final_section(tau, T):
 
 
 def _successor_table(phi: TangentMeasure, tau: float):
-    """Per-position successor rows and conditional weights of the single-step plan."""
+    """Per-position successor rows and conditional weights of the single-step plan.
+
+    Positions are keyed by the bytes of ``x + 0.0``, so -0.0 and 0.0 are one key.
+    """
     succ_rows: dict[bytes, list] = {}
     succ_w: dict[bytes, list] = {}
     mass: dict[bytes, float] = {}
     nxt = phi.positions + tau * phi.velocities
     for x, y, w in zip(phi.positions, nxt, phi.weights):
-        key = x.tobytes()
+        key = (x + 0.0).tobytes()
         succ_rows.setdefault(key, []).append(y)
         succ_w.setdefault(key, []).append(w)
         mass[key] = mass.get(key, 0.0) + w
@@ -376,7 +379,7 @@ def _oracle_multi_step_plan(run: EulerRun):
     weights = run.measures[0].weights.copy()
     for n in range(run.n_steps):
         table = _successor_table(run.sections[n], run.tau)
-        keys = [pts[i, -1, :].tobytes() for i in range(pts.shape[0])]
+        keys = [(pts[i, -1, :] + 0.0).tobytes() for i in range(pts.shape[0])]
         counts = np.asarray([table[k][0].shape[0] for k in keys])
         rep = np.repeat(np.arange(pts.shape[0]), counts)
         new_last = np.concatenate([table[k][0] for k in keys], axis=0)
@@ -408,8 +411,8 @@ _RAW_WEIGHTS = (1.0, 1.0, 2.0, 3.0)  # tied weights
 def _section_runs(draw):
     """A run of 1-3 drawn sections whose positions are the previous successors.
 
-    Each position holds 1-3 rows in a drawn order, so groups interleave,
-    positions repeat and ±0.0 are distinct keys.
+    Each position holds 1-3 rows in a drawn order, so groups interleave and
+    positions repeat; -0.0 and 0.0 can both be positions, and they are one key.
     """
     d = draw(st.integers(1, 2))
     tau = 0.5
@@ -448,6 +451,20 @@ def test_multi_step_plan_matches_dict_keyed_recursion_bitwise(run):
     assert plan.points.shape == pts.shape
     assert plan.points.tobytes() == pts.tobytes()
     assert plan.weights.tobytes() == weights.tobytes()
+
+
+def test_exact_lift_takes_signed_zeros_for_one_atom():
+    # x * u sends -0.0 to -0.0 and 0.0, and 0.25 to 0.0: M^1 holds the atom
+    # -0.0 while tuples also end at 0.0, which is the same atom
+    noise = {"labels": [1.0, -4.0], "weights": [0.5, 0.5]}
+    spec = field_from_config({"kind": "sampled", "g": "x * u", "noise": noise}, 1)
+    run = run_explicit_euler(spec, DiscreteMeasure([[-0.0], [0.25]], [0.5, 0.5]), 0.25, 0.5, 4.0)
+    assert np.signbit(run.sections[1].positions[:, 0]).tolist() == [True, False, False]
+    ens = build_path_ensemble(run)
+    assert ens.n_paths == 4
+    assert not np.signbit(ens.nodes[:, 1, 0]).all()
+    assert verify_marginals(ens, run, [0.0, 0.125, 0.25, 0.375, 0.5]).passed
+    assert all(verify_joint_law(ens, run, n).passed for n in range(run.n_steps))
 
 
 @pytest.mark.parametrize("name", ["sdf-linear", "gradient-sum", "idf-attract", "stochastic-idf"])

@@ -172,6 +172,77 @@ def test_product_disintegration_marginal_validation():
     assert theta.weights.shape[0] == 4  # 2 velocities on each side
 
 
+def test_product_disintegration_refuses_a_gamma_off_the_x_marginals():
+    phi0 = evaluate_pvf(SDF, dirac(0.0))
+    phi1 = evaluate_pvf(SDF, dirac(1.0))
+    gamma = optimal_coupling(dirac(0.5), dirac(1.0)).coupling
+    with pytest.raises(InputError, match="not a coupling"):
+        product_disintegration_coupling(phi0, phi1, gamma)
+
+
+def _oracle_product_disintegration(phi, psi, gamma):
+    """Dict-and-loop product of conditionals, positions keyed by ``x + 0.0``."""
+
+    def conditionals(tm):
+        groups, mass = {}, {}
+        for x, v, w in zip(tm.positions, tm.velocities, tm.weights):
+            key = (x + 0.0).tobytes()
+            groups.setdefault(key, []).append((v, w))
+            mass[key] = mass.get(key, 0.0) + w
+        return groups, mass
+
+    g0, m0 = conditionals(phi)
+    g1, m1 = conditionals(psi)
+    x0s, v0s, x1s, v1s, ws = [], [], [], [], []
+    for x0, x1, w in zip(gamma.first_atoms, gamma.second_atoms, gamma.weights):
+        k0, k1 = (x0 + 0.0).tobytes(), (x1 + 0.0).tobytes()
+        for v0, w0 in g0[k0]:
+            for v1, w1 in g1[k1]:
+                x0s.append(x0)
+                v0s.append(v0)
+                x1s.append(x1)
+                v1s.append(v1)
+                ws.append(w * (w0 / m0[k0]) * (w1 / m1[k1]))
+    return np.stack(x0s), np.stack(v0s), np.stack(x1s), np.stack(v1s), np.asarray(ws)
+
+
+_SIGNED_LATTICE = (-1.0, -0.0, 0.0, 0.5)
+
+
+@st.composite
+def _lattice_tangent(draw, dim):
+    """1-5 rows on a lattice holding ±0.0, so positions repeat; tied weights."""
+    n = draw(st.integers(1, 5))
+    point = st.lists(st.sampled_from(_SIGNED_LATTICE), min_size=dim, max_size=dim)
+    pos = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+    vel = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+    raw = np.array(draw(st.lists(st.sampled_from((1.0, 1.0, 2.0, 3.0)), min_size=n, max_size=n)))
+    return TangentMeasure(pos, vel, raw / raw.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), method=st.sampled_from(["flow", "quantile"]))
+def test_product_disintegration_matches_dict_keyed_oracle_bitwise(data, method):
+    dim = 1 if method == "quantile" else data.draw(st.integers(1, 2))
+    phi, psi = data.draw(_lattice_tangent(dim)), data.draw(_lattice_tangent(dim))
+    gamma = optimal_coupling(phi.x_marginal(), psi.x_marginal(), method=method).coupling
+    theta = product_disintegration_coupling(phi, psi, gamma)
+    want = _oracle_product_disintegration(phi, psi, gamma)
+    for name, arr in zip(("x0", "v0", "x1", "v1", "weights"), want):
+        assert _bits(getattr(theta, name)) == _bits(arr), name
+
+
+def test_total_dissipativity_takes_signed_zeros_for_one_position():
+    psi = tangent_atoms([((0.5,), (0.0,)), ((2.0,), (-1.0,))], [0.5, 0.5])
+
+    def phi(zero):
+        return TangentMeasure([[zero], [0.0], [1.0]], [[1.0], [2.0], [0.0]], [0.25, 0.25, 0.5])
+
+    report = check_total_dissipativity(phi(-0.0), psi, [], 0.0)
+    assert report == check_total_dissipativity(phi(0.0), psi, [], 0.0)
+    assert report.passed and report.samples_tested == 1
+
+
 def test_growth_examples():
     shrink = SampledField(lambda x, u: -x, uniform_noise([0, 1]))
     mus = [dirac(1.0), mixture([-2.0, 0.5], [0.5, 0.5])]
