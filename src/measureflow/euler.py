@@ -31,6 +31,7 @@ from .measure import (
     TangentMeasure,
     TuplePlan,
     _disintegrate,
+    _first_non_finite,
     coalesce,
     exp_push,
     measures_close,
@@ -267,9 +268,8 @@ def build_path_ensemble(run: EulerRun, cap: int = DEFAULT_TUPLE_CAP) -> PathEnse
 
 def _refuse_non_finite(values: np.ndarray, what: str, step: int, X: np.ndarray) -> None:
     """Raise NumericDomainError at the first particle whose row of ``values`` is not finite."""
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
+    i = _first_non_finite(values)
+    if i is not None:
         raise NumericDomainError(
             f"field produced a non-finite {what} at step {step} (particle {i})",
             witness=X[i].copy(),

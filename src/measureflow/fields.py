@@ -30,7 +30,10 @@ from .measure import (
     DiscreteMeasure,
     TangentCoupling,
     TangentMeasure,
+    _check_weights,
     _disintegrate,
+    _first_non_finite,
+    _freeze,
     coalesce,
 )
 
@@ -47,14 +50,11 @@ class NoiseSpace:
     def __post_init__(self):
         labels = tuple(self.labels)
         weights = np.asarray(self.weights, dtype=float).ravel()
-        if len(labels) != weights.shape[0] or len(labels) < 1:
-            raise InputError("labels and weights must have equal nonzero length")
-        if np.any(weights <= 0) or abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise InputError("noise weights must be positive and sum to 1")
+        _check_weights(weights)
+        if len(labels) != weights.shape[0]:
+            raise InputError("labels and weights must have equal length")
         object.__setattr__(self, "labels", labels)
-        w = weights.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _freeze(weights.copy()))
 
 
 def uniform_noise(labels: Sequence) -> NoiseSpace:
@@ -122,11 +122,9 @@ PvfSpec = Union[
 
 def _finite_or_raise(V: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``V`` unchanged, or NumericDomainError witnessed by the point of its first non-finite row."""
-    finite = np.isfinite(V).all(axis=-1)
-    if not finite.all():
-        raise NumericDomainError(
-            "field produced a non-finite velocity", witness=X[int(np.argmin(finite))].copy()
-        )
+    bad = _first_non_finite(V)
+    if bad is not None:
+        raise NumericDomainError("field produced a non-finite velocity", witness=X[bad].copy())
     return V
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputError, NumericDomainError
 from .fields import PvfSpec, _mean_velocity, _section
-from .measure import DiscreteMeasure, coalesce, measures_close
+from .measure import DiscreteMeasure, _first_non_finite, coalesce, measures_close
 from .paths import PathEnsemble, Provenance
 from .transport import _SUP_CHUNK_ELEMS, bram_pairing, w2_distance
 
@@ -293,9 +293,8 @@ def sticky_flow(
         for a in range(node, last + 1, block):
             b = min(a + block, last + 1)
             rows = dense((np.arange(a, b) - s) / H)
-            finite = np.isfinite(rows).reshape(b - a, -1).all(axis=1)
-            if not finite.all():
-                bad = int(np.argmin(finite))
+            bad = _first_non_finite(rows)
+            if bad is not None:
                 raise NumericDomainError(
                     f"non-finite state at t = {grid[a + bad]:.6g}", witness=rows[bad]
                 )

@@ -37,6 +37,12 @@ def _check_finite(a: Array, what: str) -> None:
         raise InputError(f"{what} must be finite (no NaN/Inf)")
 
 
+def _first_non_finite(a: Array) -> int | None:
+    """The index of the first row (along axis 0) of ``a`` with a NaN or Inf, or None."""
+    finite = np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
+
+
 def _check_weights(w: Array) -> None:
     if w.ndim != 1 or w.size < 1:
         raise InputError("weights must be a non-empty 1-d vector")
@@ -46,6 +52,38 @@ def _check_weights(w: Array) -> None:
     total = float(np.sum(w))
     if abs(total - 1.0) > WEIGHT_TOL:
         raise InputError(f"weights must sum to 1 within {WEIGHT_TOL}; got {total!r}")
+
+
+def _coordinates(a, what: str, ndim: int = 2, promote: bool = True) -> Array:
+    """``a`` as a non-empty, finite float array with ``ndim`` axes.
+
+    With ``promote``, an array of one axis fewer gains a trailing axis of
+    length 1 (one coordinate per row).
+    """
+    out = np.asarray(a, dtype=float)
+    if promote and out.ndim == ndim - 1:
+        out = out[..., None]
+    if out.ndim != ndim or 0 in out.shape:
+        raise InputError(f"{what} must be a non-empty array with {ndim} axes, got {out.shape}")
+    _check_finite(out, what)
+    return out
+
+
+def _set_atoms(obj, *blocks: str, ndim: int = 2, promote: bool = True) -> None:
+    """Coerce, check and freeze the coordinate ``blocks`` and the weights of ``obj``.
+
+    The one rule for weighted atoms: each named block goes through
+    :func:`_coordinates` and has one row per weight, and the weights pass
+    :func:`_check_weights`.
+    """
+    weights = np.asarray(obj.weights, dtype=float).ravel()
+    _check_weights(weights)
+    for name in blocks:
+        a = _coordinates(getattr(obj, name), name, ndim, promote)
+        if a.shape[0] != weights.shape[0]:
+            raise InputError(f"{name} and weights must have equal length")
+        object.__setattr__(obj, name, _freeze(a))
+    object.__setattr__(obj, "weights", _freeze(weights))
 
 
 def as_point(x, dim: int | None = None) -> Array:
@@ -76,18 +114,7 @@ class DiscreteMeasure:
     weights: Array
 
     def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        if atoms.ndim == 1:
-            atoms = atoms[:, None]
-        if atoms.ndim != 2 or atoms.shape[0] < 1 or atoms.shape[1] < 1:
-            raise InputError(f"atoms must be an (n, d) array, got shape {atoms.shape}")
-        _check_finite(atoms, "atom coordinates")
-        weights = np.asarray(self.weights, dtype=float).ravel()
-        if weights.shape[0] != atoms.shape[0]:
-            raise InputError("atoms and weights must have equal length")
-        _check_weights(weights)
-        object.__setattr__(self, "atoms", _freeze(atoms))
-        object.__setattr__(self, "weights", _freeze(weights))
+        _set_atoms(self, "atoms")
 
     @property
     def dim(self) -> int:
@@ -139,23 +166,9 @@ class TangentMeasure:
     weights: Array
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        vel = np.asarray(self.velocities, dtype=float)
-        if pos.ndim == 1:
-            pos = pos[:, None]
-        if vel.ndim == 1:
-            vel = vel[:, None]
-        if pos.shape != vel.shape or pos.ndim != 2:
+        _set_atoms(self, "positions", "velocities")
+        if self.positions.shape != self.velocities.shape:
             raise InputError("positions and velocities must share an (n, d) shape")
-        _check_finite(pos, "positions")
-        _check_finite(vel, "velocities")
-        weights = np.asarray(self.weights, dtype=float).ravel()
-        if weights.shape[0] != pos.shape[0]:
-            raise InputError("atoms and weights must have equal length")
-        _check_weights(weights)
-        object.__setattr__(self, "positions", _freeze(pos))
-        object.__setattr__(self, "velocities", _freeze(vel))
-        object.__setattr__(self, "weights", _freeze(weights))
 
     @property
     def dim(self) -> int:
@@ -207,36 +220,13 @@ class Coupling:
     nu: DiscreteMeasure
 
     def __post_init__(self):
-        fa = np.asarray(self.first_atoms, dtype=float)
-        sa = np.asarray(self.second_atoms, dtype=float)
-        if fa.ndim == 1:
-            fa = fa[:, None]
-        if sa.ndim == 1:
-            sa = sa[:, None]
-        if fa.shape[0] != sa.shape[0]:
-            raise InputError("coupling sides must have equal atom counts")
-        _check_finite(fa, "coupling atoms")
-        _check_finite(sa, "coupling atoms")
-        weights = np.asarray(self.weights, dtype=float).ravel()
-        _check_weights(weights)
-        if weights.shape[0] != fa.shape[0]:
-            raise InputError("atoms and weights must have equal length")
-        object.__setattr__(self, "first_atoms", _freeze(fa))
-        object.__setattr__(self, "second_atoms", _freeze(sa))
-        object.__setattr__(self, "weights", _freeze(weights))
+        _set_atoms(self, "first_atoms", "second_atoms")
         _require_equal(DiscreteMeasure(self.first_atoms, self.weights), self.mu, "first marginal")
         _require_equal(DiscreteMeasure(self.second_atoms, self.weights), self.nu, "second marginal")
 
     @property
     def n_atoms(self) -> int:
         return self.weights.shape[0]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "first_atoms": self.first_atoms.tolist(),
-            "second_atoms": self.second_atoms.tolist(),
-            "weights": self.weights.tolist(),
-        }
 
 
 @dataclass(frozen=True)
@@ -252,23 +242,7 @@ class TangentCoupling:
     phi1: TangentMeasure
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("x0", "v0", "x1", "v1"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.ndim == 1:
-                a = a[:, None]
-            _check_finite(a, name)
-            arrays[name] = a
-        n = arrays["x0"].shape[0]
-        if any(a.shape[0] != n for a in arrays.values()):
-            raise InputError("all four coordinate blocks must have equal atom counts")
-        weights = np.asarray(self.weights, dtype=float).ravel()
-        _check_weights(weights)
-        if weights.shape[0] != n:
-            raise InputError("atoms and weights must have equal length")
-        for name, a in arrays.items():
-            object.__setattr__(self, name, _freeze(a))
-        object.__setattr__(self, "weights", _freeze(weights))
+        _set_atoms(self, "x0", "v0", "x1", "v1")
         _require_equal(TangentMeasure(self.x0, self.v0, self.weights), self.phi0, "first marginal")
         _require_equal(TangentMeasure(self.x1, self.v1, self.weights), self.phi1, "second marginal")
 
@@ -281,18 +255,7 @@ class TuplePlan:
     weights: Array
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 2:
-            pts = pts[:, :, None]
-        if pts.ndim != 3 or pts.shape[1] < 1:
-            raise InputError(f"tuple plan points must be (n, k+1, d); got {pts.shape}")
-        _check_finite(pts, "tuple coordinates")
-        weights = np.asarray(self.weights, dtype=float).ravel()
-        _check_weights(weights)
-        if weights.shape[0] != pts.shape[0]:
-            raise InputError("atoms and weights must have equal length")
-        object.__setattr__(self, "points", _freeze(pts))
-        object.__setattr__(self, "weights", _freeze(weights))
+        _set_atoms(self, "points", ndim=3)
 
     @property
     def n_steps(self) -> int:
@@ -317,14 +280,6 @@ class TuplePlan:
         if not 0 <= k <= self.n_steps:
             raise InputError(f"coordinate {k} outside [0, {self.n_steps}]")
         return coalesce(DiscreteMeasure(self.points[:, k, :], self.weights), 0.0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n_steps": self.n_steps,
-            "points": self.points.tolist(),
-            "weights": self.weights.tolist(),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -487,46 +442,29 @@ def push_forward(m, fn: Callable):
     """
     weights = m.weights
     if isinstance(m, DiscreteMeasure):
-        images = [np.atleast_1d(np.asarray(fn(x), dtype=float)) for x in m.atoms]
-        out = np.stack(images)
-        if not np.all(np.isfinite(out)):
-            bad = int(np.nonzero(~np.isfinite(out).all(axis=1))[0][0])
-            raise NumericDomainError(
-                "map produced non-finite coordinates", witness=m.atoms[bad]
-            )
+        out = np.stack([np.atleast_1d(np.asarray(fn(x), dtype=float)) for x in m.atoms])
+        bad = _first_non_finite(out)
+        if bad is not None:
+            raise NumericDomainError("map produced non-finite coordinates", witness=m.atoms[bad])
         return coalesce(DiscreteMeasure(out, weights), 0.0)
     if isinstance(m, TangentMeasure):
-        first = fn(m.positions[0], m.velocities[0])
-        as_pair = isinstance(first, tuple)
-        xs, vs, pts = [], [], []
-        for x, v in zip(m.positions, m.velocities):
-            img = fn(x, v)
-            if as_pair:
-                xs.append(np.atleast_1d(np.asarray(img[0], dtype=float)))
-                vs.append(np.atleast_1d(np.asarray(img[1], dtype=float)))
-            else:
-                pts.append(np.atleast_1d(np.asarray(img, dtype=float)))
-        if as_pair:
-            out = TangentMeasure(np.stack(xs), np.stack(vs), weights)
-            block = np.hstack([out.positions, out.velocities])
-        else:
-            arr = np.stack(pts)
-            if not np.all(np.isfinite(arr)):
-                bad = int(np.nonzero(~np.isfinite(arr).all(axis=1))[0][0])
-                raise NumericDomainError(
-                    "map produced non-finite coordinates",
-                    witness=(m.positions[bad], m.velocities[bad]),
-                )
-            return coalesce(DiscreteMeasure(arr, weights), 0.0)
-        if not np.all(np.isfinite(block)):
-            raise NumericDomainError("map produced non-finite coordinates")
+        images = [fn(x, v) for x, v in zip(m.positions, m.velocities)]
+        as_pair = isinstance(images[0], tuple)
+        blocks = [
+            np.stack([np.atleast_1d(np.asarray(y, dtype=float)) for y in block])
+            for block in (zip(*images) if as_pair else [images])
+        ]
+        bad = _first_non_finite(np.hstack(blocks))
+        if bad is not None:
+            raise NumericDomainError(
+                "map produced non-finite coordinates",
+                witness=(m.positions[bad], m.velocities[bad]),
+            )
+        out = TangentMeasure(*blocks, weights) if as_pair else DiscreteMeasure(blocks[0], weights)
         return coalesce(out, 0.0)
     if isinstance(m, TuplePlan):
-        images = [np.asarray(fn(row), dtype=float) for row in m.points]
-        out = np.stack(images)
-        if out.ndim == 2:
-            out = out[:, :, None]
-        if not np.all(np.isfinite(out)):
+        out = np.stack([np.asarray(fn(row), dtype=float) for row in m.points])
+        if _first_non_finite(out) is not None:
             raise NumericDomainError("map produced non-finite coordinates")
         return coalesce(TuplePlan(out, weights), 0.0)
     raise InputError(f"unsupported measure kind {type(m).__name__}")
@@ -535,7 +473,7 @@ def push_forward(m, fn: Callable):
 def exp_push(phi: TangentMeasure, t: float) -> DiscreteMeasure:
     """Push a tangent measure forward under the exponential map at time ``t``."""
     atoms = phi.positions + t * phi.velocities
-    if not np.all(np.isfinite(atoms)):
+    if _first_non_finite(atoms) is not None:
         raise NumericDomainError("exponential map produced non-finite coordinates")
     return coalesce(DiscreteMeasure(atoms, phi.weights), 0.0)
 

@@ -11,9 +11,20 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .measure import DiscreteMeasure, coalesce, _freeze
+from .measure import DiscreteMeasure, _check_finite, _coordinates, _freeze, _set_atoms, coalesce
 
 HORIZON_TOL = 1e-12
+
+
+def _time_grid(grid, n_times: int) -> np.ndarray:
+    """``grid`` as a frozen vector of ``n_times`` finite, strictly increasing times."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.shape != (n_times,):
+        raise InputError(f"the grid needs one time per node ({n_times},); got {grid.shape}")
+    _check_finite(grid, "grid times")
+    if np.any(np.diff(grid) <= 0):
+        raise InputError("grid times must be strictly increasing")
+    return _freeze(grid)
 
 
 @dataclass(frozen=True)
@@ -24,17 +35,8 @@ class PiecewisePath:
     nodes: np.ndarray  # (K+1, d)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float).ravel()
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim == 1:
-            nodes = nodes[:, None]
-        if grid.shape[0] != nodes.shape[0] or grid.shape[0] < 1:
-            raise InputError("grid and nodes must have matching nonzero length")
-        if grid.shape[0] > 1 and np.any(np.diff(grid) <= 0):
-            raise InputError("grid times must be strictly increasing")
-        if not np.all(np.isfinite(grid)) or not np.all(np.isfinite(nodes)):
-            raise InputError("grid and nodes must be finite")
-        object.__setattr__(self, "grid", _freeze(grid))
+        nodes = _coordinates(self.nodes, "nodes")
+        object.__setattr__(self, "grid", _time_grid(self.grid, nodes.shape[0]))
         object.__setattr__(self, "nodes", _freeze(nodes))
 
     @property
@@ -70,9 +72,6 @@ class PiecewisePath:
         grid = np.concatenate([self.grid[keep], [T]])
         nodes = np.vstack([self.nodes[keep], self(T)[None, :]])
         return PiecewisePath(grid, nodes)
-
-    def to_json_dict(self) -> dict:
-        return {"grid": self.grid.tolist(), "nodes": self.nodes.tolist()}
 
 
 def _interp_nodes(grid: np.ndarray, nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -137,29 +136,8 @@ class PathEnsemble:
     provenance: Provenance
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float).ravel()
-        if (
-            grid.ndim != 1
-            or nodes.ndim != 3
-            or 0 in nodes.shape
-            or nodes.shape[1] != grid.shape[0]
-            or weights.shape != nodes.shape[:1]
-        ):
-            raise InputError(
-                "an ensemble needs grid (K+1,), nodes (n, K+1, d) and weights (n,), n >= 1; "
-                f"got {grid.shape}, {nodes.shape}, {weights.shape}"
-            )
-        if not np.all(np.isfinite(grid)) or not np.all(np.isfinite(nodes)):
-            raise InputError("grid and nodes must be finite")
-        if np.any(np.diff(grid) <= 0):
-            raise InputError("grid times must be strictly increasing")
-        if np.any(weights <= 0) or abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise InputError("weights must be positive and sum to 1 within 1e-12")
-        object.__setattr__(self, "grid", _freeze(grid))
-        object.__setattr__(self, "nodes", _freeze(nodes))
-        object.__setattr__(self, "weights", _freeze(weights))
+        _set_atoms(self, "nodes", ndim=3, promote=False)
+        object.__setattr__(self, "grid", _time_grid(self.grid, self.nodes.shape[1]))
 
     @classmethod
     def from_paths(cls, paths, weights, provenance: Provenance) -> "PathEnsemble":
@@ -306,9 +284,15 @@ def _path_templates(grid: list, d: int) -> tuple[str, str]:
 def ensemble_from_json(s: str) -> PathEnsemble:
     """The ensemble an ``ensemble.json`` holds; paths on different grids load onto their union."""
     d = json.loads(s)
-    prov = d["provenance"]
+    meta = d["provenance"]
+    prov = Provenance(meta["kind"], meta.get("seed"), meta.get("sample_count"))
+    weights = np.asarray(d["weights"], dtype=float)
+    grids = [p["grid"] for p in d["paths"]]
+    if grids and grids.count(grids[0]) == len(grids):  # one grid: no per-path objects
+        nodes = np.asarray([p["nodes"] for p in d["paths"]], dtype=float)
+        return PathEnsemble(np.asarray(grids[0], dtype=float), nodes, weights, prov)
     return PathEnsemble.from_paths(
         (PiecewisePath(np.asarray(p["grid"]), np.asarray(p["nodes"])) for p in d["paths"]),
-        np.asarray(d["weights"], dtype=float),
-        Provenance(prov["kind"], prov.get("seed"), prov.get("sample_count")),
+        weights,
+        prov,
     )

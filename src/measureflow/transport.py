@@ -60,15 +60,6 @@ class TransportResult:
     degenerate: bool | None = None
     method: str = "flow"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "cost": self.cost,
-            "distance": self.distance,
-            "degenerate": self.degenerate,
-            "method": self.method,
-            "coupling": self.coupling.to_json_dict(),
-        }
-
 
 def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
@@ -419,6 +410,8 @@ def path_sup_distance(p1: PiecewisePath, p2: PiecewisePath) -> float:
     """
     if abs(p1.horizon - p2.horizon) > HORIZON_TOL * max(1.0, abs(p1.horizon)):
         raise InputError(f"mismatched horizons: {p1.horizon} vs {p2.horizon}")
+    if p1.dim != p2.dim:
+        raise InputError(f"dimension mismatch: {p1.dim} vs {p2.dim}")
     grid = np.union1d(p1.grid, p2.grid)
     d = p1(grid) - p2(grid)
     return float(np.max(np.linalg.norm(np.atleast_2d(d), axis=1)))
@@ -457,6 +450,8 @@ def wasserstein2_sup(e1: PathEnsemble, e2: PathEnsemble) -> float:
     """W2 between path ensembles under the sup-norm ground metric."""
     if abs(e1.horizon - e2.horizon) > HORIZON_TOL * max(1.0, abs(e1.horizon)):
         raise InputError(f"mismatched horizons: {e1.horizon} vs {e2.horizon}")
+    if e1.dim != e2.dim:
+        raise InputError(f"dimension mismatch: {e1.dim} vs {e2.dim}")
     dist = _sup_matrix(e1, e2)
     if e1.n_paths == 1 or e2.n_paths == 1:
         # coupling with a Dirac is forced, no optimization needed

@@ -455,6 +455,14 @@ _CUSTOM = {
 }
 
 
+def test_nan_noise_weight_exits_2(tmp_path, capsys):
+    payload = {**_CUSTOM, "mode": "monte-carlo", "M": 8, "out": str(tmp_path / "o")}
+    cfg = _write_cfg(tmp_path, "bad.json", _with(payload, "scenario.noise.weights", [np.nan, 1.0]))
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("dim", True), ("initial.atoms", [["a"]]), ("scenario.noise.labels", ["a", "b"])],

@@ -53,6 +53,14 @@ def test_optimal_coupling_examples():
 def test_optimal_coupling_dimension_mismatch():
     with pytest.raises(InputError):
         optimal_coupling(dirac(0.0), dirac([0.0, 1.0]))
+    p1, p2 = constant_path(0.0, 1.0), constant_path([0.0, 1.0], 1.0)
+    e1, e2 = _ensemble([p1], [1.0]), _ensemble([p2], [1.0])
+    for a, b in ((p1, p2), (p2, p1)):
+        with pytest.raises(InputError, match="dimension mismatch"):
+            path_sup_distance(a, b)
+    for a, b in ((e1, e2), (e2, e1)):
+        with pytest.raises(InputError, match="dimension mismatch"):
+            wasserstein2_sup(a, b)
 
 
 def test_brute_force_examples():
