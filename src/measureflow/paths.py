@@ -284,15 +284,9 @@ def _path_templates(grid: list, d: int) -> tuple[str, str]:
 def ensemble_from_json(s: str) -> PathEnsemble:
     """The ensemble an ``ensemble.json`` holds; paths on different grids load onto their union."""
     d = json.loads(s)
-    meta = d["provenance"]
-    prov = Provenance(meta["kind"], meta.get("seed"), meta.get("sample_count"))
-    weights = np.asarray(d["weights"], dtype=float)
-    grids = [p["grid"] for p in d["paths"]]
-    if grids and grids.count(grids[0]) == len(grids):  # one grid: no per-path objects
-        nodes = np.asarray([p["nodes"] for p in d["paths"]], dtype=float)
-        return PathEnsemble(np.asarray(grids[0], dtype=float), nodes, weights, prov)
+    prov = d["provenance"]
     return PathEnsemble.from_paths(
         (PiecewisePath(np.asarray(p["grid"]), np.asarray(p["nodes"])) for p in d["paths"]),
-        weights,
-        prov,
+        np.asarray(d["weights"], dtype=float),
+        Provenance(prov["kind"], prov.get("seed"), prov.get("sample_count")),
     )
