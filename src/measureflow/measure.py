@@ -76,7 +76,7 @@ def _set_atoms(obj, *blocks: str, ndim: int = 2, promote: bool = True) -> None:
     :func:`_coordinates` and has one row per weight, and the weights pass
     :func:`_check_weights`.
     """
-    weights = np.asarray(obj.weights, dtype=float).ravel()
+    weights = np.array(obj.weights, dtype=float).ravel()  # a copy: the caller keeps theirs
     _check_weights(weights)
     for name in blocks:
         a = _coordinates(getattr(obj, name), name, ndim, promote)
@@ -347,51 +347,91 @@ def _merge_exact(rows: Array, weights: Array) -> tuple[Array, Array]:
     return rows[first], np.bincount(group, weights=weights)
 
 
-def _greedy_pass(rows: Array, weights: Array, tol: float) -> tuple[Array, Array, bool]:
-    """One greedy merge pass in lexicographic order; returns (rows, weights, merged?).
+def _greedy_clusters(rows: Array, tol: float) -> tuple[Array, Array]:
+    """The greedy clusters of ``rows`` at ``tol``, in lexicographic row order.
 
-    Each row joins the first earlier cluster seed within ``tol``, else seeds a
-    new cluster.  Seeds are appended in row order, so their first coordinates
-    never decrease; a seed whose first coordinate trails the current row by
-    more than ``tol`` trails every later row too (IEEE subtraction is
-    monotone).  The scan therefore starts at a window index that only moves
-    forward, which gives the same clusters as a scan over all seeds at cost
-    O(n * w), w the number of seeds within ``tol`` in the first coordinate.
+    Returns ``(order, seed_of)``: ``order`` lexsorts the rows, and sorted row
+    ``i`` belongs to the cluster seeded by sorted row ``seed_of[i]``
+    (``seed_of[i] == i`` for a seed).  In row order, each row joins the first
+    seed within ``tol`` (``np.linalg.norm(r - s) <= tol``) among the rows
+    before it, else seeds a new cluster.  Only rows before it in its window,
+    whose first coordinates it trails by at most ``tol`` (the IEEE
+    difference, monotone in the row), can be within ``tol``.
 
-    Singleton clusters keep their row bitwise; only genuine merges move atoms
-    (to the weight-weighted mean of their members).
+    Array passes settle most rows.  At offset ``k = 1, 2, ...`` each row is
+    screened against the row ``k`` places before it while that row is in its
+    window; a squared distance, with room for the rounding and underflow of
+    either sum of squares, admits neighbours.  A row with no neighbour is a
+    seed, and a row whose only neighbour has none and is surely within
+    ``tol`` joins it.  A row leaves the passes at its second neighbour; such
+    rows and the rest with a neighbour go through the greedy rule in Python,
+    against the seeds in their window.  Cost: numpy work O(n * w), w the
+    widest window, and Python work per row left to the greedy rule.
     """
     order = np.lexsort(rows.T[::-1])
     rows_s = rows[order]
-    w_s = weights[order]
-    seeds: list[Array] = []
-    members: list[list] = []  # (row, weight) pairs per cluster
-    start = 0  # first seed within tol of the current row in the first coordinate
-    merged = False
-    for r, w in zip(rows_s, w_s):
-        while start < len(seeds) and r[0] - seeds[start][0] > tol:
-            start += 1
-        target = -1
-        for k in range(start, len(seeds)):
-            if np.linalg.norm(r - seeds[k]) <= tol:
-                target = k
+    n, width = rows_s.shape
+    x0 = rows_s[:, 0]
+    slack = (width + 1) * 2.0**-1070
+    inside, outside = tol * tol * (1 - 1e-6) - slack, tol * tol * (1 + 1e-6) + slack
+    first = np.full(n, -1)  # the earliest neighbour the passes found, -1 for none
+    sure = np.zeros(n, dtype=bool)  # ... surely within tol
+    crowded = np.zeros(n, dtype=bool)  # a second neighbour found
+    i, k = np.arange(1, n), 1
+    while True:
+        i = i[x0[i] - x0[i - k] <= tol]
+        if i.size == 0:
+            break
+        diff = rows_s[i] - rows_s[i - k]
+        sq = np.einsum("ij,ij->i", diff, diff)
+        near = i[sq <= outside]
+        crowded[near[first[near] >= 0]] = True
+        first[near] = near - k
+        sure[near] = sq[sq <= outside] <= inside
+        k += 1
+        i = i[(i >= k) & ~crowded[i]]
+    seed_of = np.arange(n)
+    has = first >= 0
+    settled = has & sure & ~crowded & ~has[first]  # first = -1 only where has masks it out
+    seed_of[settled] = first[settled]
+    rest = np.flatnonzero(has & ~settled)
+    start, hi = np.zeros_like(rest), rest.copy()  # bisect the window of each row left
+    while np.any(start < hi):
+        mid = (start + hi) // 2
+        within = x0[rest] - x0[mid] <= tol
+        hi, start = np.where(within, mid, hi), np.where(within | (start == hi), start, mid + 1)
+    is_seed = seed_of == np.arange(n)
+    for r, lo in zip(rest.tolist(), start.tolist()):
+        for s in is_seed[lo:r].nonzero()[0].tolist():
+            if np.linalg.norm(rows_s[r] - rows_s[lo + s]) <= tol:
+                seed_of[r] = lo + s
+                is_seed[r] = False
                 break
-        if target < 0:
-            seeds.append(r)
-            members.append([(r, w)])
-        else:
-            merged = True
-            members[target].append((r, w))
-    out_rows = []
-    out_w = []
-    for group in members:
-        total = sum(w for _, w in group)
-        out_w.append(total)
-        if len(group) == 1:
-            out_rows.append(group[0][0])
-        else:
-            out_rows.append(sum(r * w for r, w in group) / total)
-    return np.stack(out_rows), np.asarray(out_w), merged
+    return order, seed_of
+
+
+def _greedy_pass(rows: Array, weights: Array, tol: float) -> tuple[Array, Array, bool]:
+    """One greedy merge pass over :func:`_greedy_clusters`; returns (rows, weights, merged?).
+
+    Singleton clusters keep their row and weight bitwise; only genuine merges
+    move atoms (to the weight-weighted mean of their members, summed in row
+    order).  Python work is per merged row.
+    """
+    order, seed_of = _greedy_clusters(rows, tol)
+    rows_s = rows[order]
+    w_s = weights[order]
+    is_seed = seed_of == np.arange(seed_of.shape[0])
+    out_rows, out_w = rows_s[is_seed], w_s[is_seed]
+    slot = np.cumsum(is_seed) - 1  # a seed's place among the clusters
+    members: dict[int, list[int]] = {}
+    joined = np.flatnonzero(~is_seed)
+    for r, s in zip(joined.tolist(), seed_of[joined].tolist()):
+        members.setdefault(s, [s]).append(r)
+    for s, group in members.items():
+        ws = w_s[group]  # summed one np.float64 at a time, in row order
+        out_w[slot[s]] = total = sum(ws)
+        out_rows[slot[s]] = sum(rows_s[group] * ws[:, None]) / total
+    return out_rows, out_w, bool(members)
 
 
 def coalesce(m, tol: float = 0.0):
@@ -399,6 +439,9 @@ def coalesce(m, tol: float = 0.0):
 
     Greedy passes in lexicographic atom order are iterated to a fixpoint, so the
     result is idempotent at fixed ``tol``.  ``tol=0`` merges exact duplicates only.
+    A pass costs numpy work O(n * w), w the widest window of rows within ``tol``
+    in the first coordinate, and Python work per merged row and per row with
+    more than one neighbour within ``tol`` (see :func:`_greedy_clusters`).
     """
     if tol < 0:
         raise InputError("coalesce tolerance must be nonnegative")
@@ -514,21 +557,29 @@ def barycentric_projection(phi: TangentMeasure) -> TangentMeasure:
 
 
 def measures_close(a, b, atom_tol: float = 1e-12, weight_tol: float = WEIGHT_TOL) -> bool:
-    """Atom-by-atom comparison of two measures of one kind after coalescing.
+    """Whether two measures of one kind match atom for atom after coalescing.
 
-    Plain and tangent measures and tuple plans compare through their rows, up
-    to ``atom_tol`` in the coordinates and ``weight_tol`` in the weights.
+    Plain and tangent measures and tuple plans compare through their rows, at
+    ``tol = max(atom_tol, 4e-16)`` (Euclidean distance between rows).  Each
+    side is coalesced at ``tol``, so no two of its atoms lie within ``tol``;
+    the union of both sides is then clustered once by the greedy rule of
+    :func:`coalesce`.  The measures are close when every cluster is one atom
+    of each side and their weights differ by at most ``weight_tol``.
     """
-    ca = coalesce(a, atom_tol)
-    cb = coalesce(b, atom_tol)
+    tol = max(atom_tol, 4e-16)
+    ca = coalesce(a, tol)
+    cb = coalesce(b, tol)
     ra, rb = _rows_of(ca), _rows_of(cb)
     if type(ca) is not type(cb) or ca.dim != cb.dim or ra.shape != rb.shape:
         return False
-    oa = np.lexsort(ra.T[::-1])
-    ob = np.lexsort(rb.T[::-1])
-    if np.max(np.abs(ra[oa] - rb[ob])) > max(atom_tol, 4e-16):
+    order, seed_of = _greedy_clusters(np.concatenate([ra, rb]), tol)
+    joined = np.flatnonzero(seed_of != np.arange(seed_of.shape[0]))
+    partner = seed_of[joined]
+    # n rows joined n distinct seeds; a side has no two atoms within tol, so each pair spans both
+    if joined.shape[0] != ra.shape[0] or np.bincount(partner).max() > 1:
         return False
-    return float(np.max(np.abs(ca.weights[oa] - cb.weights[ob]))) <= weight_tol
+    w = np.concatenate([ca.weights, cb.weights])[order]
+    return float(np.max(np.abs(w[joined] - w[partner]))) <= weight_tol
 
 
 def dumps(m) -> str:

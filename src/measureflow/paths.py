@@ -285,8 +285,14 @@ def ensemble_from_json(s: str) -> PathEnsemble:
     """The ensemble an ``ensemble.json`` holds; paths on different grids load onto their union."""
     d = json.loads(s)
     prov = d["provenance"]
+    paths = []
+    for k, p in enumerate(d["paths"]):
+        try:  # numpy refuses a ragged node list with a plain ValueError
+            paths.append(PiecewisePath(np.asarray(p["grid"]), np.asarray(p["nodes"])))
+        except ValueError as exc:
+            raise InputError(f"path {k} of the ensemble: {exc}") from None
     return PathEnsemble.from_paths(
-        (PiecewisePath(np.asarray(p["grid"]), np.asarray(p["nodes"])) for p in d["paths"]),
+        paths,
         np.asarray(d["weights"], dtype=float),
         Provenance(prov["kind"], prov.get("seed"), prov.get("sample_count")),
     )

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from measureflow.errors import InputError, NumericDomainError
@@ -15,6 +15,7 @@ from measureflow.measure import (
     TangentCoupling,
     TangentMeasure,
     TuplePlan,
+    _rows_of,
     barycentric_projection,
     coalesce,
     dirac,
@@ -284,12 +285,59 @@ def _measures(draw):
     return DiscreteMeasure(np.asarray(rows), raw / raw.sum())
 
 
+def _of_kind(kind, rows, weights, d):
+    """``rows`` (n, width) as a measure of ``kind`` with dimension ``d``."""
+    if kind == "tangent":
+        return TangentMeasure(rows[:, :d], rows[:, d:], weights)
+    if kind == "plan":
+        return TuplePlan(rows.reshape(rows.shape[0], -1, d), weights)
+    return DiscreteMeasure(rows, weights)
+
+
+@st.composite
+def _coalesce_cases(draw):
+    """A measure of any kind with rows up to 12 wide, and a tolerance.
+
+    Coordinates include -0.0, multiples of the tolerance and the float just
+    above it, so some rows sit exactly ``tol`` apart and some one ulp beyond.
+    One case in eight puts 200-250 rows on one first coordinate: the widest
+    window the pass meets.
+    """
+    tol = draw(_TOL)
+    kind = draw(st.sampled_from(["discrete", "tangent", "plan"]))
+    d = draw(st.integers(1, {"discrete": 3, "tangent": 6, "plan": 3}[kind]))
+    times = draw(st.integers(1, 12 // d)) if kind == "plan" else 1
+    width = {"discrete": d, "tangent": 2 * d, "plan": d * times}[kind]
+    values = np.array([0.0, -0.0, tol, -tol, 2 * tol, np.nextafter(tol, 1.0), 0.5, 0.5 + tol])
+    if draw(st.integers(0, 7)) == 0:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        rows = rng.choice(values, size=(int(rng.integers(200, 251)), width))
+        rows[:, 0] = values[draw(st.integers(0, values.size - 1))]
+        raw = rng.integers(1, 6, size=rows.shape[0]).astype(float)
+    else:
+        coord = st.one_of(_COORD, st.sampled_from(values[:6].tolist()))
+        n = draw(st.integers(1, max(1, 120 // width)))
+        row = st.lists(coord, min_size=width, max_size=width)
+        rows = np.asarray(draw(st.lists(row, min_size=n, max_size=n)))
+        raw = np.asarray(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), dtype=float)
+    return _of_kind(kind, rows, raw / raw.sum(), d), tol
+
+
+# the last row's nearest two neighbours are seeds, but an earlier seed is within tol too
+_THIRD_SEED = DiscreteMeasure(
+    np.array([[0.0, 0.0], [0.1, 1.05], [0.2, 0.5], [0.3, 0.5]]) * 0.1, np.arange(1, 5) / 10
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_measures(), _TOL)
-def test_coalesce_matches_full_scan_bitwise(m, tol):
+@given(_coalesce_cases())
+@example((_THIRD_SEED, 0.1))
+def test_coalesce_matches_full_scan_bitwise(case):
+    m, tol = case
     out = coalesce(m, tol)
-    rows, weights = _full_scan_coalesce(m, tol)
-    assert out.atoms.tobytes() == rows.tobytes()
+    assert type(out) is type(m)
+    rows, weights = _full_scan_coalesce(DiscreteMeasure(_rows_of(m), m.weights), tol)
+    assert _rows_of(out).tobytes() == rows.tobytes()
     assert out.weights.tobytes() == weights.tobytes()
 
 
@@ -346,11 +394,6 @@ def test_json_round_trip_bit_exact():
     assert d["dim"] == 2 and len(d["atoms"][0]) == 2
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="measures_close lexsorts each side on its own, so a rounding-level difference "
-    "in the first coordinate pairs the wrong atoms",
-)
 def test_measures_close_pairs_atoms_within_tolerance():
     a = DiscreteMeasure(np.array([[0.0, 1.0], [1e-15, 0.0]]), _W)
     b = DiscreteMeasure(np.array([[1e-15, 1.0], [0.0, 0.0]]), _W)
@@ -362,3 +405,58 @@ def test_measures_close_detects_mismatch():
     b = mixture([0.0, 1.0 + 1e-3], [0.5, 0.5])
     assert not measures_close(a, b)
     assert measures_close(a, mixture([1.0, 0.0], [0.5, 0.5]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["discrete", "tangent"]),
+    st.integers(1, 3),
+    st.sampled_from([1e-12, 1e-9, 1e-3]),
+    st.sampled_from([1e-12, 1e-9]),
+    st.data(),
+)
+def test_measures_close_on_noisy_shuffled_copies(kind, d, tol, weight_tol, data):
+    """Atoms more than 2 tol apart, moved by at most tol/4 and shuffled, still match."""
+    width = 2 * d if kind == "tangent" else d
+    lattice = st.tuples(*[st.integers(-4, 4)] * width)
+    points = sorted(data.draw(st.sets(lattice, min_size=1, max_size=20)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = 3 * tol * np.array(points, dtype=float)  # spacing 3 tol > 2 tol
+    n = rows.shape[0]
+    raw = rng.uniform(0.5, 1.5, size=n)
+    w = raw / raw.sum()
+    noise = rng.uniform(-1.0, 1.0, size=(n, width)) * tol / (4 * np.sqrt(width))
+    perm = rng.permutation(n)
+    a = _of_kind(kind, rows, w, d)
+    b = _of_kind(kind, (rows + noise)[perm], w[perm], d)
+    assert measures_close(a, b, tol, weight_tol)
+    assert measures_close(b, a, tol, weight_tol)
+    if n >= 2:
+        moved = w.copy()
+        moved[0] += 2 * weight_tol
+        moved[1] -= 2 * weight_tol
+        c = _of_kind(kind, (rows + noise)[perm], moved[perm], d)
+        assert not measures_close(a, c, tol, weight_tol)
+        assert not measures_close(c, a, tol, weight_tol)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (_, no) in _VALIDATED.items() if no != "weights"))
+def test_weights_do_not_alias_the_callers_array(name):
+    w = _W.copy()
+    m = _VALIDATED[name][0](_X, w)
+    w[0] = 0.7
+    assert m.weights.tolist() == [0.5, 0.5]
+
+
+def test_measures_close_at_atom_tol_zero_on_atoms_closer_than_4e16():
+    # the comparison runs at 4e-16, so each side is coalesced there first
+    m = mixture([0.0, 1e-16], [0.5, 0.5])
+    assert measures_close(m, m, atom_tol=0.0)
+
+
+def test_measures_close_refuses_two_atoms_near_one():
+    # both atoms of b lie within tol of a's first atom and 1.4 tol from each other
+    tol = 1e-12
+    a = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), _W)
+    b = DiscreteMeasure(np.array([[0.1, 0.7], [0.2, -0.7]]) * tol, _W)
+    assert not measures_close(a, b, tol)

@@ -303,6 +303,13 @@ def _refusals():
     yield lambda: PathEnsemble.from_paths((a, a), np.array([0.7, 0.7]), prov)
 
 
+def test_ragged_ensemble_json_names_the_path():
+    d = build_path_ensemble(run_explicit_euler(SDF, MU0, 0.25, 0.5, 4.0)).to_json_dict()
+    d["paths"][1]["nodes"][0] = [0.0, 1.0]  # one node of two coordinates, the rest of one
+    with pytest.raises(InputError, match="path 1"):
+        ensemble_from_json(json.dumps(d))
+
+
 def test_every_refusal_raises_input_error():
     for make in _refusals():
         with pytest.raises(InputError):
