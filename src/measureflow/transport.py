@@ -15,8 +15,11 @@ spanning-tree supports (or all assignments in the uniform case) and never
 touches the flow solver.
 
 ``wasserstein2_sup`` builds its sup-distance cost matrix for two common-grid
-path ensembles on one union grid, block by block, bitwise equal to the
-per-pair ``path_sup_distance``.
+path ensembles on the union of their grids, bitwise equal to the per-pair
+``path_sup_distance``.  The union grid is a sort and a ``!=`` mask.  It is
+cut at the nodes of the shorter grid, and on each segment the paths of that
+side are grouped by the node slice they share, so the paths of a tree, which
+share their early segments, are evaluated once per distinct segment.
 """
 
 from __future__ import annotations
@@ -92,23 +95,25 @@ def _solve_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
             break
         dist_r = np.where(rem_a > _MASS_EPS, 0.0, np.inf)
         dist_c = np.full(n, np.inf)
-        done_r = np.zeros(m, dtype=bool)
-        done_c = np.zeros(n, dtype=bool)
+        # the distances of the unsettled nodes, inf once settled; a settled
+        # node is never improved, as every candidate is at least the minimum
+        dr = dist_r.copy()
+        dc = dist_c.copy()
+        settled = 0
         pred_c = np.full(n, -1, dtype=int)  # row that reaches col j
         pred_r = np.full(m, -1, dtype=int)  # col that reaches row i (backward arc)
         target = -1
-        while True:
-            dr = np.where(done_r, np.inf, dist_r)
-            dc = np.where(done_c, np.inf, dist_c)
-            ir = int(np.argmin(dr))
-            jc = int(np.argmin(dc))
+        while settled < m + n:
+            ir = int(dr.argmin())
+            jc = int(dc.argmin())
             if dr[ir] <= dc[jc]:
                 if not np.isfinite(dr[ir]):
                     break
                 # every row tied at the minimum settles before any column, so
                 # relax them together; the first minimum keeps the row order
                 batch = np.nonzero(dr == dr[ir])[0]
-                done_r[batch] = True
+                dr[batch] = np.inf
+                settled += batch.shape[0]
                 rc = cost[batch] - p[batch, None] - q
                 np.maximum(rc, 0.0, out=rc)
                 cand = dist_r[batch, None] + rc
@@ -116,12 +121,13 @@ def _solve_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
                 cand = cand[first, np.arange(n)]
                 better = cand < dist_c
                 if better.any():
-                    dist_c[better] = cand[better]
+                    dist_c[better] = dc[better] = cand[better]
                     pred_c[better] = batch[first[better]]
             else:
                 if not np.isfinite(dc[jc]):
                     break
-                done_c[jc] = True
+                dc[jc] = np.inf
+                settled += 1
                 if rem_b[jc] > _MASS_EPS:
                     target = jc
                     break
@@ -132,10 +138,8 @@ def _solve_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
                     cand = dist_c[jc] + rc
                     better = back & (cand < dist_r)
                     if better.any():
-                        dist_r[better] = cand[better]
+                        dist_r[better] = dr[better] = cand[better]
                         pred_r[better] = jc
-            if done_r.all() and done_c.all():
-                break
         if target < 0:
             raise RuntimeError("transport problem infeasible (unbalanced marginals?)")
         dist_t = dist_c[target]
@@ -417,32 +421,68 @@ def path_sup_distance(p1: PiecewisePath, p2: PiecewisePath) -> float:
     return float(np.max(np.linalg.norm(np.atleast_2d(d), axis=1)))
 
 
+def _union_grid(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """The sorted times of both grids, each once as a number (``np.union1d``'s values).
+
+    A sort and a ``!=`` mask; ``np.union1d`` would import ``numpy.ma``.
+    """
+    ts = np.sort(np.concatenate([g1, g2]))
+    return ts[np.concatenate([[True], ts[1:] != ts[:-1]])]
+
+
 def _sup_matrix(e1: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
     """All pairwise ``path_sup_distance`` values, bitwise, as an (n1, n2) matrix.
 
-    Both ensembles are evaluated on the union of their grids, and the
-    squared norm is summed over the coordinates in order, as
+    The union grid is cut at the nodes of the shorter grid into pieces: one
+    segment from each node to the next, both ends included, one piece up to
+    the first node and one from the last.  On each piece the paths of the
+    cutting side are grouped by the node slice they are interpolated from
+    (``_group_rows``), and each distinct slice is evaluated once on its own
+    sub-grid, which gives the full grid's values bit for bit.  The other side
+    is evaluated on its full grid, or grouped the same way when both grids
+    are equal.  The squared norm is summed over the coordinates in order, as
     ``np.linalg.norm`` does; the sup of the root is the root of the sup, since
-    sqrt is monotone and correctly rounded.  The union grid is walked in
-    blocks of about ``_SUP_CHUNK_ELEMS`` pair differences (at least one time),
-    so memory does not grow with the grid.
+    sqrt is monotone and correctly rounded, and the max is idempotent, so the
+    shared piece ends do no harm.  Each piece is walked in blocks of about
+    ``_SUP_CHUNK_ELEMS`` distinct pair differences (at least one time), so
+    memory does not grow with the grid, and the maxima of the distinct pairs
+    are gathered back to the paths into a running max.
     """
-    g1, g2 = e1.grid, e2.grid
-    ts = np.union1d(g1, g2)
-    n1, n2 = e1.n_paths, e2.n_paths
-    width = max(1, _SUP_CHUNK_ELEMS // (n1 * n2))
-    sq = np.zeros((n1, n2))
-    for start in range(0, ts.shape[0], width):
-        block = ts[start : start + width]
-        x1 = _interp_nodes(g1, e1.nodes, block)  # (B, d, n1)
-        x2 = _interp_nodes(g2, e2.nodes, block)  # (B, d, n2)
-        acc = np.zeros((block.shape[0], n2, n1))
-        diff = np.empty_like(acc)
-        for k in range(e1.dim):
-            np.subtract(x1[:, None, k], x2[:, k, :, None], out=diff)
-            diff *= diff
-            acc += diff
-        np.maximum(sq, acc.max(axis=0).T, out=sq)
+    ts = _union_grid(e1.grid, e2.grid)
+    cut_first = e1.grid.shape[0] <= e2.grid.shape[0]
+    both = np.array_equal(e1.grid, e2.grid)
+    g = e1.grid if cut_first else e2.grid
+    at = np.searchsorted(ts, g)
+    last = g.shape[0] - 1
+    # (first node, end node, first time, end time) of each piece
+    pieces = [(0, 1, 0, at[0] + 1)]
+    pieces += [(k, k + 2, at[k], at[k + 1] + 1) for k in range(last)]
+    pieces.append((last, last + 1, at[last], ts.shape[0]))
+    sq = np.zeros((e1.n_paths, e2.n_paths))
+    for lo, hi, start, stop in pieces:
+        sides = []
+        for ens, cuts in ((e1, cut_first), (e2, not cut_first)):
+            if cuts or both:
+                first, group = _group_rows(ens.nodes[:, lo:hi].reshape(ens.n_paths, -1))
+                sides.append((ens.grid[lo:hi], ens.nodes[first, lo:hi], group))
+            else:
+                sides.append((ens.grid, ens.nodes, np.arange(ens.n_paths)))
+        (g1, nodes1, group1), (g2, nodes2, group2) = sides
+        m1, m2 = nodes1.shape[0], nodes2.shape[0]
+        width = max(1, _SUP_CHUNK_ELEMS // (m1 * m2))
+        best = np.zeros((m2, m1))
+        for t0 in range(start, stop, width):
+            block = ts[t0 : min(t0 + width, stop)]
+            x1 = _interp_nodes(g1, nodes1, block)  # (B, d, m1)
+            x2 = _interp_nodes(g2, nodes2, block)  # (B, d, m2)
+            acc = np.zeros((block.shape[0], m2, m1))
+            diff = np.empty_like(acc)
+            for k in range(e1.dim):
+                np.subtract(x1[:, None, k], x2[:, k, :, None], out=diff)
+                diff *= diff
+                acc += diff
+            np.maximum(best, acc.max(axis=0), out=best)
+        np.maximum(sq, best.T[np.ix_(group1, group2)], out=sq)
     return np.sqrt(sq)
 
 

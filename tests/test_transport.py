@@ -21,6 +21,7 @@ from measureflow.transport import (
     _MASS_EPS,
     _solve_flow,
     _sup_matrix,
+    _union_grid,
     bram_pairing,
     bram_pairing_detailed,
     brute_force_w2,
@@ -428,6 +429,107 @@ def test_sup_matrix_memory_stays_flat():
     ref = _ensemble(
         [PiecewisePath(fine, rng.normal(size=(10_001, 2))) for _ in range(3)], np.full(3, 1 / 3)
     )
+    tracemalloc.start()
+    try:
+        _sup_matrix(tree, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def _tree(rng, grid, d, roots, branching, ties):
+    """A tree ensemble on ``grid``: path i at node k is fixed by its root and first k branches.
+
+    ``roots * branching**K`` paths share their segments as the exact lift's
+    do; with ``ties`` the node values come from {-1, -0, 0, 1, 2}, so slices
+    of different branches are equal as numbers too, signed zeros included.
+    """
+    K = grid.size - 1
+    n = roots * branching**K
+    nodes = np.empty((n, K + 1, d))
+    for k in range(K + 1):
+        prefix = np.arange(n) // branching ** (K - k)
+        if ties:
+            table = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(prefix[-1] + 1, d))
+        else:
+            table = rng.normal(size=(prefix[-1] + 1, d)) * 10.0 ** rng.integers(-3, 4)
+        nodes[:, k] = table[prefix]
+    w = rng.random(n) + 0.5
+    return PathEnsemble(grid, nodes, w / w.sum(), Provenance("exact-tree"))
+
+
+@st.composite
+def _tree_pairs(draw):
+    """Two ensembles of which at least one is a tree on a coarse grid, and how they relate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    ties = draw(st.booleans())
+    coarse = np.unique(np.concatenate([[0.0, _T], rng.random(draw(st.integers(0, 3)))]))
+    relation = draw(st.sampled_from(["same", "fine", "offset", "single", "near-horizon"]))
+    if relation == "same":  # both trees on one grid: both sides are grouped
+        other = coarse.copy()
+    elif relation == "fine":  # the coarse nodes among many others
+        other = np.unique(np.concatenate([coarse, rng.random(draw(st.integers(5, 40)))]))
+    elif relation == "offset":  # union times fall inside the coarse segments
+        other = np.concatenate([[0.0], (coarse[1:] + coarse[:-1]) / 2, [_T]])
+    elif relation == "single":
+        other = np.array([_T])
+        if draw(st.booleans()):  # two one-node grids
+            coarse = other.copy()
+    else:  # horizons that differ by less than HORIZON_TOL
+        other = np.concatenate([coarse[:-1], [_T + 0.5 * HORIZON_TOL]])
+    sides = []
+    for grid in (coarse, other):
+        K = grid.size - 1
+        branching = draw(st.integers(1, 3)) if K <= 3 else 1
+        roots = draw(st.integers(1, 3 if branching > 1 else 6))
+        sides.append(_tree(rng, grid, d, roots, branching, ties))
+    if draw(st.booleans()):
+        sides.reverse()
+    return tuple(sides)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tree_pairs())
+def test_sup_matrix_on_trees_matches_per_pair_bitwise(pair):
+    e1, e2 = pair
+    assert _sup_matrix(e1, e2).tobytes() == _per_pair_sup(e1, e2).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_pairs(), st.integers(0, 2**32 - 1))
+def test_union_grid_equals_union1d(grids, seed):
+    g1, g2 = grids
+    rng = np.random.default_rng(seed)
+    shared = rng.choice(g1, size=min(g1.size, 3), replace=False)
+    g2 = np.unique(np.concatenate([g2, shared]))  # nodes on both grids
+    assert np.array_equal(_union_grid(g1, g2), np.union1d(g1, g2))
+
+
+def test_sup_matrix_with_a_grid_from_negative_zero():
+    rng = np.random.default_rng(5)
+    grid = np.array([0.0, 0.25, 0.6, 1.0])
+    signed = grid.copy()
+    signed[0] = -0.0
+    e1 = _tree(rng, grid, 2, 2, 2, ties=False)
+    e2 = _tree(rng, np.linspace(0.0, 1.0, 9), 2, 3, 1, ties=False)
+    e1_signed = PathEnsemble(signed, e1.nodes, e1.weights, e1.provenance)
+    assert np.signbit(e1_signed.grid[0])
+    want = _sup_matrix(e1, e2).tobytes()
+    assert _per_pair_sup(e1, e2).tobytes() == want
+    for a, b in ((e1_signed, e2), (e1_signed, e1), (e2, e1_signed)):
+        assert _sup_matrix(a, b).tobytes() == _per_pair_sup(a, b).tobytes()
+    assert _sup_matrix(e1_signed, e2).tobytes() == want
+
+
+def test_sup_matrix_memory_stays_flat_on_a_tree():
+    # the sweep's shape with its shared segments: 3 roots branching 3 ways
+    # on 5 nodes (243 paths) against a 3-path reference on 10,001
+    rng = np.random.default_rng(17)
+    tree = _tree(rng, np.linspace(0.0, 1.0, 5), 2, 3, 3, ties=False)
+    ref = _tree(rng, np.linspace(0.0, 1.0, 10_001), 2, 3, 1, ties=False)
+    assert tree.n_paths == 243
     tracemalloc.start()
     try:
         _sup_matrix(tree, ref)
