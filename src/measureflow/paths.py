@@ -74,6 +74,16 @@ class PiecewisePath:
         return PiecewisePath(grid, nodes)
 
 
+def _union_grid(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """The sorted times of both grids, each once as a number (``np.union1d``'s values).
+
+    A sort and a ``!=`` mask: in numpy 2.4 ``np.union1d`` goes through
+    ``np.unique``, which imports ``numpy.ma``.
+    """
+    ts = np.sort(np.concatenate([g1, g2]))
+    return ts[np.concatenate([[True], ts[1:] != ts[:-1]])]
+
+
 def _interp_nodes(grid: np.ndarray, nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Paths sharing ``grid``, nodes ``(n, K+1, d)``, at sorted times ``ts``: ``(len(ts), d, n)``.
 
@@ -156,7 +166,7 @@ class PathEnsemble:
         if all(np.array_equal(p.grid, grid) for p in paths):
             nodes = np.stack([p.nodes for p in paths])
         else:
-            grid = functools.reduce(np.union1d, [p.grid for p in paths])
+            grid = functools.reduce(_union_grid, [p.grid for p in paths])
             nodes = np.stack([p(grid) for p in paths])
         return cls(grid, nodes, weights, provenance)
 

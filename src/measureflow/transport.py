@@ -17,9 +17,10 @@ touches the flow solver.
 ``wasserstein2_sup`` builds its sup-distance cost matrix for two common-grid
 path ensembles on the union of their grids, bitwise equal to the per-pair
 ``path_sup_distance``.  The union grid is a sort and a ``!=`` mask.  It is
-cut at the nodes of the shorter grid, and on each segment the paths of that
-side are grouped by the node slice they share, so the paths of a tree, which
-share their early segments, are evaluated once per distinct segment.
+cut at the nodes of the shorter grid, and on a segment where grouping saves
+at least a block of pair differences the paths of that side are grouped by
+the node slice they share, so the paths of a tree, which share their early
+segments, are evaluated once per distinct segment.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .measure import (
     _group_rows,
     barycentric_projection,
 )
-from .paths import HORIZON_TOL, PathEnsemble, PiecewisePath, _interp_nodes
+from .paths import HORIZON_TOL, PathEnsemble, PiecewisePath, _interp_nodes, _union_grid
 
 _MASS_EPS = 1e-14
 _RC_EPS = 1e-12
@@ -421,68 +422,112 @@ def path_sup_distance(p1: PiecewisePath, p2: PiecewisePath) -> float:
     return float(np.max(np.linalg.norm(np.atleast_2d(d), axis=1)))
 
 
-def _union_grid(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """The sorted times of both grids, each once as a number (``np.union1d``'s values).
+def _distinct_slices(nodes: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """How many distinct node slices ``nodes[:, k : k + 2]`` the paths have, per ``k`` of ``ks``.
 
-    A sort and a ``!=`` mask; ``np.union1d`` would import ``numpy.ma``.
+    Rows are told apart as ``_group_rows`` does, by ``!=`` after a sort.  Two
+    slices can be equal only where the first coordinates of their end nodes
+    tie, so only those segments are lexsorted.  About ``_SUP_CHUNK_ELEMS``
+    node values are sorted at a time.
     """
-    ts = np.sort(np.concatenate([g1, g2]))
-    return ts[np.concatenate([[True], ts[1:] != ts[:-1]])]
+    n, _, d = nodes.shape
+    step = max(1, _SUP_CHUNK_ELEMS // (2 * d * n))
+    counts = np.empty(ks.shape[0], dtype=np.intp)
+    for s in range(0, ks.shape[0], step):
+        c = ks[s : s + step]
+        ends = np.sort(nodes[:, c + 1, 0], axis=0)
+        tied = np.any(ends[1:] == ends[:-1], axis=0)
+        c = c[tied]
+        keys = nodes[:, np.stack([c, c + 1], axis=1)].reshape(n, c.shape[0], 2 * d).T
+        order = np.lexsort(keys, axis=-1)  # (c, n): each segment's slices in row order
+        rows = np.take_along_axis(keys, order[None], axis=-1)
+        new_row = np.any(rows[..., 1:] != rows[..., :-1], axis=0)
+        counts[s : s + step] = n
+        counts[s : s + step][tied] = 1 + np.count_nonzero(new_row, axis=1)
+    return counts
+
+
+def _segment_side(ens: PathEnsemble, k: int):
+    """The distinct paths of ``ens`` on segment ``k``.
+
+    Returns the segment's two grid nodes, the node slices of its distinct
+    paths and the group of each path.
+    """
+    first, group = _group_rows(ens.nodes[:, k : k + 2].reshape(ens.n_paths, -1))
+    return ens.grid[k : k + 2], ens.nodes[first, k : k + 2], group
+
+
+def _raise_sup(sq: np.ndarray, ts: np.ndarray, side1, side2) -> None:
+    """Raise ``sq`` to the squared distances of the paths of two sides at the times ``ts``.
+
+    A side is (grid, nodes of its distinct paths, the distinct path of each
+    path).  The times are walked in blocks of about ``_SUP_CHUNK_ELEMS``
+    distinct pair differences (at least one time).
+    """
+    if ts.shape[0] == 0:
+        return
+    (g1, nodes1, group1), (g2, nodes2, group2) = side1, side2
+    m1, m2 = nodes1.shape[0], nodes2.shape[0]
+    width = max(1, _SUP_CHUNK_ELEMS // (m1 * m2))
+    best = np.zeros((m2, m1))
+    for t0 in range(0, ts.shape[0], width):
+        block = ts[t0 : t0 + width]
+        x1 = _interp_nodes(g1, nodes1, block)  # (B, d, m1)
+        x2 = _interp_nodes(g2, nodes2, block)  # (B, d, m2)
+        acc = np.zeros((block.shape[0], m2, m1))
+        diff = np.empty_like(acc)
+        for k in range(x1.shape[1]):
+            np.subtract(x1[:, None, k], x2[:, k, :, None], out=diff)
+            diff *= diff
+            acc += diff
+        np.maximum(best, acc.max(axis=0), out=best)
+    np.maximum(sq, best.T[np.ix_(group1, group2)], out=sq)
 
 
 def _sup_matrix(e1: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
     """All pairwise ``path_sup_distance`` values, bitwise, as an (n1, n2) matrix.
 
-    The union grid is cut at the nodes of the shorter grid into pieces: one
-    segment from each node to the next, both ends included, one piece up to
-    the first node and one from the last.  On each piece the paths of the
-    cutting side are grouped by the node slice they are interpolated from
-    (``_group_rows``), and each distinct slice is evaluated once on its own
-    sub-grid, which gives the full grid's values bit for bit.  The other side
-    is evaluated on its full grid, or grouped the same way when both grids
-    are equal.  The squared norm is summed over the coordinates in order, as
-    ``np.linalg.norm`` does; the sup of the root is the root of the sup, since
-    sqrt is monotone and correctly rounded, and the max is idempotent, so the
-    shared piece ends do no harm.  Each piece is walked in blocks of about
-    ``_SUP_CHUNK_ELEMS`` distinct pair differences (at least one time), so
-    memory does not grow with the grid, and the maxima of the distinct pairs
-    are gathered back to the paths into a running max.
+    Both ensembles are evaluated on the union of their grids, and the squared
+    norm is summed over the coordinates in order, as ``np.linalg.norm`` does;
+    the sup of the root is the root of the sup, since sqrt is monotone and
+    correctly rounded.  The times are walked in blocks (``_raise_sup``), so
+    memory does not grow with the grid.
+
+    The union grid is cut at the nodes of the shorter grid.  A segment whose
+    paths share node slices, as a tree's early segments do, is walked on its
+    own, both ends included: that side's paths are grouped by the slice
+    ``nodes[:, k : k + 2]`` (both sides when the grids are equal), each
+    distinct slice is evaluated once on its two-node sub-grid, which gives the
+    full grid's values bit for bit, and the maxima are gathered back to the
+    paths.  It is walked on its own only when the grouping saves at least one
+    block of ``_SUP_CHUNK_ELEMS`` pair differences; the times between such
+    segments are walked with all paths on their full grids.  So there are
+    fewer grouped segments than blocks of pair differences, and the Python
+    work does not grow with the node count.  The max is idempotent, so the
+    shared segment ends do no harm.
     """
     ts = _union_grid(e1.grid, e2.grid)
+    n1, n2 = e1.n_paths, e2.n_paths
     cut_first = e1.grid.shape[0] <= e2.grid.shape[0]
     both = np.array_equal(e1.grid, e2.grid)
-    g = e1.grid if cut_first else e2.grid
-    at = np.searchsorted(ts, g)
-    last = g.shape[0] - 1
-    # (first node, end node, first time, end time) of each piece
-    pieces = [(0, 1, 0, at[0] + 1)]
-    pieces += [(k, k + 2, at[k], at[k + 1] + 1) for k in range(last)]
-    pieces.append((last, last + 1, at[last], ts.shape[0]))
-    sq = np.zeros((e1.n_paths, e2.n_paths))
-    for lo, hi, start, stop in pieces:
-        sides = []
-        for ens, cuts in ((e1, cut_first), (e2, not cut_first)):
-            if cuts or both:
-                first, group = _group_rows(ens.nodes[:, lo:hi].reshape(ens.n_paths, -1))
-                sides.append((ens.grid[lo:hi], ens.nodes[first, lo:hi], group))
-            else:
-                sides.append((ens.grid, ens.nodes, np.arange(ens.n_paths)))
-        (g1, nodes1, group1), (g2, nodes2, group2) = sides
-        m1, m2 = nodes1.shape[0], nodes2.shape[0]
-        width = max(1, _SUP_CHUNK_ELEMS // (m1 * m2))
-        best = np.zeros((m2, m1))
-        for t0 in range(start, stop, width):
-            block = ts[t0 : min(t0 + width, stop)]
-            x1 = _interp_nodes(g1, nodes1, block)  # (B, d, m1)
-            x2 = _interp_nodes(g2, nodes2, block)  # (B, d, m2)
-            acc = np.zeros((block.shape[0], m2, m1))
-            diff = np.empty_like(acc)
-            for k in range(e1.dim):
-                np.subtract(x1[:, None, k], x2[:, k, :, None], out=diff)
-                diff *= diff
-                acc += diff
-            np.maximum(best, acc.max(axis=0), out=best)
-        np.maximum(sq, best.T[np.ix_(group1, group2)], out=sq)
+    # the union times at the cut nodes; equal grids are their own union
+    at = np.arange(ts.shape[0]) if both else np.searchsorted(ts, e1.grid if cut_first else e2.grid)
+    times = np.diff(at) + 1
+    ks = np.flatnonzero(times * (n1 * n2) >= _SUP_CHUNK_ELEMS)
+    m1 = _distinct_slices(e1.nodes, ks) if cut_first or both else n1
+    m2 = _distinct_slices(e2.nodes, ks) if both or not cut_first else n2
+    ks = ks[times[ks] * (n1 * n2 - m1 * m2) >= _SUP_CHUNK_ELEMS]
+    whole1 = (e1.grid, e1.nodes, np.arange(n1))
+    whole2 = (e2.grid, e2.nodes, np.arange(n2))
+    sq = np.zeros((n1, n2))
+    start = 0
+    for k in ks.tolist():
+        _raise_sup(sq, ts[start : at[k]], whole1, whole2)
+        side1 = _segment_side(e1, k) if cut_first or both else whole1
+        side2 = _segment_side(e2, k) if both or not cut_first else whole2
+        _raise_sup(sq, ts[at[k] : at[k + 1] + 1], side1, side2)
+        start = at[k + 1] + 1
+    _raise_sup(sq, ts[start:], whole1, whole2)
     return np.sqrt(sq)
 
 

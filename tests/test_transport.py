@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measureflow import transport
 from measureflow.errors import InputError
 from measureflow.measure import DiscreteMeasure, dirac, mixture, tangent_atoms
 from measureflow.paths import (
@@ -15,13 +17,14 @@ from measureflow.paths import (
     PathEnsemble,
     PiecewisePath,
     Provenance,
+    _interp_nodes,
+    _union_grid,
     constant_path,
 )
 from measureflow.transport import (
     _MASS_EPS,
     _solve_flow,
     _sup_matrix,
-    _union_grid,
     bram_pairing,
     bram_pairing_detailed,
     brute_force_w2,
@@ -491,10 +494,14 @@ def _tree_pairs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_tree_pairs())
-def test_sup_matrix_on_trees_matches_per_pair_bitwise(pair):
+@given(_tree_pairs(), st.sampled_from([1, 7, 64, transport._SUP_CHUNK_ELEMS]))
+def test_sup_matrix_on_trees_matches_per_pair_bitwise(pair, chunk):
+    # small blocks make grouping pay on these small trees, so segments are
+    # walked on their own, between stretches of whole-grid times
     e1, e2 = pair
-    assert _sup_matrix(e1, e2).tobytes() == _per_pair_sup(e1, e2).tobytes()
+    with mock.patch.object(transport, "_SUP_CHUNK_ELEMS", chunk):
+        got = _sup_matrix(e1, e2)
+    assert got.tobytes() == _per_pair_sup(e1, e2).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -537,3 +544,72 @@ def test_sup_matrix_memory_stays_flat_on_a_tree():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_sup_matrix_memory_stays_flat_on_one_long_grid():
+    # many paths on one shared grid: every segment is a candidate for grouping,
+    # and counting the distinct slices must not copy the node arrays whole
+    rng = np.random.default_rng(29)
+    grid = np.linspace(0.0, 1.0, 2_001)
+    a = _tree(rng, grid, 1, 200, 1, ties=False)
+    b = _tree(rng, grid, 1, 200, 1, ties=False)
+    tracemalloc.start()
+    try:
+        _sup_matrix(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def _interp_calls(e1, e2):
+    calls = []
+
+    def counting(grid, nodes, ts):
+        calls.append(ts)
+        return _interp_nodes(grid, nodes, ts)
+
+    with mock.patch.object(transport, "_interp_nodes", counting):
+        got = _sup_matrix(e1, e2)
+    assert got.tobytes() == _per_pair_sup(e1, e2).tobytes()
+    return len(calls)
+
+
+def test_sup_matrix_python_work_does_not_grow_with_the_node_count():
+    # segments are walked on their own only where grouping saves a block of
+    # pair differences, so a long shared grid without that saving is walked
+    # in the blocks of the whole grid
+    rng = np.random.default_rng(19)
+    fine = np.linspace(0.0, 1.0, 10_001)
+    a = _tree(rng, fine, 2, 3, 1, ties=False)
+    b = _tree(rng, fine, 2, 3, 1, ties=False)
+    whole = 2 * math.ceil(10_001 / (transport._SUP_CHUNK_ELEMS // 9))
+    assert _interp_calls(a, b) == whole
+    assert _interp_calls(a, a) == whole
+    # the sweep's tree, its paths in no particular order, takes fewer blocks
+    # than the whole-grid walk
+    tree = _tree(rng, np.linspace(0.0, 1.0, 5), 2, 3, 3, ties=False)
+    tree = PathEnsemble(tree.grid, tree.nodes[rng.permutation(243)], tree.weights, tree.provenance)
+    assert _interp_calls(tree, a) < 2 * math.ceil(10_001 / (transport._SUP_CHUNK_ELEMS // 729))
+
+
+@pytest.mark.parametrize("chunk", [1, transport._SUP_CHUNK_ELEMS])
+def test_sup_matrix_reads_every_union_time(chunk):
+    # a spike at one fine node puts every pair's sup at that time, whether it
+    # falls in a grouped segment, at its ends or between grouped segments;
+    # the paths share their first and last segments (2 distinct slices of 4)
+    # but not the middle one
+    rng = np.random.default_rng(23)
+    columns = [[0, 0, 0, 0], [1, 1, 2, 2], [3, 4, 3, 4], [5, 7, 5, 7]]
+    nodes = np.array(columns, dtype=float).T[:, :, None]
+    tree = PathEnsemble(
+        np.array([0.0, 0.3, 0.6, 1.0]), nodes, np.full(4, 0.25), Provenance("exact-tree")
+    )
+    fine = np.unique(np.concatenate([np.linspace(0.0, 1.0, 11), [0.3, 0.45, 0.6]]))
+    for j in range(fine.size):
+        nodes = rng.normal(size=(3, fine.size, 1))
+        nodes[:, j] = 1e6
+        spiked = PathEnsemble(fine, nodes, np.full(3, 1 / 3), Provenance("exact-tree"))
+        with mock.patch.object(transport, "_SUP_CHUNK_ELEMS", chunk):
+            got = _sup_matrix(tree, spiked)
+        assert got.tobytes() == _per_pair_sup(tree, spiked).tobytes()
