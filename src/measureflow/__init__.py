@@ -19,8 +19,6 @@ from .measure import (
     dirac,
     exp_push,
     mixture,
-    product,
-    push_forward,
     second_moment,
     tangent_atoms,
     velocity_moment,
@@ -49,7 +47,6 @@ from .fields import (
     check_pair_dissipativity,
     check_total_dissipativity,
     evaluate_pvf,
-    support_bound,
     uniform_noise,
 )
 from .euler import (
@@ -57,7 +54,6 @@ from .euler import (
     build_path_ensemble,
     interpolate_measure,
     multi_step_plan,
-    piecewise_velocity,
     run_explicit_euler,
     sample_paths_monte_carlo,
     single_step_plan,
@@ -75,12 +71,10 @@ from .limit import (
 from .analysis import (
     BoundsReport,
     SweepResult,
-    action_p,
     convergence_sweep,
     ensemble_action,
     gronwall_envelope,
     rate_fit,
     solvability_bounds,
-    stability_rhs,
 )
 from .scenarios import Scenario, scenario, scenario_names

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,19 +18,8 @@ from .euler import (
 )
 from .fields import PvfSpec
 from .measure import DiscreteMeasure
-from .paths import PathEnsemble, PiecewisePath
+from .paths import PathEnsemble
 from .transport import wasserstein2_sup
-
-
-def action_p(path: PiecewisePath, p: float) -> float:
-    """The p-action of a piecewise-affine path: sum_k dt_k |slope_k|^p, exact."""
-    if p < 1:
-        raise InputError("p must be >= 1")
-    if path.grid.shape[0] < 2:
-        return 0.0
-    dts = np.diff(path.grid)
-    speeds = np.linalg.norm(path.slopes(), axis=1)
-    return float(np.sum(dts * speeds**p))
 
 
 def ensemble_action(e: PathEnsemble, p: float) -> float:
@@ -52,19 +40,6 @@ def gronwall_envelope(sigma0: float, lam: float, L: float, T: float, tau: float)
     boost = math.exp(lam_plus * T)
     root = math.sqrt(T * tau)
     return sigma0 * boost + 8.0 * L * root * (1.0 + abs(lam) * root) * boost
-
-
-def stability_rhs(w2_init: float, tau: float, C: float) -> float:
-    """The stability right-hand side C (W2^{1/2} + tau^{1/4})."""
-    if w2_init < 0 or tau < 0 or C < 0:
-        raise InputError("w2_init, tau, C must be nonnegative")
-    if w2_init >= 1 or tau >= 1:
-        warnings.warn(
-            "stability bound assumes W2 < 1 and tau < 1; inputs are outside its "
-            "range of validity",
-            stacklevel=2,
-        )
-    return C * (math.sqrt(w2_init) + tau**0.25)
 
 
 @dataclass(frozen=True)

@@ -37,20 +37,16 @@ from .measure import (
     measures_close,
     velocity_moment,
 )
-from .paths import PathEnsemble, PiecewisePath, Provenance, _interp_nodes
+from .paths import PathEnsemble, Provenance, _interp_nodes
 
 __all__ = [
     "DEFAULT_ATOM_CAP",
     "DEFAULT_TUPLE_CAP",
     "EulerRun",
-    "PathEnsemble",
-    "PiecewisePath",
-    "Provenance",
     "VerifyReport",
     "build_path_ensemble",
     "interpolate_measure",
     "multi_step_plan",
-    "piecewise_velocity",
     "run_explicit_euler",
     "sample_paths_monte_carlo",
     "single_step_plan",
@@ -221,14 +217,6 @@ def interpolate_measure(run: EulerRun, t: float) -> DiscreteMeasure:
         raise InputError(f"time {t} outside [0, {run.T}]")
     n = min(_floor_step(t, run.tau), run.n_steps - 1)
     return exp_push(run.sections[n], t - n * run.tau)
-
-
-def piecewise_velocity(run: EulerRun, t: float) -> TangentMeasure:
-    """The piecewise-constant section F_tau(t) = Phi^{floor(t/tau)}."""
-    if t < 0 or t >= run.T:
-        raise InputError(f"time {t} outside [0, {run.T})")
-    n = min(_floor_step(t, run.tau), run.n_steps - 1)
-    return run.sections[n]
 
 
 def _clipped_grid(N: int, tau: float, T: float) -> tuple[np.ndarray, bool]:

@@ -280,16 +280,6 @@ class DissipativityReport:
     def passed(self) -> bool:
         return len(self.violations) == 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "declared": self.declared,
-            "lambda_hat": self.lambda_hat,
-            "passed": self.passed,
-            "n_violations": len(self.violations),
-            "samples_tested": self.samples_tested,
-        }
-
 
 def check_one_sided_lipschitz(
     b: Callable[[np.ndarray], np.ndarray],
@@ -419,40 +409,3 @@ def check_growth(
             if lhs > a * bound + _CHECK_SLACK:
                 violations.append((x.copy(), v.copy(), lhs, a * bound))
     return DissipativityReport("growth", a, a_hat, tuple(violations), tested)
-
-
-def support_bound(
-    spec: PvfSpec, R: float, probes: int, seed: int = 0, *, dim: int
-) -> float:
-    """Empirical rho_R: the largest |(x, v)| of F[mu] over probed mu in B_R of R^dim.
-
-    Probing is deterministic given the seed and always includes axis-aligned
-    boundary Diracs, so suprema attained on the boundary are found.
-    """
-    if probes < 1:
-        raise InputError("probes must be >= 1")
-    if R < 0:
-        raise InputError("R must be nonnegative")
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError("dim must be an integer >= 1")
-    rng = np.random.default_rng(seed)
-    mus = [DiscreteMeasure(np.zeros((1, dim)), np.array([1.0]))]
-    if R > 0:
-        for k in range(dim):
-            for sgn in (1.0, -1.0):
-                x = np.zeros(dim)
-                x[k] = sgn * R
-                mus.append(DiscreteMeasure(x[None, :], np.array([1.0])))
-        for _ in range(probes):
-            k = int(rng.integers(1, 5))
-            pts = rng.normal(size=(k, dim))
-            norms = np.linalg.norm(pts, axis=1, keepdims=True)
-            pts = pts / np.maximum(norms, 1e-12) * (R * rng.random((k, 1)) ** (1.0 / dim))
-            w = rng.random(k)
-            mus.append(DiscreteMeasure(pts, w / w.sum()))
-    rho = 0.0
-    for mu in mus:
-        phi = evaluate_pvf(spec, mu)
-        norms = np.sqrt(np.sum(phi.positions**2, axis=1) + np.sum(phi.velocities**2, axis=1))
-        rho = max(rho, float(norms.max()))
-    return rho

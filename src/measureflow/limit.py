@@ -33,6 +33,8 @@ from .measure import DiscreteMeasure, _first_non_finite, coalesce, measures_clos
 from .paths import PathEnsemble, Provenance
 from .transport import _SUP_CHUNK_ELEMS, bram_pairing, w2_distance
 
+_CONTRACTION_TOL_CONSTANT = 10.0  # contraction_check's declared integrator tolerance is this * dt
+
 
 @dataclass(frozen=True)
 class StickyFlowConfig:
@@ -48,7 +50,6 @@ class StickyFlowConfig:
     dt: float = 1e-3
     merge_tol: float = 1e-9
     integrator: str = "rk4"
-    tol_constant: float = 10.0  # declared integrator tolerance is tol_constant * dt
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -83,25 +84,6 @@ class LimitFlow:
         exactly and the support count is non-increasing in t at grid times.
         """
         return self.ensemble.evaluate(t)
-
-    def merge_log(self) -> list[dict]:
-        """The merge events as JSON-ready rows (time, ids, surviving position)."""
-        return [
-            {
-                "time": ev.time,
-                "survivor": ev.survivor,
-                "absorbed": list(ev.absorbed),
-                "position": list(ev.position),
-            }
-            for ev in self.merge_events
-        ]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "ensemble": self.ensemble.to_json_dict(),
-            "merge_events": self.merge_log(),
-        }
 
 
 def _velocity_fn(spec: PvfSpec):
@@ -353,14 +335,15 @@ def contraction_check(
 ) -> ContractionReport:
     """Checks W2(S_t mu0a, S_t mu0b) <= e^{lam t} W2(mu0a, mu0b) + c dt.
 
-    The additive slack c*dt is the integrator tolerance declared in the config.
+    The additive slack c*dt is the declared integrator tolerance, with
+    c = ``_CONTRACTION_TOL_CONSTANT`` and dt the config's recording step.
     """
     config = config or StickyFlowConfig()
     horizon = max(times)
     fa = sticky_flow(spec, mu0a, horizon, config)
     fb = sticky_flow(spec, mu0b, horizon, config)
     w0 = w2_distance(mu0a, mu0b)
-    tol = config.tol_constant * config.dt
+    tol = _CONTRACTION_TOL_CONSTANT * config.dt
     rows = []
     for t in times:
         lhs = w2_distance(fa.measure_curve(t), fb.measure_curve(t))

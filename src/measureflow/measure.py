@@ -13,9 +13,8 @@ within ``WEIGHT_TOL``.  Merging of atoms is always explicit via
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -131,15 +130,6 @@ class DiscreteMeasure:
             "weights": self.weights.tolist(),
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DiscreteMeasure":
-        atoms = np.asarray(d["atoms"], dtype=float)
-        if atoms.ndim == 1:
-            atoms = atoms[:, None]
-        if atoms.shape[1] != d["dim"]:
-            raise InputError("serialized dim does not match atom shape")
-        return cls(atoms, np.asarray(d["weights"], dtype=float))
-
 
 def dirac(x) -> DiscreteMeasure:
     """The Dirac measure at ``x``."""
@@ -188,12 +178,6 @@ class TangentMeasure:
             "atoms": [[x.tolist(), v.tolist()] for x, v in zip(self.positions, self.velocities)],
             "weights": self.weights.tolist(),
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TangentMeasure":
-        xs = np.asarray([a[0] for a in d["atoms"]], dtype=float)
-        vs = np.asarray([a[1] for a in d["atoms"]], dtype=float)
-        return cls(xs, vs, np.asarray(d["weights"], dtype=float))
 
 
 def tangent_atoms(pairs: Iterable, weights: Iterable[float]) -> TangentMeasure:
@@ -467,50 +451,8 @@ def _require_equal(computed, declared, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# push-forward, products, moments
+# exponential push-forward, moments
 # ---------------------------------------------------------------------------
-
-
-def push_forward(m, fn: Callable):
-    """Push-forward of a measure under an atom map.
-
-    For a :class:`DiscreteMeasure`, ``fn`` receives each atom as a 1-d vector and
-    must return a 1-d vector.  For a :class:`TangentMeasure`, ``fn`` receives
-    ``(x, v)``; returning a pair keeps the result on the tangent bundle while
-    returning a single vector projects to a plain measure (e.g. the exponential
-    map).  For a :class:`TuplePlan`, ``fn`` receives and returns a
-    ``(k+1, d)``-shaped trajectory block.  Weights are carried over and the
-    result is coalesced exactly, so identical images merge and total mass is
-    preserved to machine precision.
-    """
-    weights = m.weights
-    if isinstance(m, DiscreteMeasure):
-        out = np.stack([np.atleast_1d(np.asarray(fn(x), dtype=float)) for x in m.atoms])
-        bad = _first_non_finite(out)
-        if bad is not None:
-            raise NumericDomainError("map produced non-finite coordinates", witness=m.atoms[bad])
-        return coalesce(DiscreteMeasure(out, weights), 0.0)
-    if isinstance(m, TangentMeasure):
-        images = [fn(x, v) for x, v in zip(m.positions, m.velocities)]
-        as_pair = isinstance(images[0], tuple)
-        blocks = [
-            np.stack([np.atleast_1d(np.asarray(y, dtype=float)) for y in block])
-            for block in (zip(*images) if as_pair else [images])
-        ]
-        bad = _first_non_finite(np.hstack(blocks))
-        if bad is not None:
-            raise NumericDomainError(
-                "map produced non-finite coordinates",
-                witness=(m.positions[bad], m.velocities[bad]),
-            )
-        out = TangentMeasure(*blocks, weights) if as_pair else DiscreteMeasure(blocks[0], weights)
-        return coalesce(out, 0.0)
-    if isinstance(m, TuplePlan):
-        out = np.stack([np.asarray(fn(row), dtype=float) for row in m.points])
-        if _first_non_finite(out) is not None:
-            raise NumericDomainError("map produced non-finite coordinates")
-        return coalesce(TuplePlan(out, weights), 0.0)
-    raise InputError(f"unsupported measure kind {type(m).__name__}")
 
 
 def exp_push(phi: TangentMeasure, t: float) -> DiscreteMeasure:
@@ -519,15 +461,6 @@ def exp_push(phi: TangentMeasure, t: float) -> DiscreteMeasure:
     if _first_non_finite(atoms) is not None:
         raise NumericDomainError("exponential map produced non-finite coordinates")
     return coalesce(DiscreteMeasure(atoms, phi.weights), 0.0)
-
-
-def product(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
-    """The product coupling mu (x) nu with weights w_i * u_j."""
-    m, n = mu.n_atoms, nu.n_atoms
-    first = np.repeat(mu.atoms, n, axis=0)
-    second = np.tile(nu.atoms, (m, 1))
-    weights = np.outer(mu.weights, nu.weights).ravel()
-    return Coupling(first, second, weights, mu, nu)
 
 
 def second_moment(m: DiscreteMeasure) -> float:
@@ -580,16 +513,3 @@ def measures_close(a, b, atom_tol: float = 1e-12, weight_tol: float = WEIGHT_TOL
         return False
     w = np.concatenate([ca.weights, cb.weights])[order]
     return float(np.max(np.abs(w[joined] - w[partner]))) <= weight_tol
-
-
-def dumps(m) -> str:
-    """Serialize a measure to JSON; round-trips bit-exactly at double precision."""
-    return json.dumps(m.to_json_dict(), sort_keys=True)
-
-
-def loads_measure(s: str) -> DiscreteMeasure:
-    return DiscreteMeasure.from_json_dict(json.loads(s))
-
-
-def loads_tangent(s: str) -> TangentMeasure:
-    return TangentMeasure.from_json_dict(json.loads(s))

@@ -209,10 +209,6 @@ class PathEnsemble:
             self.provenance,
         )
 
-    def common_grid(self) -> np.ndarray:
-        """The grid every path is stored on."""
-        return self.grid
-
     def _provenance_dict(self) -> dict:
         return {
             "kind": self.provenance.kind,

@@ -417,7 +417,7 @@ def path_sup_distance(p1: PiecewisePath, p2: PiecewisePath) -> float:
         raise InputError(f"mismatched horizons: {p1.horizon} vs {p2.horizon}")
     if p1.dim != p2.dim:
         raise InputError(f"dimension mismatch: {p1.dim} vs {p2.dim}")
-    grid = np.union1d(p1.grid, p2.grid)
+    grid = _union_grid(p1.grid, p2.grid)
     d = p1(grid) - p2(grid)
     return float(np.max(np.linalg.norm(np.atleast_2d(d), axis=1)))
 

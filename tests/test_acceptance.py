@@ -219,7 +219,7 @@ def test_criterion_07_contraction():
         mixture([-0.5, 1.5], [0.5, 0.5]),
         lam=0.0,
         times=[0.25, 0.5, 1.0],
-        config=StickyFlowConfig(dt=1e-4, tol_constant=10.0),
+        config=StickyFlowConfig(dt=1e-4),
     )
     elapsed = time.perf_counter() - t0
     ok = rep.passed and _within_budget(elapsed, 5.0)

@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from measureflow.analysis import (
-    action_p,
     convergence_sweep,
     ensemble_action,
     gronwall_envelope,
     rate_fit,
     solvability_bounds,
-    stability_rhs,
 )
-from measureflow.errors import InsufficientDataError
+from measureflow.errors import InputError, InsufficientDataError
 from measureflow.euler import build_path_ensemble, multi_step_plan, run_explicit_euler
 from measureflow.fields import InteractionField, SampledField, uniform_noise
 from measureflow.limit import StickyFlowConfig, sticky_flow
@@ -28,15 +26,6 @@ DET = SampledField(lambda x, u: -x, uniform_noise([0]))
 SDF = scenario("sdf-linear").spec
 
 
-def test_action_examples():
-    straight = PiecewisePath(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]))
-    assert action_p(straight, 2.0) == 1.0
-    assert action_p(constant_path(3.0, 1.0), 2.0) == 0.0
-    assert action_p(constant_path(3.0, 1.0), 5.0) == 0.0
-    spike = PiecewisePath(np.array([0.0, 0.5, 1.0]), np.array([[0.0], [1.0], [0.0]]))
-    assert action_p(spike, 2.0) == 4.0
-
-
 def test_ensemble_action_examples():
     straight = PiecewisePath(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]))
     spike = PiecewisePath(np.array([0.0, 0.5, 1.0]), np.array([[0.0], [1.0], [0.0]]))
@@ -46,6 +35,9 @@ def test_ensemble_action_examples():
         (constant_path(0.0, 1.0), spike), np.array([0.5, 0.5]), Provenance("exact-tree")
     )
     assert ensemble_action(mixed, 2.0) == 2.0
+    assert ensemble_action(mixed, 1.0) == 1.0  # half the mass travels 1 up and 1 back
+    with pytest.raises(InputError):
+        ensemble_action(mixed, 0.5)
 
     # four-path tree: action = tau (|Phi^0|^2 + |Phi^1|^2) = 0.5 (1 + 1.25)
     run = run_explicit_euler(SDF, dirac(0.0), 0.5, 1.0, 2.0)
@@ -59,14 +51,6 @@ def test_gronwall_envelope_examples():
     assert gronwall_envelope(1.0, 0.0, 0.0, 1.0, 0.25) == 1.0
     got = gronwall_envelope(0.0, 1.0, 1.0, 1.0, 0.25)
     assert np.isclose(got, 6.0 * math.e)
-
-
-def test_stability_rhs_examples():
-    assert np.isclose(stability_rhs(0.0, 1.0 / 16.0, 1.0), 0.5)
-    assert np.isclose(stability_rhs(0.25, 1e-18, 2.0), 1.0, atol=1e-3)
-    assert stability_rhs(0.0, 0.0, 5.0) == 0.0
-    with pytest.warns(UserWarning):
-        stability_rhs(1.5, 0.5, 1.0)
 
 
 def test_solvability_bounds_example():

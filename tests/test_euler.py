@@ -18,7 +18,6 @@ from measureflow.euler import (
     build_path_ensemble,
     interpolate_measure,
     multi_step_plan,
-    piecewise_velocity,
     run_explicit_euler,
     sample_paths_monte_carlo,
     single_step_plan,
@@ -150,16 +149,6 @@ def test_interpolate_measure_examples():
     assert measures_close(interpolate_measure(runz, 0.3), runz.measures[0], 1e-15)
     with pytest.raises(InputError):
         interpolate_measure(run, 1.5)
-
-
-def test_piecewise_velocity_floor_semantics():
-    run = run_explicit_euler(SDF, dirac(0.0), 0.5, 1.5, 2.0)
-    assert piecewise_velocity(run, 0.0) is run.sections[0]
-    assert piecewise_velocity(run, 0.49) is run.sections[0]
-    assert piecewise_velocity(run, 0.5) is run.sections[1]
-    assert piecewise_velocity(run, 0.5 - 1e-12) is run.sections[0]
-    with pytest.raises(InputError):
-        piecewise_velocity(run, 1.5)
 
 
 def test_build_path_ensemble_examples():

@@ -26,7 +26,6 @@ from measureflow.fields import (
     check_total_dissipativity,
     evaluate_pvf,
     product_disintegration_coupling,
-    support_bound,
     uniform_noise,
 )
 from measureflow.limit import _velocity_fn
@@ -267,21 +266,6 @@ def test_velocity_growth_constants_of_scenarios():
             lhs = velocity_moment(evaluate_pvf(sc.spec, mu)) ** 2
             rhs = sc.velocity_growth_L * (1.0 + second_moment(mu) ** 2)
             assert lhs <= rhs + 1e-10, (name, lhs, rhs)
-
-
-def test_support_bound_examples():
-    shrink = SampledField(lambda x, u: -x, uniform_noise([0]))
-    assert np.isclose(support_bound(shrink, 1.0, probes=16, dim=1), np.sqrt(2.0))
-    assert np.isclose(support_bound(ZERO_F, 5.0, probes=16, dim=1), 5.0)
-    const = SampledField(lambda x, u: np.array([2.0]), uniform_noise([0]))
-    assert np.isclose(support_bound(const, 0.0, probes=1, dim=1), 2.0)
-
-
-def test_support_bound_deterministic_given_seed():
-    sc = scenario("sdf-linear")
-    a = support_bound(sc.spec, 2.0, probes=32, seed=5, dim=sc.dim)
-    b = support_bound(sc.spec, 2.0, probes=32, seed=5, dim=sc.dim)
-    assert a == b
 
 
 # ---------------------------------------------------------------------------

@@ -278,7 +278,7 @@ def test_nodes_match_fixed_step_rk4_at_a_tenth_of_dt(name):
     spec, mu0 = scenario(name).spec, ORACLE_INITIAL[name]
     flow = sticky_flow(spec, mu0, 1.0, StickyFlowConfig(dt=5e-3))
     grid, nodes, events = _fixed_step_oracle(spec, mu0, 1.0, StickyFlowConfig(dt=5e-4))
-    assert np.allclose(flow.ensemble.common_grid(), grid[::10], rtol=0.0, atol=1e-15)
+    assert np.allclose(flow.ensemble.grid, grid[::10], rtol=0.0, atol=1e-15)
     assert np.max(np.abs(_nodes(flow) - nodes[:, ::10])) <= 1e-12
     assert _events(flow) == events == []
 
@@ -306,7 +306,7 @@ def test_explicit_euler_fine_is_the_fixed_step_loop_bitwise(merge_tol):
     spec = scenario("stochastic-idf").spec
     flow = sticky_flow(spec, mu0, 8.0, config)
     grid, nodes, events = _fixed_step_oracle(spec, mu0, 8.0, config)
-    assert np.array_equal(flow.ensemble.common_grid(), grid)
+    assert np.array_equal(flow.ensemble.grid, grid)
     assert np.array_equal(_nodes(flow), nodes)
     assert _events(flow) == events
     assert (len(events) > 0) == (merge_tol > 1e-9)
@@ -333,7 +333,7 @@ def test_tree_sweep_reference_steps_coarser_than_dt(monkeypatch):
         np.array([[-0.6, 0.2], [0.1, -0.9], [0.8, 0.5]]), np.array([0.3, 0.45, 0.25])
     )
     flow = sticky_flow(scenario("gradient-sum").spec, mu0, 1.0, StickyFlowConfig(dt=1e-4))
-    assert flow.ensemble.common_grid().shape == (10_001,)
+    assert flow.ensemble.grid.shape == (10_001,)
     assert calls < 2000
 
 

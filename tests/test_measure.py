@@ -1,6 +1,4 @@
-"""Measure containers: push-forward, products, moments, projection, coalescing."""
-
-import json
+"""Measure containers: exponential push-forward, moments, projection, coalescing."""
 
 import numpy as np
 import pytest
@@ -19,14 +17,9 @@ from measureflow.measure import (
     barycentric_projection,
     coalesce,
     dirac,
-    dumps,
     exp_push,
-    loads_measure,
-    loads_tangent,
     measures_close,
     mixture,
-    product,
-    push_forward,
     second_moment,
     tangent_atoms,
     velocity_moment,
@@ -95,66 +88,13 @@ def test_immutability():
         m.atoms[0, 0] = 7.0
 
 
-def test_push_forward_translation_of_dirac():
-    out = push_forward(dirac(0.0), lambda x: x + 1.0)
-    assert out.n_atoms == 1
-    assert out.atoms[0, 0] == 1.0
-
-
-def test_push_forward_merges_coincident_images():
-    m = mixture([-1.0, 1.0], [0.5, 0.5])
-    out = push_forward(m, lambda x: x**2)
-    assert out.n_atoms == 1
-    assert out.atoms[0, 0] == 1.0
-    assert out.weights[0] == 1.0
-
-
 def test_push_forward_exponential_pairs():
     phi = tangent_atoms([((0.0,), (1.0,)), ((2.0,), (1.0,))], [0.5, 0.5])
     out = exp_push(phi, 0.5)
     assert sorted(out.atoms.ravel()) == [0.5, 2.5]
     assert np.allclose(out.weights, 0.5)
-
-
-def test_push_forward_mass_preserved_random():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        n, d = int(rng.integers(1, 8)), int(rng.integers(1, 4))
-        w = rng.random(n)
-        m = DiscreteMeasure(rng.normal(size=(n, d)), w / w.sum())
-        out = push_forward(m, lambda x: np.round(x, 1))
-        assert abs(out.weights.sum() - 1.0) < 1e-14
-
-
-def test_push_forward_nonfinite_map_raises():
-    with np.errstate(invalid="ignore"), pytest.raises(NumericDomainError):
-        push_forward(dirac(0.0), lambda x: x / 0.0)
-    phi = tangent_atoms([((0.0,), (1.0,)), ((2.0,), (1.0,))], [0.5, 0.5])
-    for fn in (lambda x, v: (x, v * np.inf), lambda x, v: x * np.inf):  # pair, projection
-        with np.errstate(invalid="ignore"), pytest.raises(NumericDomainError) as info:
-            push_forward(phi, fn)
-        assert info.value.witness[0][0] == 0.0  # the first atom's (x, v)
-
-
-def test_product_examples():
-    c = product(dirac(0.0), dirac(1.0))
-    assert c.n_atoms == 1 and c.weights[0] == 1.0
-    c = product(mixture([0.0, 1.0], [0.5, 0.5]), mixture([0.0, 1.0], [0.5, 0.5]))
-    assert c.n_atoms == 4
-    assert np.allclose(c.weights, 0.25)
-    c = product(dirac(0.0), mixture([2.0, 3.0], [1 / 3, 2 / 3]))
-    assert c.n_atoms == 2
-    assert np.allclose(sorted(c.weights), [1 / 3, 2 / 3])
-
-
-def test_product_marginals_exact():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        wm = rng.random(3)
-        wn = rng.random(2)
-        mu = DiscreteMeasure(rng.normal(size=(3, 2)), wm / wm.sum())
-        nu = DiscreteMeasure(rng.normal(size=(2, 2)), wn / wn.sum())
-        product(mu, nu)  # the constructor itself validates both marginals
+    with pytest.raises(NumericDomainError):
+        exp_push(phi, np.inf)
 
 
 def test_second_moment_examples():
@@ -377,21 +317,6 @@ def test_tuple_plan_restrict_and_marginal():
     assert r.weights[0] == 1.0
     marg = plan.coordinate_marginal(2)
     assert sorted(marg.atoms.ravel()) == [2.0, 3.0]
-
-
-def test_json_round_trip_bit_exact():
-    rng = np.random.default_rng(4)
-    m = DiscreteMeasure(rng.normal(size=(5, 3)), np.full(5, 0.2))
-    back = loads_measure(dumps(m))
-    assert np.array_equal(back.atoms, m.atoms)
-    assert np.array_equal(back.weights, m.weights)
-
-    phi = TangentMeasure(rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), np.full(4, 0.25))
-    back = loads_tangent(dumps(phi))
-    assert np.array_equal(back.positions, phi.positions)
-    assert np.array_equal(back.velocities, phi.velocities)
-    d = json.loads(dumps(phi))
-    assert d["dim"] == 2 and len(d["atoms"][0]) == 2
 
 
 def test_measures_close_pairs_atoms_within_tolerance():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measureflow.analysis import action_p, ensemble_action
+from measureflow.analysis import ensemble_action
 from measureflow.errors import InputError
 from measureflow.euler import (
     build_path_ensemble,
@@ -38,8 +38,17 @@ def _per_path_evaluate(ens, t):
     return coalesce(DiscreteMeasure(atoms, ens.weights), 0.0)
 
 
+def _action_p(path, p):
+    """The p-action of a piecewise-affine path: sum_k dt_k |slope_k|^p, exact."""
+    if path.grid.shape[0] < 2:
+        return 0.0
+    dts = np.diff(path.grid)
+    speeds = np.linalg.norm(path.slopes(), axis=1)
+    return float(np.sum(dts * speeds**p))
+
+
 def _per_path_action(ens, p):
-    return float(sum(w * action_p(pp, p) for pp, w in zip(ens.paths, ens.weights)))
+    return float(sum(w * _action_p(pp, p) for pp, w in zip(ens.paths, ens.weights)))
 
 
 def _random_ensemble(rng, n, K, d):
@@ -92,9 +101,7 @@ def _ensembles():
 
 def test_common_grid_ensembles_share_one_node_array():
     for ens in _ensembles():
-        grid = ens.common_grid()
-        assert grid is not None and grid is ens.common_grid()
-        assert ens.nodes.shape == (ens.n_paths, grid.shape[0], ens.dim)
+        assert ens.nodes.shape == (ens.n_paths, ens.grid.shape[0], ens.dim)
         assert ens.nodes is ens.nodes
         assert not ens.nodes.flags.writeable
 
@@ -113,7 +120,7 @@ def test_mixed_grid_ensemble_loads_onto_union_grid():
     rng = np.random.default_rng(6)
     for ens in _ensembles():
         mixed = _mixed_grid_copy(ens)
-        assert mixed.common_grid().tolist() == sorted({*ens.grid.tolist(), ens.horizon + 1e-13})
+        assert mixed.grid.tolist() == sorted({*ens.grid.tolist(), ens.horizon + 1e-13})
         for t in _times(mixed, rng):
             _assert_same_measure(mixed.evaluate(t), _per_path_evaluate(mixed, t))
     a = PiecewisePath(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]))
