@@ -7,7 +7,15 @@ the transport polytope together with dual potentials.  Its Dijkstra settles
 all rows tied at the minimum distance in one vectorized step, which gives the
 same updates in the same order as settling them one at a time, so tall
 problems (many rows, few columns) cost a few array operations per
-augmentation instead of one Python iteration per row.  One-dimensional
+augmentation instead of one Python iteration per row.  Most augmentations
+of a tall problem end at the Dijkstra's first step: the rows with supply
+settle at distance 0, and the column they reach first still has demand.
+Those are finished without the Dijkstra, from each column's rows sorted
+once by cost, at O(n) Python work each, and with the Dijkstra's updates
+applied in its order, so the plan and potentials are bitwise the same.
+Supply left over when every column is full, as rounding leaves it on
+measures whose totals agree within ``WEIGHT_TOL``, stays in place; beyond
+that tolerance it raises ``InputError``.  One-dimensional
 problems take the monotone-rearrangement fast path, which is optimal for the
 squared-distance cost.  ``brute_force_w2`` is an independent oracle used by
 the test suite: it enumerates every vertex of the transport polytope via
@@ -36,6 +44,7 @@ from .measure import (
     Coupling,
     DiscreteMeasure,
     TangentMeasure,
+    WEIGHT_TOL,
     _group_rows,
     barycentric_projection,
 )
@@ -46,6 +55,7 @@ _RC_EPS = 1e-12
 _BRUTE_ATOM_CAP = 64
 _BRUTE_ENUM_BUDGET = 700_000
 _SUP_CHUNK_ELEMS = 1 << 15
+_SETTLE_ELEMS = 1 << 12  # queued labels times rows: bounds the arrays of _settle
 
 
 @dataclass(frozen=True)
@@ -70,18 +80,141 @@ def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return np.sum(diff * diff, axis=2)
 
 
+def _dijkstra(cost, flow, p, q, rem_a, rem_b):
+    """The shortest augmenting path from the rows with supply to a column with demand.
+
+    Returns (target column or -1, dist_r, dist_c, pred_r, pred_c).  All rows
+    tied at the minimum distance settle in one vectorized step (every row with
+    supply starts at 0).  This is exactly the one-row-at-a-time order: rows
+    relax only columns, each candidate is at least the row's distance, and the
+    ``<=`` settles tied rows before any column; taking the first minimum over
+    the batch, then the strict ``<`` against the column's distance, keeps the
+    per-row updates.
+    """
+    m, n = cost.shape
+    dist_r = np.where(rem_a > _MASS_EPS, 0.0, np.inf)
+    dist_c = np.full(n, np.inf)
+    # the distances of the unsettled nodes, inf once settled; a settled
+    # node is never improved, as every candidate is at least the minimum
+    dr = dist_r.copy()
+    dc = dist_c.copy()
+    settled = 0
+    pred_c = np.full(n, -1, dtype=int)  # row that reaches col j
+    pred_r = np.full(m, -1, dtype=int)  # col that reaches row i (backward arc)
+    target = -1
+    while settled < m + n:
+        ir = int(dr.argmin())
+        jc = int(dc.argmin())
+        if dr[ir] <= dc[jc]:
+            if not np.isfinite(dr[ir]):
+                break
+            # every row tied at the minimum settles before any column, so
+            # relax them together; the first minimum keeps the row order
+            batch = np.nonzero(dr == dr[ir])[0]
+            dr[batch] = np.inf
+            settled += batch.shape[0]
+            rc = cost[batch] - p[batch, None] - q
+            np.maximum(rc, 0.0, out=rc)
+            cand = dist_r[batch, None] + rc
+            first = np.argmin(cand, axis=0)
+            cand = cand[first, np.arange(n)]
+            better = cand < dist_c
+            if better.any():
+                dist_c[better] = dc[better] = cand[better]
+                pred_c[better] = batch[first[better]]
+        else:
+            if not np.isfinite(dc[jc]):
+                break
+            dc[jc] = np.inf
+            settled += 1
+            if rem_b[jc] > _MASS_EPS:
+                target = jc
+                break
+            back = flow[:, jc] > 0.0
+            if back.any():
+                rc = p + q[jc] - cost[:, jc]
+                np.maximum(rc, 0.0, out=rc)
+                cand = dist_c[jc] + rc
+                better = back & (cand < dist_r)
+                if better.any():
+                    dist_r[better] = dr[better] = cand[better]
+                    pred_r[better] = jc
+    return target, dist_r, dist_c, pred_r, pred_c
+
+
+def _first_step(cost, columns, dry, q, rem_a):
+    """The augmentation that the Dijkstra's first step decides: (label, column, row).
+
+    The rows with supply settle first, at distance 0 with potential exactly
+    +0.0, so column j's label is ``max(c_ij - q_j, 0)`` minimised over them,
+    the first row on ties; the column is the first with the least label (-1
+    when every label is infinite).  Subtraction and the clamp are monotone,
+    so the label comes from the column's cheapest row with supply.  Each
+    entry of ``columns`` is [rows sorted by (cost, row), their costs, the
+    position of the first row with supply, the position of the first costlier
+    one]; both positions only move forward, as rows never regain supply.  A
+    column is scanned as the Dijkstra does only when that costlier row ties
+    with the first after the subtraction or the clamp.
+    """
+    m = len(dry)
+    dist_t, target, start_row = math.inf, -1, -1
+    for j, (state, qj) in enumerate(zip(columns, q.tolist())):
+        rows, costs, h, k = state
+        while dry[rows[h]]:
+            h += 1
+        k = k if k > h else h + 1
+        while k < m and (dry[rows[k]] or costs[k] == costs[h]):
+            k += 1
+        state[2], state[3] = h, k
+        label = costs[h] - qj
+        label = label if label > 0.0 else 0.0
+        if label < dist_t:
+            i = rows[h]
+            if k < m and costs[k] - qj <= label:
+                col = np.maximum(cost[:, j] - qj, 0.0)
+                col[rem_a <= _MASS_EPS] = np.inf
+                i = int(col.argmin())
+            dist_t, target, start_row = label, j, i
+    return dist_t, target, start_row
+
+
+def _settle(p, rem_a, queued, drained):
+    """Subtract the queued labels, in order, from ``p`` on the rows without supply.
+
+    A row takes the labels queued after it lost its supply: every one for a
+    row dry before the queue began, and those from its position on for each
+    (row, position) of ``drained``.  Subtracting 0.0 leaves a value's bits
+    as they are, and ``subtract.reduce`` runs down axis 0 in order.
+    """
+    rows = np.flatnonzero(rem_a <= _MASS_EPS)
+    first = np.zeros(p.shape[0], dtype=int)
+    for i, k in drained:
+        first[i] = k
+    takes = np.arange(len(queued))[:, None] >= first[rows]
+    p[rows] = np.subtract.reduce(np.vstack([p[rows], takes * np.array(queued)[:, None]]), axis=0)
+    queued.clear()
+    drained.clear()
+
+
 def _solve_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Min-cost transport of supplies ``a`` to demands ``b`` under ``cost``.
+    """Min-cost transport of nonnegative supplies ``a`` to demands ``b`` under ``cost``.
 
     Returns (flow, row potentials, col potentials).  Potentials satisfy dual
     feasibility cost_ij - p_i - q_j >= -1e-9 with equality on support arcs.
 
-    Each augmentation's Dijkstra settles all unsettled rows tied at the
-    minimum distance in one step (every row with supply starts at 0).  This
-    is exactly the one-row-at-a-time order: rows relax only columns, each
-    candidate is at least the row's distance, and the ``<=`` settles tied rows
-    before any column; taking the first minimum over the batch, then the
-    strict ``<`` against the column's distance, keeps the per-row updates.
+    An augmentation whose first step decides it (``_first_step``: its
+    least-label column has demand, so the Dijkstra would pop that column next
+    and stop) augments that one arc, adds the label to every ``q_j`` and
+    subtracts it from ``p`` on the rows without supply, which is what the
+    Dijkstra's updates come to; the subtractions are queued until the
+    Dijkstra or the return reads ``p`` (``_settle``).  Every other
+    augmentation runs ``_dijkstra``.  Both give the same values in the same
+    order, so the result is bitwise the Dijkstra-only one.
+
+    The loop stops when no row has supply or no column has demand left.
+    Supply stranded beyond what ``WEIGHT_TOL`` on each total, the
+    ``_MASS_EPS`` zeroing of each row and column and rounding allow raises
+    ``InputError``.
     """
     m, n = cost.shape
     flow = np.zeros((m, n))
@@ -90,79 +223,53 @@ def _solve_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     rem_a = a.astype(float).copy()
     rem_b = b.astype(float).copy()
     max_iters = 20 * (m + n) + 200
+    dry = (rem_a <= _MASS_EPS).tolist()  # rows without supply
+    supplied = dry.count(False)
+    demanded = int(np.count_nonzero(rem_b > _MASS_EPS))
+    order = np.argsort(cost, axis=0, kind="stable")
+    columns = [
+        [rows, costs, 0, 1]
+        for rows, costs in zip(order.T.tolist(), np.take_along_axis(cost, order, 0).T.tolist())
+    ]
+    queued: list[float] = []
+    drained: list[tuple[int, int]] = []
 
     for _ in range(max_iters):
-        if rem_a.sum() <= _MASS_EPS:
+        if not (supplied and demanded):
             break
-        dist_r = np.where(rem_a > _MASS_EPS, 0.0, np.inf)
-        dist_c = np.full(n, np.inf)
-        # the distances of the unsettled nodes, inf once settled; a settled
-        # node is never improved, as every candidate is at least the minimum
-        dr = dist_r.copy()
-        dc = dist_c.copy()
-        settled = 0
-        pred_c = np.full(n, -1, dtype=int)  # row that reaches col j
-        pred_r = np.full(m, -1, dtype=int)  # col that reaches row i (backward arc)
-        target = -1
-        while settled < m + n:
-            ir = int(dr.argmin())
-            jc = int(dc.argmin())
-            if dr[ir] <= dc[jc]:
-                if not np.isfinite(dr[ir]):
-                    break
-                # every row tied at the minimum settles before any column, so
-                # relax them together; the first minimum keeps the row order
-                batch = np.nonzero(dr == dr[ir])[0]
-                dr[batch] = np.inf
-                settled += batch.shape[0]
-                rc = cost[batch] - p[batch, None] - q
-                np.maximum(rc, 0.0, out=rc)
-                cand = dist_r[batch, None] + rc
-                first = np.argmin(cand, axis=0)
-                cand = cand[first, np.arange(n)]
-                better = cand < dist_c
-                if better.any():
-                    dist_c[better] = dc[better] = cand[better]
-                    pred_c[better] = batch[first[better]]
-            else:
-                if not np.isfinite(dc[jc]):
-                    break
-                dc[jc] = np.inf
-                settled += 1
-                if rem_b[jc] > _MASS_EPS:
-                    target = jc
-                    break
-                back = flow[:, jc] > 0.0
-                if back.any():
-                    rc = p + q[jc] - cost[:, jc]
-                    np.maximum(rc, 0.0, out=rc)
-                    cand = dist_c[jc] + rc
-                    better = back & (cand < dist_r)
-                    if better.any():
-                        dist_r[better] = dr[better] = cand[better]
-                        pred_r[better] = jc
-        if target < 0:
-            raise RuntimeError("transport problem infeasible (unbalanced marginals?)")
-        dist_t = dist_c[target]
-        p -= np.minimum(dist_r, dist_t)
-        q += np.minimum(dist_c, dist_t)
+        dist_t, target, start_row = _first_step(cost, columns, dry, q, rem_a)
+        if target >= 0 and rem_b[target] > _MASS_EPS:
+            arcs_fwd, arcs_bwd = [(start_row, target)], []
+            bottleneck = min(rem_b[target], rem_a[start_row])
+            queued.append(dist_t)
+            q += dist_t
+            if len(queued) * m >= _SETTLE_ELEMS:
+                _settle(p, rem_a, queued, drained)
+        else:
+            if queued:
+                _settle(p, rem_a, queued, drained)
+            target, dist_r, dist_c, pred_r, pred_c = _dijkstra(cost, flow, p, q, rem_a, rem_b)
+            if target < 0:
+                raise RuntimeError(f"no augmenting path in a {m}x{n} transport problem")
+            dist_t = dist_c[target]
+            p -= np.minimum(dist_r, dist_t)
+            q += np.minimum(dist_c, dist_t)
 
-        # walk predecessors to find the augmenting path and its bottleneck
-        arcs_fwd: list[tuple[int, int]] = []
-        arcs_bwd: list[tuple[int, int]] = []
-        j = target
-        bottleneck = rem_b[target]
-        while True:
-            i = pred_c[j]
-            arcs_fwd.append((i, j))
-            jprev = pred_r[i]
-            if jprev < 0:
-                bottleneck = min(bottleneck, rem_a[i])
-                start_row = i
-                break
-            arcs_bwd.append((i, jprev))
-            bottleneck = min(bottleneck, flow[i, jprev])
-            j = jprev
+            # walk predecessors to find the augmenting path and its bottleneck
+            arcs_fwd, arcs_bwd = [], []
+            j = target
+            bottleneck = rem_b[target]
+            while True:
+                i = pred_c[j]
+                arcs_fwd.append((i, j))
+                jprev = pred_r[i]
+                if jprev < 0:
+                    bottleneck = min(bottleneck, rem_a[i])
+                    start_row = i
+                    break
+                arcs_bwd.append((i, jprev))
+                bottleneck = min(bottleneck, flow[i, jprev])
+                j = jprev
         for i, jj in arcs_fwd:
             flow[i, jj] += bottleneck
         for i, jj in arcs_bwd:
@@ -172,12 +279,25 @@ def _solve_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
         rem_a[start_row] -= bottleneck
         if rem_a[start_row] <= _MASS_EPS:
             rem_a[start_row] = 0.0
+            dry[start_row] = True
+            supplied -= 1
+            drained.append((start_row, len(queued)))
         rem_b[target] -= bottleneck
         if rem_b[target] <= _MASS_EPS:
             rem_b[target] = 0.0
+            demanded -= 1
     else:
-        raise RuntimeError("augmentation limit exceeded in transport solver")
-
+        raise RuntimeError(
+            f"augmentation limit {max_iters} exceeded in a {m}x{n} transport problem"
+        )
+    if queued:
+        _settle(p, rem_a, queued, drained)
+    stranded = float(rem_a.sum())
+    if stranded > 2 * WEIGHT_TOL + 2 * (m + n) * _MASS_EPS:
+        raise InputError(
+            f"transport totals differ: supply {float(np.sum(a))!r} against demand "
+            f"{float(np.sum(b))!r} leaves {stranded:.3g} unplaced ({m}x{n} problem)"
+        )
     return flow, p, q
 
 
@@ -186,8 +306,12 @@ def _flow_result(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     flow, p, q = _solve_flow(cost, mu.weights, nu.weights)
     scale = max(1.0, float(np.abs(cost).max()))
     rc = cost - p[:, None] - q[None, :]
-    if rc.min() < -1e-9 * scale:
-        raise RuntimeError("transport solver lost dual feasibility")
+    worst, bound = float(rc.min()), -1e-9 * scale
+    if worst < bound:
+        raise RuntimeError(
+            f"transport solver lost dual feasibility on a {cost.shape[0]}x{cost.shape[1]} "
+            f"problem: reduced cost {worst:.3g} below {bound:.3g}"
+        )
     support = flow > 0.0
     degenerate = bool(np.any(~support & (rc <= _RC_EPS * scale)))
     total = float(np.sum(flow * cost))

@@ -363,6 +363,170 @@ def test_flow_matches_row_at_a_time_reference_bitwise(problem):
         assert got.tobytes() == want.tobytes()
 
 
+def _assert_bitwise(got, want):
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def _straight_paths(rng, grid, n):
+    """n straight 2-d paths from [-1, 1]^2 on ``grid``, their starts and velocities."""
+    x0, v = rng.uniform(-1.0, 1.0, size=(n, 2)), rng.normal(size=(n, 2))
+    return x0, v, x0[:, None] + grid[:, None] * v[:, None]
+
+
+def _sweep_problem(seed):
+    """The sweep's 243x3 problem: squared sup distances of a tree to its 3-path reference.
+
+    The reference paths are straight on 101 nodes.  The tree has their
+    starts as roots and branches 3 ways at each of 4 steps, each branch
+    adding one of 3 small shifts, as a noise label does.
+    """
+    rng = np.random.default_rng(seed)
+    fine, grid = np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, 5)
+    x0, v, ref_nodes = _straight_paths(rng, fine, 3)
+    shifts = 0.05 * rng.normal(size=(3, 2))
+    root = np.arange(243) // 81
+    labels = np.arange(243)[:, None] // 3 ** np.arange(3, -1, -1) % 3  # (path, step)
+    walk = np.concatenate([np.zeros((243, 1, 2)), np.cumsum(shifts[labels], axis=1)], axis=1)
+    nodes = x0[root, None] + grid[:, None] * v[root, None] + walk
+    w_root, w_label = rng.random(3) + 0.5, rng.random(3) + 0.5
+    w = w_root[root] * np.prod(w_label[labels], axis=1)
+    tree = PathEnsemble(grid, nodes, w / w.sum(), Provenance("exact-tree"))
+    ref = PathEnsemble(fine, ref_nodes, w_root / w_root.sum(), Provenance("limit-flow"))
+    return _sup_matrix(tree, ref) ** 2, tree.weights, ref.weights
+
+
+def _monte_carlo_problem(m, seed):
+    """A Monte-Carlo sweep's m x 3 problem: m uniform random walks on 33 nodes against 3 paths."""
+    rng = np.random.default_rng(seed)
+    fine, grid = np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, 33)
+    x0, _, ref_nodes = _straight_paths(rng, fine, 3)
+    steps = 0.1 * rng.normal(size=(m, 33, 2))
+    nodes = x0[rng.integers(0, 3, m), None] + np.cumsum(steps, axis=1)
+    walks = PathEnsemble(grid, nodes, np.full(m, 1 / m), Provenance("monte-carlo"))
+    w = rng.random(3) + 0.5
+    ref = PathEnsemble(fine, ref_nodes, w / w.sum(), Provenance("limit-flow"))
+    return _sup_matrix(walks, ref) ** 2, walks.weights, ref.weights
+
+
+def _tall_problem(seed, m, integer=False, tiny_rows=0):
+    """m x 3 squared distances; integer coordinates tie costs, tiny rows start without supply."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(m, 2)), rng.normal(size=(3, 2))
+    if integer:
+        x, y = np.round(2 * x), np.round(2 * y)
+    a, b = rng.random(m) + 0.1, rng.random(3) + 0.1
+    a[rng.choice(m, tiny_rows, replace=False)] = 1e-15 * a.sum()  # below _MASS_EPS
+    return np.sum((x[:, None] - y[None]) ** 2, axis=2), a / a.sum(), b / b.sum()
+
+
+_U = 2.0**-52  # the spacing of the floats in [1, 2)
+
+_FIRST_STEP_PROBLEMS = {
+    "sweep-tree": lambda: _sweep_problem(1),
+    "integer-ties": lambda: _tall_problem(2, 120, integer=True),
+    "rows-without-supply": lambda: _tall_problem(4, 80, tiny_rows=8),
+    # most rows are nearest to column 0, which fills after a fifth of them
+    "saturated-nearest-column": lambda: (
+        np.array([[0.1 * (i % 7), 2.0 + i % 5, 3.0 + i % 3] for i in range(40)]),
+        np.full(40, 1 / 40),
+        np.array([0.2, 0.5, 0.3]),
+    ),
+    # with q = U/2 after the first arc, rows 1 and 2 both label 1.5 on
+    # column 0, though row 1 costs more: row 1 comes first and wins
+    "tie-after-subtraction": lambda: (
+        np.array([[_U / 2, 3.0], [1.5 + _U, 3.0], [1.5, 3.0]]),
+        np.array([0.5, 0.25, 0.25]),
+        np.array([0.75, 0.25]),
+    ),
+    # rounding in q puts two rows of different costs below q on a column,
+    # so both clamp to 0 and the first row wins
+    "clamp-at-zero": lambda: (
+        np.array(
+            [
+                [3.0, 1.0, 1.0],
+                [3.0, 0.7, 0.30000000000000043],
+                [2.9999999999999996, 1.0, 0.7000000000000002],
+                [3.0, 0.10000000000000023, 3.0],
+            ]
+        ),
+        np.array([0.125, 0.375, 0.25, 0.25]),
+        np.array([3 / 7, 3 / 7, 1 / 7]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_FIRST_STEP_PROBLEMS))
+def test_first_step_matches_row_at_a_time_reference_bitwise(name):
+    cost, a, b = _FIRST_STEP_PROBLEMS[name]()
+    with mock.patch.object(transport, "_dijkstra", wraps=transport._dijkstra) as dijkstra:
+        got = _solve_flow(cost, a, b)
+    _assert_bitwise(got, _row_at_a_time_flow(cost, a, b))
+    if name == "saturated-nearest-column":
+        assert dijkstra.call_count > 0
+
+
+def test_first_step_on_a_monte_carlo_ensemble_matches_the_dijkstra_alone_bitwise():
+    # the row-at-a-time reference takes about 20 s at this size; with the
+    # first step never deciding, every augmentation runs the Dijkstra, the
+    # route the reference tests pin
+    cost, a, b = _monte_carlo_problem(1000, 0)
+    with mock.patch.object(transport, "_first_step", return_value=(math.inf, -1, -1)):
+        want = _solve_flow(cost, a, b)
+    _assert_bitwise(_solve_flow(cost, a, b), want)
+    # nor does settling p after every queued label
+    with mock.patch.object(transport, "_SETTLE_ELEMS", 1):
+        _assert_bitwise(_solve_flow(cost, a, b), want)
+
+
+def test_first_step_decides_the_sweeps_augmentations():
+    # each of the 243 augmentations moves one row's mass along one arc, so
+    # the Dijkstra runs only a handful of times
+    cost, a, b = _sweep_problem(5)
+    with mock.patch.object(transport, "_dijkstra", wraps=transport._dijkstra) as dijkstra:
+        _solve_flow(cost, a, b)
+    assert dijkstra.call_count <= 5
+
+
+def test_supply_stranded_by_rounding_stays_in_place():
+    # the supply's total exceeds the demand's by 5e-13, within WEIGHT_TOL
+    mu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5 + 5e-13]))
+    nu = DiscreteMeasure(np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([0.5, 0.5]))
+    for first, second in ((mu, nu), (nu, mu)):
+        res = optimal_coupling(first, second, method="flow")
+        assert abs(res.cost - 1.0) <= 1e-12
+    # the demand of a Dirac drifts as 2,221 rows are subtracted from it
+    rng = np.random.default_rng(37)
+    many = DiscreteMeasure(rng.normal(size=(2221, 2)), np.full(2221, 1 / 2221))
+    res = optimal_coupling(many, dirac([0.3, -0.2]), method="flow")
+    assert abs(res.cost - float(np.mean(np.sum((many.atoms - [0.3, -0.2]) ** 2, axis=1)))) <= 1e-12
+    # uniform rows against two columns: both fill before the last row is placed
+    rng = np.random.default_rng(131)
+    x, y = rng.normal(size=(600, 2)), rng.normal(size=(2, 2))
+    b = rng.random(2) + 0.1
+    cost, a, b = np.sum((x[:, None] - y[None]) ** 2, axis=2), np.full(600, 1 / 600), b / b.sum()
+    flow, p, q = _solve_flow(cost, a, b)
+    assert np.max(np.abs(flow.sum(axis=1) - a)) <= 1e-12
+    assert np.max(np.abs(flow.sum(axis=0) - b)) <= 1e-12
+    assert np.min(cost - p[:, None] - q) >= -1e-9
+
+
+def test_unbalanced_totals_raise_input_error():
+    cost = np.array([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(InputError, match=r"supply 1\.0 against demand 0\.5 .*\(2x2 problem\)"):
+        _solve_flow(cost, np.array([0.5, 0.5]), np.array([0.25, 0.25]))
+
+
+def test_flow_errors_name_the_problem():
+    with pytest.raises(RuntimeError, match="no augmenting path in a 1x2 transport problem"):
+        _solve_flow(np.full((1, 2), np.inf), np.ones(1), np.full(2, 0.5))
+    mu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
+    flow, p, q = _solve_flow(transport._cost_matrix(mu, mu), mu.weights, mu.weights)
+    with mock.patch.object(transport, "_solve_flow", return_value=(flow, p + 1.0, q)):
+        with pytest.raises(RuntimeError, match=r"2x2 problem: reduced cost -1 below -1e-09"):
+            optimal_coupling(mu, mu, method="flow")
+
+
 def _per_pair_sup(e1, e2):
     return np.array([[path_sup_distance(p, q) for q in e2.paths] for p in e1.paths])
 
