@@ -13,22 +13,27 @@ settle at distance 0, and the column they reach first still has demand.
 Those are finished without the Dijkstra, from each column's rows sorted
 once by cost, at O(n) Python work each, and with the Dijkstra's updates
 applied in its order, so the plan and potentials are bitwise the same.
-Supply left over when every column is full, as rounding leaves it on
-measures whose totals agree within ``WEIGHT_TOL``, stays in place; beyond
-that tolerance it raises ``InputError``.  One-dimensional
-problems take the monotone-rearrangement fast path, which is optimal for the
-squared-distance cost.  ``brute_force_w2`` is an independent oracle used by
-the test suite: it enumerates every vertex of the transport polytope via
-spanning-tree supports (or all assignments in the uniform case) and never
-touches the flow solver.
+Supply left over when every column is full, or demand when every row is
+empty, as rounding leaves it on measures whose totals agree within
+``WEIGHT_TOL``, stays in place; beyond that tolerance it raises
+``InputError``.  One-dimensional problems take the monotone-rearrangement
+fast path, which is optimal for the squared-distance cost.
+``brute_force_w2`` is an independent oracle used by the test suite: it
+enumerates every vertex of the transport polytope via spanning-tree supports
+(or all assignments in the uniform case) and never touches the flow solver.
 
 ``wasserstein2_sup`` builds its sup-distance cost matrix for two common-grid
 path ensembles on the union of their grids, bitwise equal to the per-pair
-``path_sup_distance``.  The union grid is a sort and a ``!=`` mask.  It is
-cut at the nodes of the shorter grid, and on a segment where grouping saves
-at least a block of pair differences the paths of that side are grouped by
-the node slice they share, so the paths of a tree, which share their early
-segments, are evaluated once per distinct segment.
+``path_sup_distance``.  The union grid is a sort and a ``!=`` mask.  A
+coarse pass reads every pair at every ``_SUP_STRIDE``-th union time and at
+the nodes of the shorter grid.  Between two coarse times a and b a pair's
+distance is at most max(|D(a)|, |D(b)|) + beta, where beta, half the
+interval times the 1-norm of the per-coordinate range of the longer grid's
+segment slopes there, bounds how far that path strays from its chord; the
+shorter grid's paths are affine there.  Inflated by a stated rounding
+margin, that bound screens the inner times: only the intervals where it
+reaches the pair's largest value so far are read.  A skipped time cannot
+exceed what was read, so the matrix stays bitwise the full evaluation.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ _RC_EPS = 1e-12
 _BRUTE_ATOM_CAP = 64
 _BRUTE_ENUM_BUDGET = 700_000
 _SUP_CHUNK_ELEMS = 1 << 15
+_SUP_STRIDE = 32  # union times between the sup-distance screen's coarse times
+_SUP_MARGIN = 2.0**-40  # the screen's rounding margin per coordinate (see _sup_matrix)
+_SUP_FLOOR = 2.0**-510  # the screen's least bound: its square is a normal number
 _SETTLE_ELEMS = 1 << 12  # queued labels times rows: bounds the arrays of _settle
 
 
@@ -212,9 +220,9 @@ def _solve_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     order, so the result is bitwise the Dijkstra-only one.
 
     The loop stops when no row has supply or no column has demand left.
-    Supply stranded beyond what ``WEIGHT_TOL`` on each total, the
-    ``_MASS_EPS`` zeroing of each row and column and rounding allow raises
-    ``InputError``.
+    Supply stranded or demand unfilled beyond what ``WEIGHT_TOL`` on each
+    total, the ``_MASS_EPS`` zeroing of each row and column and rounding
+    allow raises ``InputError``.
     """
     m, n = cost.shape
     flow = np.zeros((m, n))
@@ -292,11 +300,12 @@ def _solve_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
         )
     if queued:
         _settle(p, rem_a, queued, drained)
-    stranded = float(rem_a.sum())
-    if stranded > 2 * WEIGHT_TOL + 2 * (m + n) * _MASS_EPS:
+    stranded, unfilled = float(rem_a.sum()), float(rem_b.sum())
+    if max(stranded, unfilled) > 2 * WEIGHT_TOL + 2 * (m + n) * _MASS_EPS:
+        left = f"{stranded:.3g} unplaced" if stranded >= unfilled else f"{unfilled:.3g} unfilled"
         raise InputError(
             f"transport totals differ: supply {float(np.sum(a))!r} against demand "
-            f"{float(np.sum(b))!r} leaves {stranded:.3g} unplaced ({m}x{n} problem)"
+            f"{float(np.sum(b))!r} leaves {left} ({m}x{n} problem)"
         )
     return flow, p, q
 
@@ -546,66 +555,109 @@ def path_sup_distance(p1: PiecewisePath, p2: PiecewisePath) -> float:
     return float(np.max(np.linalg.norm(np.atleast_2d(d), axis=1)))
 
 
-def _distinct_slices(nodes: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """How many distinct node slices ``nodes[:, k : k + 2]`` the paths have, per ``k`` of ``ks``.
+def _pair_sq(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Squared distances ``(B, m2, m1)`` of paths valued ``(B, d, m1)`` and ``(B, d, m2)``.
 
-    Rows are told apart as ``_group_rows`` does, by ``!=`` after a sort.  Two
-    slices can be equal only where the first coordinates of their end nodes
-    tie, so only those segments are lexsorted.  About ``_SUP_CHUNK_ELEMS``
-    node values are sorted at a time.
+    The squares are summed over the coordinates in order, as ``np.linalg.norm`` does.
     """
-    n, _, d = nodes.shape
-    step = max(1, _SUP_CHUNK_ELEMS // (2 * d * n))
-    counts = np.empty(ks.shape[0], dtype=np.intp)
-    for s in range(0, ks.shape[0], step):
-        c = ks[s : s + step]
-        ends = np.sort(nodes[:, c + 1, 0], axis=0)
-        tied = np.any(ends[1:] == ends[:-1], axis=0)
-        c = c[tied]
-        keys = nodes[:, np.stack([c, c + 1], axis=1)].reshape(n, c.shape[0], 2 * d).T
-        order = np.lexsort(keys, axis=-1)  # (c, n): each segment's slices in row order
-        rows = np.take_along_axis(keys, order[None], axis=-1)
-        new_row = np.any(rows[..., 1:] != rows[..., :-1], axis=0)
-        counts[s : s + step] = n
-        counts[s : s + step][tied] = 1 + np.count_nonzero(new_row, axis=1)
-    return counts
+    acc = np.zeros((x1.shape[0], x2.shape[2], x1.shape[2]))
+    diff = np.empty_like(acc)
+    for k in range(x1.shape[1]):
+        np.subtract(x1[:, None, k], x2[:, k, :, None], out=diff)
+        diff *= diff
+        acc += diff
+    return acc
 
 
-def _segment_side(ens: PathEnsemble, k: int):
-    """The distinct paths of ``ens`` on segment ``k``.
+def _raise_sup(sq: np.ndarray, ts: np.ndarray, g1, nodes1, g2, nodes2) -> None:
+    """Raise ``sq`` to the squared distances of two sets of paths at the times ``ts``.
 
-    Returns the segment's two grid nodes, the node slices of its distinct
-    paths and the group of each path.
-    """
-    first, group = _group_rows(ens.nodes[:, k : k + 2].reshape(ens.n_paths, -1))
-    return ens.grid[k : k + 2], ens.nodes[first, k : k + 2], group
-
-
-def _raise_sup(sq: np.ndarray, ts: np.ndarray, side1, side2) -> None:
-    """Raise ``sq`` to the squared distances of the paths of two sides at the times ``ts``.
-
-    A side is (grid, nodes of its distinct paths, the distinct path of each
-    path).  The times are walked in blocks of about ``_SUP_CHUNK_ELEMS``
-    distinct pair differences (at least one time).
+    The paths of a set share a grid.  The times are walked in blocks of about
+    ``_SUP_CHUNK_ELEMS`` pair differences (at least one time).
     """
     if ts.shape[0] == 0:
         return
-    (g1, nodes1, group1), (g2, nodes2, group2) = side1, side2
     m1, m2 = nodes1.shape[0], nodes2.shape[0]
     width = max(1, _SUP_CHUNK_ELEMS // (m1 * m2))
     best = np.zeros((m2, m1))
     for t0 in range(0, ts.shape[0], width):
         block = ts[t0 : t0 + width]
-        x1 = _interp_nodes(g1, nodes1, block)  # (B, d, m1)
-        x2 = _interp_nodes(g2, nodes2, block)  # (B, d, m2)
-        acc = np.zeros((block.shape[0], m2, m1))
-        diff = np.empty_like(acc)
-        for k in range(x1.shape[1]):
-            np.subtract(x1[:, None, k], x2[:, k, :, None], out=diff)
-            diff *= diff
-            acc += diff
+        acc = _pair_sq(_interp_nodes(g1, nodes1, block), _interp_nodes(g2, nodes2, block))
         np.maximum(best, acc.max(axis=0), out=best)
-    np.maximum(sq, best.T[np.ix_(group1, group2)], out=sq)
+    np.maximum(sq, best.T, out=sq)
+
+
+def _window(grid: np.ndarray, ts: np.ndarray) -> slice:
+    """The grid nodes that paths on ``grid`` read at times from ``ts[0]`` to ``ts[-1]``.
+
+    ``_interp_nodes`` on these nodes alone gives the full grid's values bit
+    for bit at those times: each is a node value or comes from the two nodes
+    around it, and the window keeps the first or last node for the times
+    before or after the grid.
+    """
+    lo = np.searchsorted(grid, ts[0], side="right") - 1
+    hi = np.searchsorted(grid, ts[-1], side="left")
+    return slice(max(lo, 0), min(hi, grid.shape[0] - 1) + 1)
+
+
+def _bend(grid: np.ndarray, nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """How far each path strays from its chord between consecutive ``ts``: ``(n, len(ts) - 1)``.
+
+    On [a, b] a path whose segment slopes lie in [lo_k, hi_k] in coordinate k
+    stays within (b - a)/2 * (hi_k - lo_k) of its chord there.  The value is
+    the 1-norm of that vector, which is at least its length and, unlike a
+    sum of squares, cannot underflow to 0; it is 0 where the path is affine.
+    The path is constant before its first node and after its last, so those
+    stretches count as slope 0.  Only the segments between ``ts[0]`` and
+    ``ts[-1]`` are read.  Slopes that overflow give an inf or NaN value.
+    """
+    last = grid.shape[0] - 1
+    # segment j + 1 is [grid[j], grid[j + 1]]; 0 and last + 1 are the constant ends
+    first_seg = np.searchsorted(grid, ts[:-1], side="right")
+    last_seg = np.searchsorted(grid, ts[1:], side="left")
+    lo, hi = int(first_seg[0]), int(last_seg[-1])
+    j0, j1 = max(lo - 1, 0), min(hi, last)
+    local = nodes[:, j0 : j1 + 1]
+    flat = np.zeros((nodes.shape[0], 1, nodes.shape[2]))
+    slopes = np.concatenate(
+        [flat] * (lo == 0)
+        + [np.diff(local, axis=1) / np.diff(grid[j0 : j1 + 1])[:, None]]
+        + [flat] * (hi == last + 1),
+        axis=1,
+    )
+    # reduceat spans first_seg[m] .. first_seg[m + 1] - 1; last_seg[m] is
+    # the one segment it may miss, shared with the next interval
+    starts, stops = first_seg - lo, last_seg - lo
+    top = np.maximum(np.maximum.reduceat(slopes, starts, axis=1), slopes[:, stops])
+    top -= np.minimum(np.minimum.reduceat(slopes, starts, axis=1), slopes[:, stops])
+    return np.sum(top, axis=2) * (np.diff(ts) / 2)
+
+
+def _screen(sq, ts, e1: PathEnsemble, e2: PathEnsemble, long1: bool, slack) -> np.ndarray:
+    """Whether each pair may exceed ``sq`` between consecutive coarse times ``ts``.
+
+    The result has shape ``(len(ts) - 1, n2, n1)``.  The bound is that of
+    ``_sup_matrix``: the larger end distance plus the bend of the path on
+    the longer grid (``e1``'s when ``long1``), inflated by ``d * _SUP_MARGIN``
+    and by ``slack``, squared and compared with ``sq``.  A bound that
+    overflows or is NaN may exceed it.  Where the bends alone reach the
+    largest distance so far on every interval, as on paths too rough to
+    screen, every pair may, and the end distances are not read.
+    """
+    grid, nodes = (e1.grid, e1.nodes) if long1 else (e2.grid, e2.nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bend = _bend(grid, nodes, ts).T
+        if np.all(bend.min(axis=1) >= np.sqrt(sq.max())):
+            return np.ones((ts.shape[0] - 1, *sq.T.shape), dtype=bool)
+    r = _pair_sq(_interp_nodes(e1.grid, e1.nodes, ts), _interp_nodes(e2.grid, e2.nodes, ts))
+    np.sqrt(r, out=r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.maximum(r[:-1], r[1:])  # (intervals, n2, n1)
+        bound += bend[:, None, :] if long1 else bend[:, :, None]
+        bound *= 1.0 + e1.dim * _SUP_MARGIN
+        bound += slack
+        np.square(bound, out=bound)
+    return ~(bound < sq.T)
 
 
 def _sup_matrix(e1: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
@@ -614,44 +666,70 @@ def _sup_matrix(e1: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
     Both ensembles are evaluated on the union of their grids, and the squared
     norm is summed over the coordinates in order, as ``np.linalg.norm`` does;
     the sup of the root is the root of the sup, since sqrt is monotone and
-    correctly rounded.  The times are walked in blocks (``_raise_sup``), so
-    memory does not grow with the grid.
+    correctly rounded.  A pair's result is the largest of these values, so a
+    union time whose value provably cannot exceed a value already read may
+    go unread.
 
-    The union grid is cut at the nodes of the shorter grid.  A segment whose
-    paths share node slices, as a tree's early segments do, is walked on its
-    own, both ends included: that side's paths are grouped by the slice
-    ``nodes[:, k : k + 2]`` (both sides when the grids are equal), each
-    distinct slice is evaluated once on its two-node sub-grid, which gives the
-    full grid's values bit for bit, and the maxima are gathered back to the
-    paths.  It is walked on its own only when the grouping saves at least one
-    block of ``_SUP_CHUNK_ELEMS`` pair differences; the times between such
-    segments are walked with all paths on their full grids.  So there are
-    fewer grouped segments than blocks of pair differences, and the Python
-    work does not grow with the node count.  The max is idempotent, so the
-    shared segment ends do no harm.
+    Coarse pass: every pair is read at every ``_SUP_STRIDE``-th union time,
+    the last one and the nodes of the shorter grid, whose paths are then
+    affine between coarse times.  Screen: on an interval [a, b] between two
+    coarse times, the difference D of a pair obeys
+    |D(t)| <= max(|D(a)|, |D(b)|) + beta, where beta is how far the path of
+    the longer grid strays from its chord (``_bend``): the chord of D is at
+    most its larger end.  The bound is inflated for rounding by
+    ``d * _SUP_MARGIN`` times itself and times the largest node magnitudes
+    of the two paths, plus ``_SUP_FLOOR``.  Each rounded step behind the
+    values compared (interpolation, differences, squares and sums, slopes,
+    the root) is off by a few units of 2**-53 per coordinate relative to
+    these quantities, and 2**-40 is 4,096 such units; the floor keeps the
+    squared bound out of the subnormal range, where relative error bounds
+    fail.  Exact pass: an interval's inner times are read only where a
+    pair's squared bound is not below the largest value read for it so far
+    (a NaN or overflowed bound reads), on the rows x columns that survive in
+    each block of intervals (``_raise_sup``).  The screen reads the coarse
+    times again, so with more than twice the stride's share of them (a
+    shorter grid that is dense, or equal grids) every time is read instead.
+    Nothing skipped can exceed what was read, so the result is bitwise the
+    full evaluation.  Every array over the union times is built one block of
+    about ``_SUP_CHUNK_ELEMS`` pair values at a time.
     """
     ts = _union_grid(e1.grid, e2.grid)
+    (g1, nodes1), (g2, nodes2) = (e1.grid, e1.nodes), (e2.grid, e2.nodes)
     n1, n2 = e1.n_paths, e2.n_paths
-    cut_first = e1.grid.shape[0] <= e2.grid.shape[0]
-    both = np.array_equal(e1.grid, e2.grid)
-    # the union times at the cut nodes; equal grids are their own union
-    at = np.arange(ts.shape[0]) if both else np.searchsorted(ts, e1.grid if cut_first else e2.grid)
-    times = np.diff(at) + 1
-    ks = np.flatnonzero(times * (n1 * n2) >= _SUP_CHUNK_ELEMS)
-    m1 = _distinct_slices(e1.nodes, ks) if cut_first or both else n1
-    m2 = _distinct_slices(e2.nodes, ks) if both or not cut_first else n2
-    ks = ks[times[ks] * (n1 * n2 - m1 * m2) >= _SUP_CHUNK_ELEMS]
-    whole1 = (e1.grid, e1.nodes, np.arange(n1))
-    whole2 = (e2.grid, e2.nodes, np.arange(n2))
+    long1 = g1.shape[0] > g2.shape[0]
+    coarse = np.zeros(ts.shape[0], dtype=bool)
+    coarse[::_SUP_STRIDE] = coarse[-1] = True
+    coarse[np.searchsorted(ts, g2 if long1 else g1)] = True
+    at = np.flatnonzero(coarse)
     sq = np.zeros((n1, n2))
-    start = 0
-    for k in ks.tolist():
-        _raise_sup(sq, ts[start : at[k]], whole1, whole2)
-        side1 = _segment_side(e1, k) if cut_first or both else whole1
-        side2 = _segment_side(e2, k) if both or not cut_first else whole2
-        _raise_sup(sq, ts[at[k] : at[k + 1] + 1], side1, side2)
-        start = at[k + 1] + 1
-    _raise_sup(sq, ts[start:], whole1, whole2)
+    _raise_sup(sq, ts[at], g1, nodes1, g2, nodes2)
+    if at.shape[0] * _SUP_STRIDE > 2 * ts.shape[0]:
+        # the screen reads the coarse times again, which dense ones make dear
+        _raise_sup(sq, ts[~coarse], g1, nodes1, g2, nodes2)
+        return np.sqrt(sq)
+
+    size1 = np.maximum(nodes1.max(axis=(1, 2)), -nodes1.min(axis=(1, 2)))
+    size2 = np.maximum(nodes2.max(axis=(1, 2)), -nodes2.min(axis=(1, 2)))
+    margin = e1.dim * _SUP_MARGIN
+    slack = margin * size1[None, :] + margin * size2[:, None] + _SUP_FLOOR  # (n2, n1)
+    step = max(2, _SUP_CHUNK_ELEMS // (n1 * n2))  # coarse times per block
+    for c0 in range(0, at.shape[0] - 1, step - 1):
+        c = at[c0 : c0 + step]  # blocks share their end times
+        ends, gaps = ts[c], np.diff(c)
+        if np.all(gaps == 1):
+            continue
+        pairs = _screen(sq, ends, e1, e2, long1, slack)
+        pairs[gaps == 1] = False
+        rows, cols, keep = pairs.any(axis=(0, 1)), pairs.any(axis=(0, 2)), pairs.any(axis=(1, 2))
+        if not keep.any():
+            continue
+        read = np.repeat(keep, gaps)  # union times c[0] .. c[-1] - 1
+        read[c[:-1] - c[0]] = False
+        sub = sq[np.ix_(rows, cols)]
+        w1, w2 = _window(g1, ends), _window(g2, ends)
+        times = ts[c[0] + np.flatnonzero(read)]
+        _raise_sup(sub, times, g1[w1], nodes1[rows, w1], g2[w2], nodes2[cols, w2])
+        sq[np.ix_(rows, cols)] = sub
     return np.sqrt(sq)
 
 

@@ -23,6 +23,7 @@ from measureflow.paths import (
 )
 from measureflow.transport import (
     _MASS_EPS,
+    _pair_sq,
     _solve_flow,
     _sup_matrix,
     bram_pairing,
@@ -515,6 +516,9 @@ def test_unbalanced_totals_raise_input_error():
     cost = np.array([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(InputError, match=r"supply 1\.0 against demand 0\.5 .*\(2x2 problem\)"):
         _solve_flow(cost, np.array([0.5, 0.5]), np.array([0.25, 0.25]))
+    # the converse once returned column sums [0.5, 0] without a word
+    with pytest.raises(InputError, match=r"supply 0\.5 against demand 1\.0 .*\(2x2 problem\)"):
+        _solve_flow(cost, np.array([0.25, 0.25]), np.array([0.5, 0.5]))
 
 
 def test_flow_errors_name_the_problem():
@@ -660,8 +664,8 @@ def _tree_pairs(draw):
 @settings(max_examples=150, deadline=None)
 @given(_tree_pairs(), st.sampled_from([1, 7, 64, transport._SUP_CHUNK_ELEMS]))
 def test_sup_matrix_on_trees_matches_per_pair_bitwise(pair, chunk):
-    # small blocks make grouping pay on these small trees, so segments are
-    # walked on their own, between stretches of whole-grid times
+    # these unions are short, so their coarse times are dense and every time
+    # is read; small blocks split both reads into many blocks
     e1, e2 = pair
     with mock.patch.object(transport, "_SUP_CHUNK_ELEMS", chunk):
         got = _sup_matrix(e1, e2)
@@ -711,8 +715,8 @@ def test_sup_matrix_memory_stays_flat_on_a_tree():
 
 
 def test_sup_matrix_memory_stays_flat_on_one_long_grid():
-    # many paths on one shared grid: every segment is a candidate for grouping,
-    # and counting the distinct slices must not copy the node arrays whole
+    # many paths on one shared grid: every union time is a coarse time, read
+    # in blocks without copying the node arrays whole
     rng = np.random.default_rng(29)
     grid = np.linspace(0.0, 1.0, 2_001)
     a = _tree(rng, grid, 1, 200, 1, ties=False)
@@ -724,6 +728,49 @@ def test_sup_matrix_memory_stays_flat_on_one_long_grid():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_sup_matrix_memory_stays_flat_on_a_monte_carlo_ensemble():
+    # a fixed-T Monte-Carlo sweep's shape: 1,000 walks on 65 nodes against a
+    # 3-path reference on 10,001; the screen's arrays are built per block
+    rng = np.random.default_rng(31)
+    x0, _, ref_nodes = _straight_paths(rng, np.linspace(0.0, 1.0, 10_001), 3)
+    steps = 0.1 * rng.normal(size=(1000, 65, 2))
+    steps[:, 0] = x0[rng.integers(0, 3, 1000)]
+    walks = PathEnsemble(
+        np.linspace(0.0, 1.0, 65), np.cumsum(steps, axis=1), np.full(1000, 1e-3),
+        Provenance("monte-carlo"),
+    )
+    ref = PathEnsemble(
+        np.linspace(0.0, 1.0, 10_001), ref_nodes, np.full(3, 1 / 3), Provenance("limit-flow")
+    )
+    tracemalloc.start()
+    try:
+        _sup_matrix(walks, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_pairs(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_bend_matches_a_segment_by_segment_reference(grids, d, seed):
+    grid, other = grids
+    rng = np.random.default_rng(seed)
+    nodes = rng.normal(size=(3, grid.size, d))
+    ts = _union_grid(grid, other)[:: int(rng.integers(1, 4))]
+    if ts.size < 2:
+        return
+    slopes = np.diff(nodes, axis=1) / np.diff(grid)[:, None]
+    want = np.empty((3, ts.size - 1))
+    for m, (a, b) in enumerate(zip(ts[:-1], ts[1:])):
+        # the segments meeting (a, b), and slope 0 where it leaves the grid
+        near = slopes[:, (grid[1:] > a) & (grid[:-1] < b)]
+        if a < grid[0] or b > grid[-1]:
+            near = np.concatenate([near, np.zeros((3, 1, d))], axis=1)
+        want[:, m] = np.sum(near.max(axis=1) - near.min(axis=1), axis=1) * ((b - a) / 2)
+    assert transport._bend(grid, nodes, ts).tobytes() == want.tobytes()
 
 
 def _interp_calls(e1, e2):
@@ -740,29 +787,33 @@ def _interp_calls(e1, e2):
 
 
 def test_sup_matrix_python_work_does_not_grow_with_the_node_count():
-    # segments are walked on their own only where grouping saves a block of
-    # pair differences, so a long shared grid without that saving is walked
-    # in the blocks of the whole grid
+    # blocks of pair-times set the count, not nodes: two calls per block of
+    # about _SUP_CHUNK_ELEMS pair values, whole-grid blocks on a long shared grid
     rng = np.random.default_rng(19)
     fine = np.linspace(0.0, 1.0, 10_001)
     a = _tree(rng, fine, 2, 3, 1, ties=False)
     b = _tree(rng, fine, 2, 3, 1, ties=False)
     whole = 2 * math.ceil(10_001 / (transport._SUP_CHUNK_ELEMS // 9))
-    assert _interp_calls(a, b) == whole
-    assert _interp_calls(a, a) == whole
-    # the sweep's tree, its paths in no particular order, takes fewer blocks
-    # than the whole-grid walk
+    assert _interp_calls(a, b) <= 2 * whole
+    assert _interp_calls(a, a) <= 2 * whole
+    # a fresh scale at every node of ``a`` leaves nothing to prune: the
+    # sweep's tree, its paths in no particular order, is read at every time,
+    # in the whole grid's blocks and a part-filled one per pass over a stretch
     tree = _tree(rng, np.linspace(0.0, 1.0, 5), 2, 3, 3, ties=False)
     tree = PathEnsemble(tree.grid, tree.nodes[rng.permutation(243)], tree.weights, tree.provenance)
-    assert _interp_calls(tree, a) < 2 * math.ceil(10_001 / (transport._SUP_CHUNK_ELEMS // 729))
+    whole = 2 * math.ceil(10_001 / (transport._SUP_CHUNK_ELEMS // 729))
+    assert _interp_calls(tree, a) <= whole * (1 + 2 / transport._SUP_STRIDE)
+    # against smooth reference paths, as in the sweep, most blocks go unread
+    _, _, smooth = _straight_paths(rng, fine, 3)
+    ref = PathEnsemble(fine, smooth, np.full(3, 1 / 3), Provenance("limit-flow"))
+    assert _interp_calls(tree, ref) < whole / 4
 
 
 @pytest.mark.parametrize("chunk", [1, transport._SUP_CHUNK_ELEMS])
 def test_sup_matrix_reads_every_union_time(chunk):
     # a spike at one fine node puts every pair's sup at that time, whether it
-    # falls in a grouped segment, at its ends or between grouped segments;
-    # the paths share their first and last segments (2 distinct slices of 4)
-    # but not the middle one
+    # falls on a coarse time or is read after them; the paths share their
+    # first and last segments (2 distinct slices of 4) but not the middle one
     rng = np.random.default_rng(23)
     columns = [[0, 0, 0, 0], [1, 1, 2, 2], [3, 4, 3, 4], [5, 7, 5, 7]]
     nodes = np.array(columns, dtype=float).T[:, :, None]
@@ -777,3 +828,129 @@ def test_sup_matrix_reads_every_union_time(chunk):
         with mock.patch.object(transport, "_SUP_CHUNK_ELEMS", chunk):
             got = _sup_matrix(tree, spiked)
         assert got.tobytes() == _per_pair_sup(tree, spiked).tobytes()
+
+
+def test_sup_matrix_reads_an_inner_time_that_rounding_lifts():
+    # the tree's middle node holds the coarse maximum, and interpolation
+    # three ulps before it reads one ulp more; the fine path is constant, so
+    # the bound has no bend, and without the rounding margin the root and
+    # square of the bound fell below that maximum and skipped the interval
+    middle = 60 / 127
+    levels = [[-0.0, 1.0687627224822788e150, -9.383182720006904e149],
+              [-0.0, 7.8466141286448045e149, -1.2262142242946858e150],
+              [-0.0, 1.0256043450046892e150, -4.119645472540911e149]]
+    tree = PathEnsemble(
+        np.array([0.0, middle, 1.0]), np.array([levels]), np.ones(1), Provenance("exact-tree")
+    )
+    near = [np.array([middle, 1.0])]
+    for _ in range(4):
+        near.append(np.nextafter(near[-1], -np.inf))
+    fine = np.unique(np.concatenate([np.linspace(0.0, 1.0, 128), *near[1:]]))
+    fine = np.unique(np.concatenate([fine, [2 * middle - t[0] for t in near[1:]]]))
+    flat = np.full((3, fine.size, 3), [-2.571922406188707e149, -0.0, -0.0])
+    ref = PathEnsemble(fine, flat, np.full(3, 1 / 3), Provenance("limit-flow"))
+    assert _sup_matrix(ref, tree).tobytes() == _per_pair_sup(ref, tree).tobytes()
+
+
+@st.composite
+def _screen_pairs(draw):
+    """A tree on a few nodes against paths on a fine grid, shaped for the screen of ``_sup_matrix``.
+
+    ``smooth``: the tree fans out from the fine paths, as a scheme does from
+    its limit, so each pair's maximum sits near the end and most intervals
+    go unread.  ``peak``: each fine path peaks at a coarse time and again in
+    the middle of an interval, there tied or one ulp higher, so only a bound
+    within a factor of 4 of the curvature reads that interval.  ``flat``:
+    the fine paths are constant and the tree is affine between nodes that
+    the fine grid flanks one to four ulps away, so the bound has no bend and rounding
+    alone can lift an inner time above a coarse one; two fine nodes may then
+    move by one ulp each, or by one and two.  ``spike``: a smooth draw with
+    one fine node raised next to a coarse time.  Both sides are scaled
+    together, from 1e-150 to 1e150, before any ulp moves; zero and
+    signed-zero levels, tree nodes off the fine grid, one-node grids and
+    horizons ``HORIZON_TOL / 2`` apart are drawn too.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["smooth", "peak", "flat", "spike"]))
+    d = draw(st.integers(1, 3))
+    stride = transport._SUP_STRIDE
+    # smooth grids are long enough that the coarse times stay sparse
+    fine = np.linspace(0.0, _T, draw(st.integers(4, 12)) * stride * (4 if kind == "smooth" else 1))
+    if draw(st.booleans()):
+        fine[-1] += 0.5 * HORIZON_TOL
+    inner = fine[rng.choice(np.arange(1, fine.size - 1), draw(st.integers(0, 3)), replace=False)]
+    if draw(st.booleans()):
+        inner = rng.uniform(0.0, _T, size=inner.size)
+    coarse = np.unique(np.concatenate([[0.0, _T], inner]))
+    if kind != "smooth" and draw(st.booleans()):  # a constant tree fans out from nothing
+        coarse = np.array([_T])
+    n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    level = rng.choice([0.0, -0.0, 1.0], size=(2, 3, 1, d)) * rng.normal(size=(2, 3, 1, d))
+    if kind == "flat":
+        nodes1 = level[0, :n1] * rng.uniform(0.5, 2.0, size=(n1, coarse.size, d))
+        near = [coarse[coarse > 0.0]]  # next to 0 the slopes would overflow
+        for _ in range(4):
+            near += [np.nextafter(near[-1], -np.inf)]
+        near = np.concatenate(near[1:] + [2 * near[0] - t for t in near[1:]])
+        fine = np.unique(np.concatenate([fine, near[(near > 0.0) & (near < fine[-1])]]))
+        nodes2 = np.repeat(level[1, :n2], fine.size, axis=1)
+    elif kind == "peak":
+        nodes1 = np.repeat(0.01 * level[0, :n1], coarse.size, axis=1)
+        top, mid = stride * rng.choice(fine.size // stride - 1, 2, replace=False)
+        mid += stride // 2
+        freq = 2.0 * np.pi / (fine[mid] - fine[top])
+        wave = 1.0 + np.cos(freq * (fine[:, None] - fine[top]))
+        nodes2 = np.abs(rng.normal(size=(n2, 1, d))) * wave
+        nodes2[:, mid] = nodes2[:, top]
+    else:
+        tree = _tree(rng, coarse, d, n1, draw(st.integers(1, 2)), ties=False)
+        nodes1 = tree.nodes / np.abs(tree.nodes).max() + 4.0 * coarse[None, :, None]
+        n1 = tree.n_paths
+        freq, phase = rng.uniform(0.5, 3.0, size=(2, n2, 1, d))
+        nodes2 = rng.uniform(-1.0, 1.0, size=(n2, 1, d))
+        nodes2 = nodes2 + 0.1 * np.sin(freq * fine[None, :, None] + 6.0 * phase)
+        if kind == "spike":
+            at = stride * rng.integers(1, fine.size // stride) + rng.choice([-1, 1])
+            nodes2[rng.integers(0, n2), at] += rng.choice([1e-12, 1e-6, 1.0])
+    scale = draw(st.sampled_from([1e-150, 1e-7, 1.0, 1e9, 1e150]))
+    nodes1, nodes2 = nodes1 * scale, nodes2 * scale
+    if kind == "peak" and draw(st.booleans()):
+        nodes2[:, mid] = np.nextafter(nodes2[:, mid], np.inf)
+    if kind == "flat" and draw(st.booleans()):
+        path, first, second = rng.integers(0, n2), *rng.choice(fine.size, 2, replace=False)
+        nodes2[path, first] = np.nextafter(nodes2[path, first], np.inf)
+        for _ in range(draw(st.integers(1, 2))):
+            nodes2[path, second] = np.nextafter(nodes2[path, second], np.inf)
+    sides = (
+        PathEnsemble(coarse, nodes1, np.full(n1, 1 / n1), Provenance("exact-tree")),
+        PathEnsemble(fine, nodes2, np.full(n2, 1 / n2), Provenance("limit-flow")),
+    )
+    return kind, sides[:: draw(st.sampled_from([1, -1]))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _screen_pairs(),
+    st.sampled_from([3, 8, transport._SUP_STRIDE]),
+    st.sampled_from([1, 64, transport._SUP_CHUNK_ELEMS]),
+)
+def test_sup_matrix_screen_matches_per_pair_bitwise(draw, stride, chunk):
+    # short strides and small blocks put many intervals and block ends on
+    # each draw
+    kind, (e1, e2) = draw
+    read = []
+
+    def counting(x1, x2):
+        read.append(x1.shape[0] * x1.shape[2] * x2.shape[2])
+        return _pair_sq(x1, x2)
+
+    with (
+        mock.patch.object(transport, "_pair_sq", counting),
+        mock.patch.object(transport, "_SUP_STRIDE", stride),
+        mock.patch.object(transport, "_SUP_CHUNK_ELEMS", chunk),
+    ):
+        got = _sup_matrix(e1, e2)
+    assert got.tobytes() == _per_pair_sup(e1, e2).tobytes()
+    if kind == "smooth" and (stride, chunk) == (transport._SUP_STRIDE, transport._SUP_CHUNK_ELEMS):
+        union = _union_grid(e1.grid, e2.grid).size
+        assert sum(read) < e1.n_paths * e2.n_paths * union
