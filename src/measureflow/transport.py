@@ -30,10 +30,13 @@ the nodes of the shorter grid.  Between two coarse times a and b a pair's
 distance is at most max(|D(a)|, |D(b)|) + beta, where beta, half the
 interval times the 1-norm of the per-coordinate range of the longer grid's
 segment slopes there, bounds how far that path strays from its chord; the
-shorter grid's paths are affine there.  Inflated by a stated rounding
-margin, that bound screens the inner times: only the intervals where it
-reaches the pair's largest value so far are read.  A skipped time cannot
-exceed what was read, so the matrix stays bitwise the full evaluation.
+shorter grid's paths are affine there.  It is also at most the sum of the
+two paths' largest 1-norms on [a, b], read from the longer grid's nodes
+around [a, b] and the shorter grid's values at a and b.  Inflated by a
+stated rounding margin, the smaller bound screens the inner times: only
+the intervals where it reaches the pair's largest value so far are read.
+A skipped time cannot exceed what was read, so the matrix stays bitwise
+the full evaluation.
 """
 
 from __future__ import annotations
@@ -601,7 +604,7 @@ def _window(grid: np.ndarray, ts: np.ndarray) -> slice:
 
 
 def _bend(grid: np.ndarray, nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """How far each path strays from its chord between consecutive ``ts``: ``(n, len(ts) - 1)``.
+    """How far each path strays from its chord between consecutive ``ts``: ``(len(ts) - 1, n)``.
 
     On [a, b] a path whose segment slopes lie in [lo_k, hi_k] in coordinate k
     stays within (b - a)/2 * (hi_k - lo_k) of its chord there.  The value is
@@ -617,43 +620,59 @@ def _bend(grid: np.ndarray, nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
     last_seg = np.searchsorted(grid, ts[1:], side="left")
     lo, hi = int(first_seg[0]), int(last_seg[-1])
     j0, j1 = max(lo - 1, 0), min(hi, last)
-    local = nodes[:, j0 : j1 + 1]
-    flat = np.zeros((nodes.shape[0], 1, nodes.shape[2]))
+    local = np.ascontiguousarray(nodes[:, j0 : j1 + 1].transpose(1, 0, 2))  # (nodes, n, d)
+    flat = np.zeros((1, *local.shape[1:]))
     slopes = np.concatenate(
         [flat] * (lo == 0)
-        + [np.diff(local, axis=1) / np.diff(grid[j0 : j1 + 1])[:, None]]
-        + [flat] * (hi == last + 1),
-        axis=1,
+        + [np.diff(local, axis=0) / np.diff(grid[j0 : j1 + 1])[:, None, None]]
+        + [flat] * (hi == last + 1)
     )
     # reduceat spans first_seg[m] .. first_seg[m + 1] - 1; last_seg[m] is
     # the one segment it may miss, shared with the next interval
     starts, stops = first_seg - lo, last_seg - lo
-    top = np.maximum(np.maximum.reduceat(slopes, starts, axis=1), slopes[:, stops])
-    top -= np.minimum(np.minimum.reduceat(slopes, starts, axis=1), slopes[:, stops])
-    return np.sum(top, axis=2) * (np.diff(ts) / 2)
+    top = np.maximum(np.maximum.reduceat(slopes, starts), slopes[stops])
+    top -= np.minimum(np.minimum.reduceat(slopes, starts), slopes[stops])
+    return np.sum(top, axis=2) * (np.diff(ts) / 2)[:, None]
+
+
+def _reach(grid: np.ndarray, nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """A bound on each path's 1-norm between consecutive ``ts``: ``(len(ts) - 1, n)``.
+
+    On [a, b] a path takes values between its nodes from the last one at or
+    before a to the first one at or after b (the first or last node where
+    [a, b] leaves the grid), so the largest 1-norm of those nodes bounds it.
+    """
+    last = grid.shape[0] - 1
+    lo = np.clip(np.searchsorted(grid, ts[:-1], side="right") - 1, 0, last)
+    hi = np.clip(np.searchsorted(grid, ts[1:], side="left"), 0, last)
+    size = np.sum(np.abs(nodes[:, lo[0] : hi[-1] + 1]), axis=2).T  # (nodes, n)
+    lo, hi = lo - lo[0], hi - lo[0]
+    # reduceat spans lo[m] .. lo[m + 1] - 1, and hi[m] is lo[m + 1] or one past it
+    nxt = np.append(lo[1:], hi[-1])
+    return np.maximum(np.maximum.reduceat(size, lo), np.maximum(size[nxt], size[hi]))
 
 
 def _screen(sq, ts, e1: PathEnsemble, e2: PathEnsemble, long1: bool, slack) -> np.ndarray:
     """Whether each pair may exceed ``sq`` between consecutive coarse times ``ts``.
 
     The result has shape ``(len(ts) - 1, n2, n1)``.  The bound is that of
-    ``_sup_matrix``: the larger end distance plus the bend of the path on
-    the longer grid (``e1``'s when ``long1``), inflated by ``d * _SUP_MARGIN``
-    and by ``slack``, squared and compared with ``sq``.  A bound that
-    overflows or is NaN may exceed it.  Where the bends alone reach the
-    largest distance so far on every interval, as on paths too rough to
-    screen, every pair may, and the end distances are not read.
+    ``_sup_matrix``, with the bend and reach of the paths on the longer grid
+    (``e1``'s when ``long1``), inflated by ``d * _SUP_MARGIN`` and by
+    ``slack``, squared and compared with ``sq``.  A bound that overflows or
+    is NaN may exceed it.
     """
-    grid, nodes = (e1.grid, e1.nodes) if long1 else (e2.grid, e2.nodes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bend = _bend(grid, nodes, ts).T
-        if np.all(bend.min(axis=1) >= np.sqrt(sq.max())):
-            return np.ones((ts.shape[0] - 1, *sq.T.shape), dtype=bool)
-    r = _pair_sq(_interp_nodes(e1.grid, e1.nodes, ts), _interp_nodes(e2.grid, e2.nodes, ts))
+    x1, x2 = _interp_nodes(e1.grid, e1.nodes, ts), _interp_nodes(e2.grid, e2.nodes, ts)
+    r = _pair_sq(x1, x2)
     np.sqrt(r, out=r)
+    grid, nodes, x = (e1.grid, e1.nodes, x2) if long1 else (e2.grid, e2.nodes, x1)
+    size = np.sum(np.abs(x), axis=1)  # the affine paths' 1-norms at ts
+    along1, along2 = (lambda v: v[:, None, :]), (lambda v: v[:, :, None])  # per path of e1, e2
+    on_long, on_short = (along1, along2) if long1 else (along2, along1)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = np.maximum(r[:-1], r[1:])  # (intervals, n2, n1)
-        bound += bend[:, None, :] if long1 else bend[:, :, None]
+        bound += on_long(_bend(grid, nodes, ts))
+        reach = on_long(_reach(grid, nodes, ts)) + on_short(np.maximum(size[:-1], size[1:]))
+        np.minimum(bound, reach, out=bound)
         bound *= 1.0 + e1.dim * _SUP_MARGIN
         bound += slack
         np.square(bound, out=bound)
@@ -676,45 +695,53 @@ def _sup_matrix(e1: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
     coarse times, the difference D of a pair obeys
     |D(t)| <= max(|D(a)|, |D(b)|) + beta, where beta is how far the path of
     the longer grid strays from its chord (``_bend``): the chord of D is at
-    most its larger end.  The bound is inflated for rounding by
+    most its larger end.  It also obeys |D(t)| <= rho_long + rho_short, the
+    largest 1-norms of the two paths there: of the longer grid's nodes
+    around [a, b] (``_reach``) and of the shorter grid's path at a and b.
+    The smaller bound is used.  It is inflated for rounding by
     ``d * _SUP_MARGIN`` times itself and times the largest node magnitudes
     of the two paths, plus ``_SUP_FLOOR``.  Each rounded step behind the
     values compared (interpolation, differences, squares and sums, slopes,
-    the root) is off by a few units of 2**-53 per coordinate relative to
-    these quantities, and 2**-40 is 4,096 such units; the floor keeps the
-    squared bound out of the subnormal range, where relative error bounds
-    fail.  Exact pass: an interval's inner times are read only where a
-    pair's squared bound is not below the largest value read for it so far
-    (a NaN or overflowed bound reads), on the rows x columns that survive in
-    each block of intervals (``_raise_sup``).  The screen reads the coarse
-    times again, so with more than twice the stride's share of them (a
-    shorter grid that is dense, or equal grids) every time is read instead.
-    Nothing skipped can exceed what was read, so the result is bitwise the
-    full evaluation.  Every array over the union times is built one block of
-    about ``_SUP_CHUNK_ELEMS`` pair values at a time.
+    1-norms, the root) is off by a few units of 2**-53 per coordinate
+    relative to these quantities, and 2**-40 is 4,096 such units; the floor
+    keeps the squared bound out of the subnormal range, where relative error
+    bounds fail.  Exact pass: an interval's inner times are read only where
+    a pair's squared bound is not below the largest value read for it so
+    far (a NaN or overflowed bound reads), on the rows x columns that
+    survive in each block of intervals (``_raise_sup``).  Nothing skipped
+    can exceed what was read, so the result is bitwise the full evaluation.
+    Every array over the union times is built one block at a time: a block
+    holds at most about ``_SUP_CHUNK_ELEMS`` pair values and as many node
+    values of its intervals.
     """
     ts = _union_grid(e1.grid, e2.grid)
     (g1, nodes1), (g2, nodes2) = (e1.grid, e1.nodes), (e2.grid, e2.nodes)
     n1, n2 = e1.n_paths, e2.n_paths
     long1 = g1.shape[0] > g2.shape[0]
+    short, n_short, n_long = (g2, n2, n1) if long1 else (g1, n1, n2)
     coarse = np.zeros(ts.shape[0], dtype=bool)
     coarse[::_SUP_STRIDE] = coarse[-1] = True
-    coarse[np.searchsorted(ts, g2 if long1 else g1)] = True
+    coarse[np.searchsorted(ts, short)] = True
     at = np.flatnonzero(coarse)
+    # a block spans at most ``span`` union times (the longer grid's nodes)
+    # and holds at most ``count`` coarse times (pair values and the shorter
+    # grid's nodes), or one interval
+    span = max(_SUP_STRIDE, _SUP_CHUNK_ELEMS // (n_long * e1.dim))
+    count = _SUP_CHUNK_ELEMS // max(n1 * n2, n_short * e1.dim)
     sq = np.zeros((n1, n2))
-    _raise_sup(sq, ts[at], g1, nodes1, g2, nodes2)
-    if at.shape[0] * _SUP_STRIDE > 2 * ts.shape[0]:
-        # the screen reads the coarse times again, which dense ones make dear
-        _raise_sup(sq, ts[~coarse], g1, nodes1, g2, nodes2)
-        return np.sqrt(sq)
+    for part in np.split(at, np.searchsorted(at, np.arange(span, ts.shape[0], span))):
+        _raise_sup(sq, ts[part], g1, nodes1, g2, nodes2)
 
     size1 = np.maximum(nodes1.max(axis=(1, 2)), -nodes1.min(axis=(1, 2)))
     size2 = np.maximum(nodes2.max(axis=(1, 2)), -nodes2.min(axis=(1, 2)))
     margin = e1.dim * _SUP_MARGIN
     slack = margin * size1[None, :] + margin * size2[:, None] + _SUP_FLOOR  # (n2, n1)
-    step = max(2, _SUP_CHUNK_ELEMS // (n1 * n2))  # coarse times per block
-    for c0 in range(0, at.shape[0] - 1, step - 1):
-        c = at[c0 : c0 + step]  # blocks share their end times
+    cuts = [0]  # block i runs from at[cuts[i]] to at[cuts[i + 1]]
+    while cuts[-1] < at.shape[0] - 1:
+        far = np.searchsorted(at, at[cuts[-1]] + span, side="right") - 1
+        cuts.append(max(cuts[-1] + 1, min(cuts[-1] + count - 1, int(far))))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        c = at[lo : hi + 1]  # blocks share their end times
         ends, gaps = ts[c], np.diff(c)
         if np.all(gaps == 1):
             continue

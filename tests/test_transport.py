@@ -578,7 +578,10 @@ def test_sup_matrix_matches_per_pair_bitwise(grids, d, n1, n2, seed):
         )
         for g, n in zip(grids, (n1, n2))
     )
-    assert _sup_matrix(e1, e2).tobytes() == _per_pair_sup(e1, e2).tobytes()
+    want = _per_pair_sup(e1, e2).tobytes()
+    assert _sup_matrix(e1, e2).tobytes() == want
+    with mock.patch.object(transport, "_SUP_STRIDE", 3):
+        assert _sup_matrix(e1, e2).tobytes() == want
     # a Dirac side sums w * d**2 in path order, as the per-path loop did
     many, single = e1, _ensemble([e2.paths[0]], [1.0])
     total = 0.0
@@ -664,12 +667,16 @@ def _tree_pairs(draw):
 @settings(max_examples=150, deadline=None)
 @given(_tree_pairs(), st.sampled_from([1, 7, 64, transport._SUP_CHUNK_ELEMS]))
 def test_sup_matrix_on_trees_matches_per_pair_bitwise(pair, chunk):
-    # these unions are short, so their coarse times are dense and every time
-    # is read; small blocks split both reads into many blocks
+    # small blocks split both passes into many blocks; these unions are
+    # short, so a stride of 3 puts inner times between most coarse ones
     e1, e2 = pair
-    with mock.patch.object(transport, "_SUP_CHUNK_ELEMS", chunk):
-        got = _sup_matrix(e1, e2)
-    assert got.tobytes() == _per_pair_sup(e1, e2).tobytes()
+    want = _per_pair_sup(e1, e2).tobytes()
+    for stride in (transport._SUP_STRIDE, 3):
+        with (
+            mock.patch.object(transport, "_SUP_CHUNK_ELEMS", chunk),
+            mock.patch.object(transport, "_SUP_STRIDE", stride),
+        ):
+            assert _sup_matrix(e1, e2).tobytes() == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -753,6 +760,25 @@ def test_sup_matrix_memory_stays_flat_on_a_monte_carlo_ensemble():
     assert peak < 8 * 2**20
 
 
+def test_sup_matrix_memory_stays_flat_with_many_paths_on_the_fine_grid():
+    # the screen's slopes and node windows span a block's fine nodes for
+    # every path of the finer side, so blocks are sized by them too
+    rng = np.random.default_rng(37)
+    fine = np.linspace(0.0, 1.0, 2_001)
+    many = PathEnsemble(
+        fine, np.cumsum(0.1 * rng.normal(size=(200, 2_001, 2)), axis=1), np.full(200, 1 / 200),
+        Provenance("monte-carlo"),
+    )
+    one = _tree(rng, np.linspace(0.0, 1.0, 5), 2, 1, 1, ties=False)
+    tracemalloc.start()
+    try:
+        _sup_matrix(many, one)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 @settings(max_examples=100, deadline=None)
 @given(_grid_pairs(), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_bend_matches_a_segment_by_segment_reference(grids, d, seed):
@@ -763,14 +789,38 @@ def test_bend_matches_a_segment_by_segment_reference(grids, d, seed):
     if ts.size < 2:
         return
     slopes = np.diff(nodes, axis=1) / np.diff(grid)[:, None]
-    want = np.empty((3, ts.size - 1))
+    want = np.empty((ts.size - 1, 3))
     for m, (a, b) in enumerate(zip(ts[:-1], ts[1:])):
         # the segments meeting (a, b), and slope 0 where it leaves the grid
         near = slopes[:, (grid[1:] > a) & (grid[:-1] < b)]
         if a < grid[0] or b > grid[-1]:
             near = np.concatenate([near, np.zeros((3, 1, d))], axis=1)
-        want[:, m] = np.sum(near.max(axis=1) - near.min(axis=1), axis=1) * ((b - a) / 2)
+        want[m] = np.sum(near.max(axis=1) - near.min(axis=1), axis=1) * ((b - a) / 2)
     assert transport._bend(grid, nodes, ts).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_pairs(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_reach_matches_a_node_by_node_reference(grids, d, seed):
+    grid, other = grids
+    rng = np.random.default_rng(seed)
+    nodes = rng.normal(size=(3, grid.size, d)) * 10.0 ** rng.integers(-3, 4, size=grid.size)[:, None]
+    ts = _union_grid(grid, other)[:: int(rng.integers(1, 4))]
+    if ts.size < 2:
+        return
+    size = np.sum(np.abs(nodes), axis=2)
+    want = np.empty((ts.size - 1, 3))
+    for m, (a, b) in enumerate(zip(ts[:-1], ts[1:])):
+        # the nodes from the last at or before a to the first at or after b
+        lo = max([j for j in range(grid.size) if grid[j] <= a], default=0)
+        hi = min([j for j in range(grid.size) if grid[j] >= b], default=grid.size - 1)
+        want[m] = size[:, lo : hi + 1].max(axis=1)
+    got = transport._reach(grid, nodes, ts)
+    assert got.tobytes() == want.tobytes()
+    # it bounds the paths in between, up to the rounding of interpolation
+    inner = (ts[:-1] + ts[1:]) / 2
+    values = np.abs(_interp_nodes(grid, nodes, inner)).sum(axis=1)
+    assert np.all(values <= got * (1 + 1e-12))
 
 
 def _interp_calls(e1, e2):
@@ -796,13 +846,13 @@ def test_sup_matrix_python_work_does_not_grow_with_the_node_count():
     whole = 2 * math.ceil(10_001 / (transport._SUP_CHUNK_ELEMS // 9))
     assert _interp_calls(a, b) <= 2 * whole
     assert _interp_calls(a, a) <= 2 * whole
-    # a fresh scale at every node of ``a`` leaves nothing to prune: the
-    # sweep's tree, its paths in no particular order, is read at every time,
-    # in the whole grid's blocks and a part-filled one per pass over a stretch
+    # the sweep's tree, its paths in no particular order, takes fewer blocks
+    # than the whole-grid walk: ``a`` takes a fresh scale at every node, so
+    # its stretches without a large node go unread
     tree = _tree(rng, np.linspace(0.0, 1.0, 5), 2, 3, 3, ties=False)
     tree = PathEnsemble(tree.grid, tree.nodes[rng.permutation(243)], tree.weights, tree.provenance)
     whole = 2 * math.ceil(10_001 / (transport._SUP_CHUNK_ELEMS // 729))
-    assert _interp_calls(tree, a) <= whole * (1 + 2 / transport._SUP_STRIDE)
+    assert _interp_calls(tree, a) < whole
     # against smooth reference paths, as in the sweep, most blocks go unread
     _, _, smooth = _straight_paths(rng, fine, 3)
     ref = PathEnsemble(fine, smooth, np.full(3, 1 / 3), Provenance("limit-flow"))
@@ -812,8 +862,8 @@ def test_sup_matrix_python_work_does_not_grow_with_the_node_count():
 @pytest.mark.parametrize("chunk", [1, transport._SUP_CHUNK_ELEMS])
 def test_sup_matrix_reads_every_union_time(chunk):
     # a spike at one fine node puts every pair's sup at that time, whether it
-    # falls on a coarse time or is read after them; the paths share their
-    # first and last segments (2 distinct slices of 4) but not the middle one
+    # falls on a coarse time or is read after them, at either stride; the
+    # paths share their first and last segments but not the middle one
     rng = np.random.default_rng(23)
     columns = [[0, 0, 0, 0], [1, 1, 2, 2], [3, 4, 3, 4], [5, 7, 5, 7]]
     nodes = np.array(columns, dtype=float).T[:, :, None]
@@ -825,9 +875,13 @@ def test_sup_matrix_reads_every_union_time(chunk):
         nodes = rng.normal(size=(3, fine.size, 1))
         nodes[:, j] = 1e6
         spiked = PathEnsemble(fine, nodes, np.full(3, 1 / 3), Provenance("exact-tree"))
-        with mock.patch.object(transport, "_SUP_CHUNK_ELEMS", chunk):
-            got = _sup_matrix(tree, spiked)
-        assert got.tobytes() == _per_pair_sup(tree, spiked).tobytes()
+        want = _per_pair_sup(tree, spiked).tobytes()
+        for stride in (transport._SUP_STRIDE, 3):
+            with (
+                mock.patch.object(transport, "_SUP_CHUNK_ELEMS", chunk),
+                mock.patch.object(transport, "_SUP_STRIDE", stride),
+            ):
+                assert _sup_matrix(tree, spiked).tobytes() == want
 
 
 def test_sup_matrix_reads_an_inner_time_that_rounding_lifts():
@@ -860,18 +914,23 @@ def _screen_pairs(draw):
     its limit, so each pair's maximum sits near the end and most intervals
     go unread.  ``peak``: each fine path peaks at a coarse time and again in
     the middle of an interval, there tied or one ulp higher, so only a bound
-    within a factor of 4 of the curvature reads that interval.  ``flat``:
+    within a factor of 4 of the curvature reads that interval; both sides
+    sit far from 0, so the bound by the paths' 1-norms is loose.  ``flat``:
     the fine paths are constant and the tree is affine between nodes that
     the fine grid flanks one to four ulps away, so the bound has no bend and rounding
     alone can lift an inner time above a coarse one; two fine nodes may then
     move by one ulp each, or by one and two.  ``spike``: a smooth draw with
-    one fine node raised next to a coarse time.  Both sides are scaled
+    one fine node raised next to a coarse time.  ``wild``: the fine paths
+    take a fresh scale from 1e-3 to 1e3 at every node and the tree stays
+    near zero, so only the bound by the paths' 1-norms prunes, and a zero
+    tree meets it; each fine path's largest node is copied to a second
+    node, which may then move up by one ulp.  Both sides are scaled
     together, from 1e-150 to 1e150, before any ulp moves; zero and
     signed-zero levels, tree nodes off the fine grid, one-node grids and
     horizons ``HORIZON_TOL / 2`` apart are drawn too.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["smooth", "peak", "flat", "spike"]))
+    kind = draw(st.sampled_from(["smooth", "peak", "flat", "spike", "wild"]))
     d = draw(st.integers(1, 3))
     stride = transport._SUP_STRIDE
     # smooth grids are long enough that the coarse times stay sparse
@@ -902,6 +961,14 @@ def _screen_pairs(draw):
         wave = 1.0 + np.cos(freq * (fine[:, None] - fine[top]))
         nodes2 = np.abs(rng.normal(size=(n2, 1, d))) * wave
         nodes2[:, mid] = nodes2[:, top]
+        far = 10.0 * rng.normal(size=(1, 1, d))  # both sides far out: the 1-norms bound nothing
+        nodes1, nodes2 = nodes1 + far, nodes2 + far
+    elif kind == "wild":
+        nodes1 = np.repeat(0.01 * level[0, :n1], coarse.size, axis=1)
+        nodes2 = rng.normal(size=(n2, fine.size, d)) * 10.0 ** rng.integers(-3, 4, (fine.size, 1))
+        top = np.argmax(np.abs(nodes2).sum(axis=2), axis=1)
+        twin = (np.arange(n2), rng.integers(0, fine.size, n2))
+        nodes2[twin] = nodes2[np.arange(n2), top]
     else:
         tree = _tree(rng, coarse, d, n1, draw(st.integers(1, 2)), ties=False)
         nodes1 = tree.nodes / np.abs(tree.nodes).max() + 4.0 * coarse[None, :, None]
@@ -916,6 +983,8 @@ def _screen_pairs(draw):
     nodes1, nodes2 = nodes1 * scale, nodes2 * scale
     if kind == "peak" and draw(st.booleans()):
         nodes2[:, mid] = np.nextafter(nodes2[:, mid], np.inf)
+    if kind == "wild" and draw(st.booleans()):
+        nodes2[twin] = np.nextafter(nodes2[twin], np.copysign(np.inf, nodes2[twin]))
     if kind == "flat" and draw(st.booleans()):
         path, first, second = rng.integers(0, n2), *rng.choice(fine.size, 2, replace=False)
         nodes2[path, first] = np.nextafter(nodes2[path, first], np.inf)
