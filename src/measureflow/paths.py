@@ -89,9 +89,9 @@ def _interp_nodes(grid: np.ndarray, nodes: np.ndarray, ts: np.ndarray) -> np.nda
 
     Uses np.interp's own arithmetic -- the node value at or outside a grid
     node, else ``slope * (t - g[j]) + f[j]`` -- so every value matches
-    :meth:`PiecewisePath.__call__` bitwise.  Time leads and paths come last,
-    so each gather copies one contiguous row and the arithmetic runs along
-    the paths.
+    :meth:`PiecewisePath.__call__` bitwise, computed only at the times inside
+    a segment.  Time leads and paths come last, so each gather copies one
+    contiguous row and the arithmetic runs along the paths.
     """
     last = grid.shape[0] - 1
     j = np.searchsorted(grid, ts, side="right") - 1
@@ -101,12 +101,14 @@ def _interp_nodes(grid: np.ndarray, nodes: np.ndarray, ts: np.ndarray) -> np.nda
     lo, hi = seg[0], seg[-1] + 2  # ts is sorted: only these nodes are read
     local = np.ascontiguousarray(nodes[:, lo:hi].transpose(1, 2, 0))  # (hi - lo, d, n)
     out = np.take(local, np.clip(j, 0, last) - lo, axis=0)
-    between = (j >= 0) & (j < last) & (grid[seg] != ts)
-    slope = np.diff(local, axis=0) / np.diff(grid[lo:hi])[:, None, None]
-    value = np.take(slope, seg - lo, axis=0)
-    value *= (ts - grid[seg])[:, None, None]
-    value += np.take(local, seg - lo, axis=0)
-    np.copyto(out, value, where=between[:, None, None])
+    inside = np.flatnonzero((j >= 0) & (j < last) & (grid[seg] != ts))
+    k = seg[inside]
+    left = np.take(local, k - lo, axis=0)
+    value = np.take(local, k + 1 - lo, axis=0) - left
+    value /= (grid[k + 1] - grid[k])[:, None, None]
+    value *= (ts[inside] - grid[k])[:, None, None]
+    value += left
+    out[inside] = value
     return out
 
 
@@ -237,54 +239,52 @@ class PathEnsemble:
         indent=1) + "\\n"`` and ``self.to_csv()``.  Paths are written in blocks
         of ``_WRITE_BLOCK``, so neither text is held whole.  Every float is
         rendered once, by ``repr`` as both encoders render it, into both
-        files; the grid is rendered once for all paths.
+        files.  A block becomes one token array per file that is joined into
+        one write: the block's rendered coordinates interleaved with
+        separators built once from the rendered grid and the dimension.
         """
-        d = self.dim
+        n, k1, d = self.nodes.shape
+        grid = list(map(repr, self.grid.tolist()))
         weights = list(map(repr, self.weights.tolist()))
+        head = '  {\n   "grid": [\n' + ",\n".join("    " + t for t in grid)
+        head += '\n   ],\n   "nodes": [\n    [\n     '
+        tail = "\n    ]\n   ]\n  }"
+        rows = min(n, _WRITE_BLOCK)
+        # JSON: each coordinate follows its separator: a comma, a node bracket
+        # or a path head, which first closes the previous path.  The first head
+        # of a block is set per block; the last path is closed after the loop.
+        json_t = np.empty((rows, k1, d, 2), dtype=object)
+        json_t[..., 0] = ",\n     "
+        json_t[:, 1:, 0, 0] = "\n    ],\n    [\n     "
+        json_t[1:, 0, 0, 0] = tail + ",\n" + head
+        # CSV row: path id, ",t_k,", the coordinates split by ",", ",w_i\n"
+        csv_t = np.empty((rows, k1, 2 * d + 2), dtype=object)
+        csv_t[:, :, 1] = np.array([f",{t}," for t in grid], dtype=object)
+        csv_t[:, :, 3:-1:2] = ","
         csv_out.write(",".join(["path_id", "time", *[f"x{k}" for k in range(d)], "weight"]) + "\n")
         json_out.write('{\n "paths": [\n')
-        json_t, csv_t = _path_templates(list(map(repr, self.grid.tolist())), d)
-        size = self.nodes[0].size
-        for start in range(0, self.n_paths, _WRITE_BLOCK):
-            flat = list(map(repr, self.nodes[start : start + _WRITE_BLOCK].ravel().tolist()))
-            coords = [flat[k : k + size] for k in range(0, len(flat), size)]
-            json_out.write((",\n" if start else "") + ",\n".join(json_t.format(*c) for c in coords))
-            csv_out.write(
-                "".join(
-                    csv_t.format(str(start + b), weights[start + b], *c)
-                    for b, c in enumerate(coords)
-                )
-            )
+        for start in range(0, n, _WRITE_BLOCK):
+            block = self.nodes[start : start + _WRITE_BLOCK]
+            b = block.shape[0]
+            coords = np.array(list(map(repr, block.ravel().tolist())), dtype=object)
+            ids = np.array([str(i) for i in range(start, start + b)], dtype=object)
+            ends = np.array([f",{w}\n" for w in weights[start : start + b]], dtype=object)
+            json_b, csv_b = json_t[:b], csv_t[:b]
+            json_b[0, 0, 0, 0] = (tail + ",\n" if start else "") + head
+            json_b[..., 1] = coords.reshape(block.shape)
+            json_out.write("".join(json_b.ravel().tolist()))
+            csv_b[:, :, 0] = ids[:, None]
+            csv_b[:, :, 2::2] = coords.reshape(block.shape)
+            csv_b[:, :, -1] = ends[:, None]
+            csv_out.write("".join(csv_b.ravel().tolist()))
         provenance = json.dumps(self._provenance_dict(), sort_keys=True, indent=1)
         json_out.write(
-            '\n ],\n "provenance": ' + provenance.replace("\n", "\n ") + ',\n "weights": [\n'
+            tail + '\n ],\n "provenance": ' + provenance.replace("\n", "\n ") + ',\n "weights": [\n'
         )
         json_out.write(",\n".join("  " + w for w in weights) + "\n ]\n}\n")
 
 
 _WRITE_BLOCK = 256  # paths rendered per write in PathEnsemble.write_artifacts
-
-
-def _path_templates(grid: list, d: int) -> tuple[str, str]:
-    """Format strings for one path on ``grid`` (rendered times) in R^d.
-
-    The first renders the path's object in ``ensemble.json`` from its node
-    coordinates in order; the second renders its rows in ``ensemble.csv``
-    from the path id (field 0), the weight (field 1) and the coordinates.
-    """
-    node = "    [\n" + ",\n".join(["     {}"] * d) + "\n    ]"
-    json_t = (
-        '  {{\n   "grid": [\n'
-        + ",\n".join("    " + t for t in grid)
-        + '\n   ],\n   "nodes": [\n'
-        + ",\n".join([node] * len(grid))
-        + "\n   ]\n  }}"
-    )
-    csv_t = "".join(
-        "{0}," + t + "".join(f",{{{2 + k * d + c}}}" for c in range(d)) + ",{1}\n"
-        for k, t in enumerate(grid)
-    )
-    return json_t, csv_t
 
 
 def ensemble_from_json(s: str) -> PathEnsemble:

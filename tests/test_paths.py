@@ -4,6 +4,7 @@ import csv
 import functools
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -21,10 +22,12 @@ from measureflow.euler import (
 from measureflow.limit import StickyFlowConfig, sticky_flow
 from measureflow.measure import DiscreteMeasure, coalesce, mixture
 from measureflow.paths import (
+    _WRITE_BLOCK,
     HORIZON_TOL,
     PathEnsemble,
     PiecewisePath,
     Provenance,
+    _interp_nodes,
     ensemble_from_json,
 )
 from measureflow.scenarios import scenario
@@ -114,6 +117,21 @@ def test_evaluate_matches_per_path_interpolation_bitwise():
         for t in (-1e-9, ens.horizon + 1e-9, float("nan")):
             with pytest.raises(InputError):
                 ens.evaluate(t)
+
+
+def test_interpolation_skips_segments_no_time_is_inside():
+    # each grid has a segment whose node difference or slope overflows, with no time inside it
+    cases = [
+        (np.array([0.0, 5e-324, 1.0]), np.array([0.0, 1e300, 0.0]), [0.0, 5e-324, 1.0]),
+        (np.array([0.0, 1.0, 1.0 + 2.0**-52, 3.0]), np.array([0.0, 0.0, 1e300, 0.0]), [0.5, 2.0]),
+        (np.array([0.0, 1.0, 2.0]), np.array([1e308, -1e308, 0.0]), [0.0, 1.0, 1.5]),
+    ]
+    for grid, nodes, ts in cases:
+        path = PiecewisePath(grid, nodes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _interp_nodes(grid, nodes[None, :, None], np.array(ts))
+        assert got[:, 0, 0].tobytes() == path(ts)[:, 0].tobytes()
 
 
 def test_mixed_grid_ensemble_loads_onto_union_grid():
@@ -225,18 +243,63 @@ def test_writers_match_encoders_on_drawn_ensembles(ens):
 def test_writers_match_encoders_on_every_producer():
     gs = scenario("gradient-sum").spec
     mu2 = mixture([[0.5, -0.2], [-0.3, 0.8]], [0.4, 0.6])
+    mu3 = mixture([[0.5, -0.2, 0.1], [-0.3, 0.8, -1.0], [0.0, 0.1, 0.9]], [0.3, 0.3, 0.4])
     producers = [
         build_path_ensemble(run_explicit_euler(SDF, MU0, 0.25, 0.9, 4.0)),
         build_path_ensemble(run_explicit_euler(gs, mu2, 0.25, 0.5, 10.0)),
         sample_paths_monte_carlo(gs, mu2, 0.3, 1.0, 600, seed=2),  # 600 paths: three blocks
         sticky_flow(gs, mu2, 0.5, StickyFlowConfig(dt=0.01)).ensemble,
         _random_ensemble(np.random.default_rng(3), 7, 3, 3),
+        # a block's first path, the last block's last path and the one-path
+        # ensemble get their own separator tokens
+        sample_paths_monte_carlo(gs, mu2, 0.3, 0.9, _WRITE_BLOCK, seed=5),
+        sample_paths_monte_carlo(gs, mu2, 0.3, 0.9, _WRITE_BLOCK + 1, seed=6),
+        sample_paths_monte_carlo(gs, mu2, 0.3, 0.9, 1, seed=7),
+        sample_paths_monte_carlo(scenario("stochastic-idf").spec, mu3, 0.25, 1.0, 40, seed=4),
     ]
+    assert [e.n_paths for e in producers[5:]] == [_WRITE_BLOCK, _WRITE_BLOCK + 1, 1, 40]
+    assert producers[-1].dim == 3
     for ens in producers:
         for e in (ens, _mixed_grid_copy(ens)):
             _assert_writers_match_oracles(e)
     mc = producers[2]
     assert _mixed_grid_copy(mc).nodes.shape == (mc.n_paths, mc.grid.shape[0] + 1, mc.dim)
+
+
+def test_written_json_loads_back_bitwise():
+    gs = scenario("gradient-sum").spec
+    mu2 = mixture([[0.5, -0.2], [-0.3, 0.8]], [0.4, 0.6])
+    mc = sample_paths_monte_carlo(gs, mu2, 0.3, 1.0, 600, seed=2)  # three blocks
+    for ens in (mc, _mixed_grid_copy(mc)):
+        json_out = io.StringIO()
+        ens.write_artifacts(json_out, io.StringIO())
+        back = ensemble_from_json(json_out.getvalue())
+        assert back.grid.tobytes() == ens.grid.tobytes()
+        assert back.nodes.tobytes() == ens.nodes.tobytes()
+        assert back.weights.tobytes() == ens.weights.tobytes()
+        assert back.provenance == ens.provenance
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def test_writer_memory_is_blocked():
+    import tracemalloc
+
+    rng = np.random.default_rng(8)
+    grid = np.arange(33) * (1.0 / 32.0)
+    nodes = np.cumsum(rng.normal(scale=0.1, size=(6000, 33, 2)), axis=1)  # full-length reprs
+    ens = PathEnsemble(grid, nodes, np.full(6000, 1.0 / 6000), Provenance("monte-carlo", 1, 6000))
+    tracemalloc.start()
+    try:
+        ens.write_artifacts(_Discard(), _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # each file is about 15 MB; one block of 256 paths renders about 1.3 MB of each
+    assert peak < 8 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
