@@ -27,7 +27,6 @@ from .paths import PathEnsemble, PiecewisePath, Provenance, constant_path
 from .transport import (
     TransportResult,
     bram_pairing,
-    brute_force_w2,
     optimal_coupling,
     path_sup_distance,
     w2_distance,

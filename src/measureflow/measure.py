@@ -259,12 +259,6 @@ class TuplePlan:
             raise InputError(f"restriction length {n} outside [0, {self.n_steps}]")
         return coalesce(TuplePlan(self.points[:, : n + 1, :], self.weights), 0.0)
 
-    def coordinate_marginal(self, k: int) -> DiscreteMeasure:
-        """Law of the k-th coordinate."""
-        if not 0 <= k <= self.n_steps:
-            raise InputError(f"coordinate {k} outside [0, {self.n_steps}]")
-        return coalesce(DiscreteMeasure(self.points[:, k, :], self.weights), 0.0)
-
 
 # ---------------------------------------------------------------------------
 # coalescing

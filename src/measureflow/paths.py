@@ -55,24 +55,6 @@ class PiecewisePath:
             out[:, k] = np.interp(ts, self.grid, self.nodes[:, k])
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
-    def slopes(self) -> np.ndarray:
-        """Per-segment velocity vectors, shape (K, d)."""
-        if self.grid.shape[0] < 2:
-            return np.zeros((0, self.dim))
-        dt = np.diff(self.grid)[:, None]
-        return np.diff(self.nodes, axis=0) / dt
-
-    def restricted(self, T: float) -> "PiecewisePath":
-        """The path restricted to [0, T], T within the horizon."""
-        if T > self.horizon + HORIZON_TOL:
-            raise InputError(f"cannot restrict to T={T} beyond horizon {self.horizon}")
-        if abs(T - self.horizon) <= HORIZON_TOL:
-            return self
-        keep = self.grid < T - HORIZON_TOL
-        grid = np.concatenate([self.grid[keep], [T]])
-        nodes = np.vstack([self.nodes[keep], self(T)[None, :]])
-        return PiecewisePath(grid, nodes)
-
 
 def _union_grid(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     """The sorted times of both grids, each once as a number (``np.union1d``'s values).
@@ -110,6 +92,25 @@ def _interp_nodes(grid: np.ndarray, nodes: np.ndarray, ts: np.ndarray) -> np.nda
     value += left
     out[inside] = value
     return out
+
+
+def _stack_paths(grids, nodes) -> tuple[np.ndarray, np.ndarray]:
+    """One grid and an ``(n, K+1, d)`` node array for paths given by their grids and nodes.
+
+    Paths on one grid are stacked as they are.  Otherwise every path is
+    evaluated on the union of their grids, which keeps each polyline up to
+    rounding in its refined nodes.
+    """
+    if not grids:
+        raise InputError("an ensemble needs at least one path")
+    grid, d = grids[0], nodes[0].shape[1]
+    for g, x in zip(grids, nodes):
+        if abs(g[-1] - grid[-1]) > HORIZON_TOL or x.shape != (len(g), d):
+            raise InputError("all paths need the ensemble's horizon and dimension, a node per time")
+    if all(g is grid or np.array_equal(g, grid) for g in grids):
+        return grid, np.stack(nodes)
+    grid = functools.reduce(_union_grid, grids)
+    return grid, np.stack([_interp_nodes(g, x[None], grid)[:, :, 0] for g, x in zip(grids, nodes)])
 
 
 def constant_path(x, T: float) -> PiecewisePath:
@@ -153,23 +154,9 @@ class PathEnsemble:
 
     @classmethod
     def from_paths(cls, paths, weights, provenance: Provenance) -> "PathEnsemble":
-        """The ensemble of ``paths`` (:class:`PiecewisePath` objects).
-
-        Paths on one grid are stacked as they are.  Otherwise every path is
-        evaluated on the union of their grids, which keeps each polyline
-        up to rounding in its refined nodes.
-        """
+        """The ensemble of :class:`PiecewisePath` objects, joined by ``_stack_paths``."""
         paths = tuple(paths)
-        if not paths:
-            raise InputError("an ensemble needs at least one path")
-        grid = paths[0].grid
-        if any(abs(p.horizon - grid[-1]) > HORIZON_TOL or p.dim != paths[0].dim for p in paths):
-            raise InputError("all paths must share the ensemble horizon and dimension")
-        if all(np.array_equal(p.grid, grid) for p in paths):
-            nodes = np.stack([p.nodes for p in paths])
-        else:
-            grid = functools.reduce(_union_grid, [p.grid for p in paths])
-            nodes = np.stack([p(grid) for p in paths])
+        grid, nodes = _stack_paths([p.grid for p in paths], [p.nodes for p in paths])
         return cls(grid, nodes, weights, provenance)
 
     @property
@@ -197,7 +184,12 @@ class PathEnsemble:
         return coalesce(DiscreteMeasure(atoms, self.weights), 0.0)
 
     def restricted(self, T: float) -> "PathEnsemble":
-        """The ensemble with every path restricted to [0, T], as PiecewisePath.restricted."""
+        """The ensemble with every path restricted to [0, T], T within the horizon.
+
+        The grid keeps the times before T and ends at T, where each path
+        takes its value at T; a T within ``HORIZON_TOL`` of the horizon
+        returns the ensemble itself.
+        """
         if T > self.horizon + HORIZON_TOL:
             raise InputError(f"cannot restrict to T={T} beyond horizon {self.horizon}")
         if abs(T - self.horizon) <= HORIZON_TOL:
@@ -291,14 +283,19 @@ def ensemble_from_json(s: str) -> PathEnsemble:
     """The ensemble an ``ensemble.json`` holds; paths on different grids load onto their union."""
     d = json.loads(s)
     prov = d["provenance"]
-    paths = []
+    grids, nodes, last = [], [], None
     for k, p in enumerate(d["paths"]):
         try:  # numpy refuses a ragged node list with a plain ValueError
-            paths.append(PiecewisePath(np.asarray(p["grid"]), np.asarray(p["nodes"])))
+            nodes.append(_coordinates(p["nodes"], "nodes"))
+            if p["grid"] != last:  # a run of paths on one grid shares one array
+                last, grid = p["grid"], _time_grid(p["grid"], nodes[-1].shape[0])
+            grids.append(grid)
         except ValueError as exc:
             raise InputError(f"path {k} of the ensemble: {exc}") from None
-    return PathEnsemble.from_paths(
-        paths,
+    grid, nodes = _stack_paths(grids, nodes)
+    return PathEnsemble(
+        grid,
+        nodes,
         np.asarray(d["weights"], dtype=float),
         Provenance(prov["kind"], prov.get("seed"), prov.get("sample_count")),
     )

@@ -7,20 +7,21 @@ the transport polytope together with dual potentials.  Its Dijkstra settles
 all rows tied at the minimum distance in one vectorized step, which gives the
 same updates in the same order as settling them one at a time, so tall
 problems (many rows, few columns) cost a few array operations per
-augmentation instead of one Python iteration per row.  Most augmentations
-of a tall problem end at the Dijkstra's first step: the rows with supply
-settle at distance 0, and the column they reach first still has demand.
-Those are finished without the Dijkstra, from each column's rows sorted
-once by cost, at O(n) Python work each, and with the Dijkstra's updates
-applied in its order, so the plan and potentials are bitwise the same.
+augmentation instead of one Python iteration per row.  After every
+augmentation the potentials take one update, in place: each row's ``p``
+loses and each column's ``q`` gains the smaller of its distance and the
+augmenting path's length.  Most augmentations of a tall problem end at the
+Dijkstra's first step: the rows with supply settle at distance 0, and the
+column they reach first still has demand.  Those are finished without the
+Dijkstra, from each column's rows sorted once by cost, at O(n) Python work
+each; the same update then subtracts the length from ``p`` on the rows
+without supply and adds it to every ``q``, so the plan and potentials are
+bitwise the Dijkstra's.
 Supply left over when every column is full, or demand when every row is
 empty, as rounding leaves it on measures whose totals agree within
 ``WEIGHT_TOL``, stays in place; beyond that tolerance it raises
 ``InputError``.  One-dimensional problems take the monotone-rearrangement
 fast path, which is optimal for the squared-distance cost.
-``brute_force_w2`` is an independent oracle used by the test suite: it
-enumerates every vertex of the transport polytope via spanning-tree supports
-(or all assignments in the uniform case) and never touches the flow solver.
 
 ``wasserstein2_sup`` builds its sup-distance cost matrix for two common-grid
 path ensembles on the union of their grids, bitwise equal to the per-pair
@@ -41,7 +42,6 @@ the full evaluation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,13 +60,10 @@ from .paths import HORIZON_TOL, PathEnsemble, PiecewisePath, _interp_nodes, _uni
 
 _MASS_EPS = 1e-14
 _RC_EPS = 1e-12
-_BRUTE_ATOM_CAP = 64
-_BRUTE_ENUM_BUDGET = 700_000
 _SUP_CHUNK_ELEMS = 1 << 15
 _SUP_STRIDE = 32  # union times between the sup-distance screen's coarse times
 _SUP_MARGIN = 2.0**-40  # the screen's rounding margin per coordinate (see _sup_matrix)
 _SUP_FLOOR = 2.0**-510  # the screen's least bound: its square is a normal number
-_SETTLE_ELEMS = 1 << 12  # queued labels times rows: bounds the arrays of _settle
 
 
 @dataclass(frozen=True)
@@ -153,19 +150,20 @@ def _dijkstra(cost, flow, p, q, rem_a, rem_b):
     return target, dist_r, dist_c, pred_r, pred_c
 
 
-def _first_step(cost, columns, dry, q, rem_a):
+def _first_step(cost, columns, dry, q):
     """The augmentation that the Dijkstra's first step decides: (label, column, row).
 
     The rows with supply settle first, at distance 0 with potential exactly
-    +0.0, so column j's label is ``max(c_ij - q_j, 0)`` minimised over them,
-    the first row on ties; the column is the first with the least label (-1
-    when every label is infinite).  Subtraction and the clamp are monotone,
-    so the label comes from the column's cheapest row with supply.  Each
-    entry of ``columns`` is [rows sorted by (cost, row), their costs, the
-    position of the first row with supply, the position of the first costlier
-    one]; both positions only move forward, as rows never regain supply.  A
-    column is scanned as the Dijkstra does only when that costlier row ties
-    with the first after the subtraction or the clamp.
+    +0.0 (the potential update leaves those rows as they are), so column j's
+    label is ``max(c_ij - q_j, 0)`` minimised over them, the first row on
+    ties; the column is the first with the least label (-1 when every label
+    is infinite).  Subtraction and the clamp are monotone, so the label
+    comes from the column's cheapest row with supply.  Each entry of
+    ``columns`` is [rows sorted by (cost, row), their costs, the position of
+    the first row with supply, the position of the first costlier one]; both
+    positions only move forward, as rows never regain supply.  A column is
+    scanned as the Dijkstra does only when that costlier row ties with the
+    first after the subtraction or the clamp.
     """
     m = len(dry)
     dist_t, target, start_row = math.inf, -1, -1
@@ -183,28 +181,10 @@ def _first_step(cost, columns, dry, q, rem_a):
             i = rows[h]
             if k < m and costs[k] - qj <= label:
                 col = np.maximum(cost[:, j] - qj, 0.0)
-                col[rem_a <= _MASS_EPS] = np.inf
+                col[dry] = np.inf
                 i = int(col.argmin())
             dist_t, target, start_row = label, j, i
     return dist_t, target, start_row
-
-
-def _settle(p, rem_a, queued, drained):
-    """Subtract the queued labels, in order, from ``p`` on the rows without supply.
-
-    A row takes the labels queued after it lost its supply: every one for a
-    row dry before the queue began, and those from its position on for each
-    (row, position) of ``drained``.  Subtracting 0.0 leaves a value's bits
-    as they are, and ``subtract.reduce`` runs down axis 0 in order.
-    """
-    rows = np.flatnonzero(rem_a <= _MASS_EPS)
-    first = np.zeros(p.shape[0], dtype=int)
-    for i, k in drained:
-        first[i] = k
-    takes = np.arange(len(queued))[:, None] >= first[rows]
-    p[rows] = np.subtract.reduce(np.vstack([p[rows], takes * np.array(queued)[:, None]]), axis=0)
-    queued.clear()
-    drained.clear()
 
 
 def _solve_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -213,14 +193,16 @@ def _solve_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     Returns (flow, row potentials, col potentials).  Potentials satisfy dual
     feasibility cost_ij - p_i - q_j >= -1e-9 with equality on support arcs.
 
-    An augmentation whose first step decides it (``_first_step``: its
-    least-label column has demand, so the Dijkstra would pop that column next
-    and stop) augments that one arc, adds the label to every ``q_j`` and
-    subtracts it from ``p`` on the rows without supply, which is what the
-    Dijkstra's updates come to; the subtractions are queued until the
-    Dijkstra or the return reads ``p`` (``_settle``).  Every other
-    augmentation runs ``_dijkstra``.  Both give the same values in the same
-    order, so the result is bitwise the Dijkstra-only one.
+    After each augmentation of length L, ``p_i -= min(dist_i, L)`` and
+    ``q_j += min(dist_j, L)``, in place.  An augmentation whose first step
+    decides it (``_first_step``: its least-label column has demand, so the
+    Dijkstra would pop that column next and stop) augments that one arc;
+    its rows with supply are at distance 0 and every other row is
+    unreached, and every column's label is at least L, so the update
+    subtracts L from ``p`` on the rows without supply and adds it to every
+    ``q_j``.  Every other augmentation runs ``_dijkstra``.  Both give the
+    same values in the same order, so the result is bitwise the
+    Dijkstra-only one.
 
     The loop stops when no row has supply or no column has demand left.
     Supply stranded or demand unfilled beyond what ``WEIGHT_TOL`` on each
@@ -234,31 +216,25 @@ def _solve_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     rem_a = a.astype(float).copy()
     rem_b = b.astype(float).copy()
     max_iters = 20 * (m + n) + 200
-    dry = (rem_a <= _MASS_EPS).tolist()  # rows without supply
-    supplied = dry.count(False)
+    dry = rem_a <= _MASS_EPS  # rows without supply
+    supplied = m - int(np.count_nonzero(dry))
     demanded = int(np.count_nonzero(rem_b > _MASS_EPS))
     order = np.argsort(cost, axis=0, kind="stable")
     columns = [
         [rows, costs, 0, 1]
         for rows, costs in zip(order.T.tolist(), np.take_along_axis(cost, order, 0).T.tolist())
     ]
-    queued: list[float] = []
-    drained: list[tuple[int, int]] = []
 
     for _ in range(max_iters):
         if not (supplied and demanded):
             break
-        dist_t, target, start_row = _first_step(cost, columns, dry, q, rem_a)
+        dist_t, target, start_row = _first_step(cost, columns, dry, q)
         if target >= 0 and rem_b[target] > _MASS_EPS:
             arcs_fwd, arcs_bwd = [(start_row, target)], []
             bottleneck = min(rem_b[target], rem_a[start_row])
-            queued.append(dist_t)
+            p -= dist_t * dry  # a row with supply loses 0.0, which keeps its bits
             q += dist_t
-            if len(queued) * m >= _SETTLE_ELEMS:
-                _settle(p, rem_a, queued, drained)
         else:
-            if queued:
-                _settle(p, rem_a, queued, drained)
             target, dist_r, dist_c, pred_r, pred_c = _dijkstra(cost, flow, p, q, rem_a, rem_b)
             if target < 0:
                 raise RuntimeError(f"no augmenting path in a {m}x{n} transport problem")
@@ -292,7 +268,6 @@ def _solve_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
             rem_a[start_row] = 0.0
             dry[start_row] = True
             supplied -= 1
-            drained.append((start_row, len(queued)))
         rem_b[target] -= bottleneck
         if rem_b[target] <= _MASS_EPS:
             rem_b[target] = 0.0
@@ -301,8 +276,6 @@ def _solve_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
         raise RuntimeError(
             f"augmentation limit {max_iters} exceeded in a {m}x{n} transport problem"
         )
-    if queued:
-        _settle(p, rem_a, queued, drained)
     stranded, unfilled = float(rem_a.sum()), float(rem_b.sum())
     if max(stranded, unfilled) > 2 * WEIGHT_TOL + 2 * (m + n) * _MASS_EPS:
         left = f"{stranded:.3g} unplaced" if stranded >= unfilled else f"{unfilled:.3g} unfilled"
@@ -394,148 +367,6 @@ def optimal_coupling(
 def w2_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """The 2-Wasserstein distance between two discrete measures."""
     return optimal_coupling(mu, nu).distance
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-_tree_schedule_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _tree_schedules(m: int, n: int):
-    """Leaf-elimination schedules for every spanning tree of K_{m,n}.
-
-    Vertices of the transport polytope are exactly the feasible basic solutions
-    supported on spanning trees, so enumerating all trees and solving each by
-    leaf elimination covers every vertex.  Returns three (n_trees, m+n-1)
-    integer arrays: eliminated-is-row flags, eliminated node index, and the
-    partner node index, in elimination order.
-    """
-    key = (m, n)
-    if key in _tree_schedule_cache:
-        return _tree_schedule_cache[key]
-    cells = [(i, j) for i in range(m) for j in range(n)]
-    k = m + n - 1
-    if math.comb(m * n, k) > _BRUTE_ENUM_BUDGET:
-        raise InputError("brute-force oracle enumeration budget exceeded")
-    flags, nodes, partners = [], [], []
-    for subset in itertools.combinations(range(m * n), k):
-        # union-find acyclicity test over m row-nodes and n col-nodes
-        parent = list(range(m + n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for c in subset:
-            i, j = cells[c]
-            ri, rj = find(i), find(m + j)
-            if ri == rj:
-                ok = False
-                break
-            parent[ri] = rj
-        if not ok:
-            continue
-        # leaf-elimination order for this spanning tree
-        adj_r = [[] for _ in range(m)]
-        adj_c = [[] for _ in range(n)]
-        for c in subset:
-            i, j = cells[c]
-            adj_r[i].append(j)
-            adj_c[j].append(i)
-        deg_r = [len(a) for a in adj_r]
-        deg_c = [len(a) for a in adj_c]
-        gone_r = [False] * m
-        gone_c = [False] * n
-        f, nd, pt = [], [], []
-        for _ in range(k):
-            leaf = next(
-                (("r", i) for i in range(m) if deg_r[i] == 1 and not gone_r[i]),
-                None,
-            ) or next(("c", j) for j in range(n) if deg_c[j] == 1 and not gone_c[j])
-            if leaf[0] == "r":
-                i = leaf[1]
-                j = next(jj for jj in adj_r[i] if not gone_c[jj])
-                gone_r[i] = True
-                f.append(1)
-                nd.append(i)
-                pt.append(j)
-            else:
-                j = leaf[1]
-                i = next(ii for ii in adj_c[j] if not gone_r[ii])
-                gone_c[j] = True
-                f.append(0)
-                nd.append(j)
-                pt.append(i)
-            deg_r[i] -= 1
-            deg_c[j] -= 1
-        flags.append(f)
-        nodes.append(nd)
-        partners.append(pt)
-    sched = (
-        np.asarray(flags, dtype=bool),
-        np.asarray(nodes, dtype=int),
-        np.asarray(partners, dtype=int),
-    )
-    _tree_schedule_cache[key] = sched
-    return sched
-
-
-def brute_force_w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Exact W2 by exhaustive vertex enumeration; refuses beyond the size cap.
-
-    Equal uniform weights: every vertex is an assignment, so all permutations
-    are enumerated.  General weights: every vertex is the basic solution of a
-    spanning-tree support, so all spanning trees of the bipartite atom graph
-    are solved by leaf elimination and infeasible ones discarded (refused when
-    the subset enumeration exceeds the internal budget).  Entirely independent
-    of the flow solver.
-    """
-    if mu.dim != nu.dim:
-        raise InputError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    m, n = mu.n_atoms, nu.n_atoms
-    if m * n > _BRUTE_ATOM_CAP:
-        raise InputError(f"brute-force oracle refuses instances beyond {_BRUTE_ATOM_CAP} atom pairs")
-    cost = _cost_matrix(mu, nu)
-    uniform = (
-        m == n
-        and np.allclose(mu.weights, 1.0 / m, rtol=0, atol=1e-15)
-        and np.allclose(nu.weights, 1.0 / n, rtol=0, atol=1e-15)
-    )
-    if uniform:
-        best = math.inf
-        for perm in itertools.permutations(range(n)):
-            c = float(cost[np.arange(m), list(perm)].sum()) / m
-            if c < best:
-                best = c
-        return math.sqrt(max(best, 0.0))
-    if m == 1 or n == 1:
-        w = nu.weights if m == 1 else mu.weights
-        col = cost[0, :] if m == 1 else cost[:, 0]
-        return math.sqrt(max(float(np.dot(w, col)), 0.0))
-    is_row, node, partner = _tree_schedules(m, n)
-    n_trees = is_row.shape[0]
-    ra = np.tile(mu.weights, (n_trees, 1))
-    rb = np.tile(nu.weights, (n_trees, 1))
-    totals = np.zeros(n_trees)
-    feasible = np.ones(n_trees, dtype=bool)
-    rows_idx = np.arange(n_trees)
-    for s in range(m + n - 1):
-        rsel = is_row[:, s]
-        i = np.where(rsel, node[:, s], partner[:, s])
-        j = np.where(rsel, partner[:, s], node[:, s])
-        flow = np.where(rsel, ra[rows_idx, i], rb[rows_idx, j])
-        feasible &= flow >= -1e-12
-        totals += flow * cost[i, j]
-        ra[rows_idx, i] -= flow
-        rb[rows_idx, j] -= flow
-    totals = np.where(feasible, totals, np.inf)
-    best = float(np.min(totals))
-    return math.sqrt(max(best, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,8 @@ from measureflow.limit import (
 from measureflow.measure import DiscreteMeasure, dirac, mixture, velocity_moment
 from measureflow.paths import PathEnsemble, Provenance, constant_path
 from measureflow.scenarios import scenario
-from measureflow.transport import (
-    brute_force_w2,
-    optimal_coupling,
-    w2_distance,
-    wasserstein2_sup,
-)
+from measureflow.transport import optimal_coupling, w2_distance, wasserstein2_sup
+from test_transport import brute_force_w2
 
 
 # Wall-clock targets from the acceptance statement.  The sandbox CPU speed

@@ -315,7 +315,7 @@ def test_tuple_plan_restrict_and_marginal():
     r = plan.restrict(1)
     assert r.n_atoms == 1  # shared prefix merges
     assert r.weights[0] == 1.0
-    marg = plan.coordinate_marginal(2)
+    marg = coalesce(DiscreteMeasure(plan.points[:, 2], plan.weights), 0.0)
     assert sorted(marg.atoms.ravel()) == [2.0, 3.0]
 
 

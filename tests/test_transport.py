@@ -1,5 +1,6 @@
 """Exact OT solver vs the vertex-enumeration oracle, path metrics, pairings."""
 
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -23,17 +24,161 @@ from measureflow.paths import (
 )
 from measureflow.transport import (
     _MASS_EPS,
+    _cost_matrix,
     _pair_sq,
     _solve_flow,
     _sup_matrix,
     bram_pairing,
     bram_pairing_detailed,
-    brute_force_w2,
     optimal_coupling,
     path_sup_distance,
     w2_distance,
     wasserstein2_sup,
 )
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle
+# ---------------------------------------------------------------------------
+
+_BRUTE_ATOM_CAP = 64
+_BRUTE_ENUM_BUDGET = 700_000
+_tree_schedule_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _tree_schedules(m: int, n: int):
+    """Leaf-elimination schedules for every spanning tree of K_{m,n}.
+
+    Vertices of the transport polytope are exactly the feasible basic solutions
+    supported on spanning trees, so enumerating all trees and solving each by
+    leaf elimination covers every vertex.  Returns three (n_trees, m+n-1)
+    integer arrays: eliminated-is-row flags, eliminated node index, and the
+    partner node index, in elimination order.
+    """
+    key = (m, n)
+    if key in _tree_schedule_cache:
+        return _tree_schedule_cache[key]
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    k = m + n - 1
+    if math.comb(m * n, k) > _BRUTE_ENUM_BUDGET:
+        raise InputError("brute-force oracle enumeration budget exceeded")
+    flags, nodes, partners = [], [], []
+    for subset in itertools.combinations(range(m * n), k):
+        # union-find acyclicity test over m row-nodes and n col-nodes
+        parent = list(range(m + n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        ok = True
+        for c in subset:
+            i, j = cells[c]
+            ri, rj = find(i), find(m + j)
+            if ri == rj:
+                ok = False
+                break
+            parent[ri] = rj
+        if not ok:
+            continue
+        # leaf-elimination order for this spanning tree
+        adj_r = [[] for _ in range(m)]
+        adj_c = [[] for _ in range(n)]
+        for c in subset:
+            i, j = cells[c]
+            adj_r[i].append(j)
+            adj_c[j].append(i)
+        deg_r = [len(a) for a in adj_r]
+        deg_c = [len(a) for a in adj_c]
+        gone_r = [False] * m
+        gone_c = [False] * n
+        f, nd, pt = [], [], []
+        for _ in range(k):
+            leaf = next(
+                (("r", i) for i in range(m) if deg_r[i] == 1 and not gone_r[i]),
+                None,
+            ) or next(("c", j) for j in range(n) if deg_c[j] == 1 and not gone_c[j])
+            if leaf[0] == "r":
+                i = leaf[1]
+                j = next(jj for jj in adj_r[i] if not gone_c[jj])
+                gone_r[i] = True
+                f.append(1)
+                nd.append(i)
+                pt.append(j)
+            else:
+                j = leaf[1]
+                i = next(ii for ii in adj_c[j] if not gone_r[ii])
+                gone_c[j] = True
+                f.append(0)
+                nd.append(j)
+                pt.append(i)
+            deg_r[i] -= 1
+            deg_c[j] -= 1
+        flags.append(f)
+        nodes.append(nd)
+        partners.append(pt)
+    sched = (
+        np.asarray(flags, dtype=bool),
+        np.asarray(nodes, dtype=int),
+        np.asarray(partners, dtype=int),
+    )
+    _tree_schedule_cache[key] = sched
+    return sched
+
+
+def brute_force_w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """Exact W2 by exhaustive vertex enumeration; refuses beyond the size cap.
+
+    Equal uniform weights: every vertex is an assignment, so all permutations
+    are enumerated.  General weights: every vertex is the basic solution of a
+    spanning-tree support, so all spanning trees of the bipartite atom graph
+    are solved by leaf elimination and infeasible ones discarded (refused when
+    the subset enumeration exceeds the internal budget).  Entirely independent
+    of the flow solver.
+    """
+    if mu.dim != nu.dim:
+        raise InputError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+    m, n = mu.n_atoms, nu.n_atoms
+    if m * n > _BRUTE_ATOM_CAP:
+        raise InputError(f"brute-force oracle refuses instances beyond {_BRUTE_ATOM_CAP} atom pairs")
+    cost = _cost_matrix(mu, nu)
+    uniform = (
+        m == n
+        and np.allclose(mu.weights, 1.0 / m, rtol=0, atol=1e-15)
+        and np.allclose(nu.weights, 1.0 / n, rtol=0, atol=1e-15)
+    )
+    if uniform:
+        best = math.inf
+        for perm in itertools.permutations(range(n)):
+            c = float(cost[np.arange(m), list(perm)].sum()) / m
+            if c < best:
+                best = c
+        return math.sqrt(max(best, 0.0))
+    if m == 1 or n == 1:
+        w = nu.weights if m == 1 else mu.weights
+        col = cost[0, :] if m == 1 else cost[:, 0]
+        return math.sqrt(max(float(np.dot(w, col)), 0.0))
+    is_row, node, partner = _tree_schedules(m, n)
+    n_trees = is_row.shape[0]
+    ra = np.tile(mu.weights, (n_trees, 1))
+    rb = np.tile(nu.weights, (n_trees, 1))
+    totals = np.zeros(n_trees)
+    feasible = np.ones(n_trees, dtype=bool)
+    rows_idx = np.arange(n_trees)
+    for s in range(m + n - 1):
+        rsel = is_row[:, s]
+        i = np.where(rsel, node[:, s], partner[:, s])
+        j = np.where(rsel, partner[:, s], node[:, s])
+        flow = np.where(rsel, ra[rows_idx, i], rb[rows_idx, j])
+        feasible &= flow >= -1e-12
+        totals += flow * cost[i, j]
+        ra[rows_idx, i] -= flow
+        rb[rows_idx, j] -= flow
+    totals = np.where(feasible, totals, np.inf)
+    best = float(np.min(totals))
+    return math.sqrt(max(best, 0.0))
 
 
 def _random_measure(rng, max_atoms=4, dims=(1, 2, 3)):
@@ -475,9 +620,6 @@ def test_first_step_on_a_monte_carlo_ensemble_matches_the_dijkstra_alone_bitwise
     with mock.patch.object(transport, "_first_step", return_value=(math.inf, -1, -1)):
         want = _solve_flow(cost, a, b)
     _assert_bitwise(_solve_flow(cost, a, b), want)
-    # nor does settling p after every queued label
-    with mock.patch.object(transport, "_SETTLE_ELEMS", 1):
-        _assert_bitwise(_solve_flow(cost, a, b), want)
 
 
 def test_first_step_decides_the_sweeps_augmentations():
