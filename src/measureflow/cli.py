@@ -29,6 +29,9 @@ from .errors import InputError, NumericDomainError, ResourceCapError, StabilityE
 from .euler import (
     DEFAULT_ATOM_CAP,
     DEFAULT_TUPLE_CAP,
+    _JOINT_LAW_ATOM_TOL,
+    _MARGINAL_ATOM_TOL,
+    _STAB_SLACK,
     build_path_ensemble,
     run_explicit_euler,
     sample_paths_monte_carlo,
@@ -43,7 +46,7 @@ from .fields import (
     check_pair_dissipativity,
 )
 from .limit import StickyFlowConfig, sticky_flow, sticky_property_check
-from .measure import DiscreteMeasure, velocity_moment
+from .measure import DiscreteMeasure, WEIGHT_TOL, velocity_moment
 from .scenarios import Scenario, scenario, scenario_names
 
 SCHEMA_VERSION = 1
@@ -56,10 +59,10 @@ EXIT_RESOURCE = 4
 EXIT_NUMERIC = 5
 
 _TOLERANCES = {
-    "weight_tol": 1e-12,
-    "marginal_atom_tol": 1e-12,
-    "joint_law_atom_tol": 1e-9,
-    "stability_slack": 1e-10,
+    "weight_tol": WEIGHT_TOL,
+    "marginal_atom_tol": _MARGINAL_ATOM_TOL,
+    "joint_law_atom_tol": _JOINT_LAW_ATOM_TOL,
+    "stability_slack": _STAB_SLACK,
 }
 
 
@@ -317,7 +320,7 @@ def cmd_verify(cfg: dict) -> int:
     checks["action_bound"] = ensemble_action(ensemble, 2.0) <= L_obs**2 * (T + tau) + 1e-12
 
     flow = sticky_flow(spec, mu0, T, StickyFlowConfig(dt=min(tau / 20.0, 1e-3)))
-    checks["sticky_properties"] = sticky_property_check(flow.ensemble, 1e-8, mu0).passed
+    checks["sticky_properties"] = sticky_property_check(flow.ensemble, mu0).passed
 
     rng = np.random.default_rng(_number(cfg.get("seed", 0), "seed", integer=True))
     if meta is not None and meta.lambda_diss is not None:

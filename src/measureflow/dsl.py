@@ -13,8 +13,9 @@ scalar 2-moment (nonlocal fields only).  Expressions are parsed with the
 standard ``ast`` module and compiled node-by-node against this whitelist, so
 attribute access, names outside the variable set, and arbitrary calls are
 rejected at load time.  The compiled code is array code: ``x`` and ``y`` may
-be one point ``(d,)`` or a batch ``(n, d)``, and the fields built here declare
-``batched=True``.
+be one point ``(d,)`` or a batch ``(n, d)``, so the fields built here are
+array-native: given ``(n, d)`` arrays they return ``(n, d)`` velocities whose
+row i equals the call on row i alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -197,21 +198,15 @@ def field_from_config(cfg: dict, dim: int) -> PvfSpec:
     if kind == "sampled":
         fn = compile_expression(cfg["g"], ("x", "u"))
         noise = _noise_from_config(cfg["noise"])
-        return SampledField(
-            lambda x, u: _as_velocity(fn({"x": x, "u": u}), x, dim), noise, batched=True
-        )
+        return SampledField(lambda x, u: _as_velocity(fn({"x": x, "u": u}), x, dim), noise)
     if kind == "interaction":
         fn = compile_expression(cfg["f"], ("x", "y"))
-        return InteractionField(
-            lambda x, y: _as_velocity(fn({"x": x, "y": y}), x, dim), batched=True
-        )
+        return InteractionField(lambda x, y: _as_velocity(fn({"x": x, "y": y}), x, dim))
     if kind == "stochastic-interaction":
         fn = compile_expression(cfg["h"], ("x", "y", "u"))
         noise = _noise_from_config(cfg["noise"])
         return StochasticInteractionField(
-            lambda x, y, u: _as_velocity(fn({"x": x, "y": y, "u": u}), x, dim),
-            noise,
-            batched=True,
+            lambda x, y, u: _as_velocity(fn({"x": x, "y": y, "u": u}), x, dim), noise
         )
     if kind == "nonlocal-sampled":
         fn = compile_expression(cfg["g"], ("x", "u", "m1", "m2"))
@@ -226,5 +221,5 @@ def field_from_config(cfg: dict, dim: int) -> PvfSpec:
             }
             return _as_velocity(fn(env), x, dim)
 
-        return NonlocalSampledField(g, noise, batched=True)
+        return NonlocalSampledField(g, noise)
     raise InputError(f"unknown custom field kind {kind!r}")

@@ -30,6 +30,7 @@ from .measure import (
     DiscreteMeasure,
     TangentMeasure,
     TuplePlan,
+    WEIGHT_TOL,
     _disintegrate,
     _first_non_finite,
     coalesce,
@@ -57,6 +58,8 @@ __all__ = [
 DEFAULT_ATOM_CAP = 200_000
 DEFAULT_TUPLE_CAP = 1_000_000
 _STAB_SLACK = 1e-10
+_MARGINAL_ATOM_TOL = 1e-12  # verify_marginals' atom tolerance (weights: WEIGHT_TOL)
+_JOINT_LAW_ATOM_TOL = 1e-9  # verify_joint_law's atom tolerance (weights: WEIGHT_TOL)
 
 
 def _final_step(T: float, tau: float) -> int:
@@ -338,14 +341,10 @@ class VerifyReport:
         return self.passed
 
 
-def verify_joint_law(
-    ensemble: PathEnsemble,
-    run: EulerRun,
-    n: int,
-    atom_tol: float = 1e-9,
-    weight_tol: float = 1e-12,
-) -> VerifyReport:
+def verify_joint_law(ensemble: PathEnsemble, run: EulerRun, n: int) -> VerifyReport:
     """Checks (e_{n tau}, (e_{(n+1) tau} - e_{n tau}) / tau) push = Phi^n, n in [0, N-1].
+
+    Atoms match within ``_JOINT_LAW_ATOM_TOL`` and weights within ``WEIGHT_TOL``.
 
     When the last step overshoots T, the final segment ends at T and its
     difference is divided by its clipped length instead of tau.  Only
@@ -361,27 +360,24 @@ def verify_joint_law(
     x0, x1 = _interp_nodes(ensemble.grid, ensemble.nodes, grid[n : n + 2]).transpose(0, 2, 1)
     dt = grid[N] - grid[N - 1] if overshoot and n == N - 1 else run.tau
     pushed = coalesce(TangentMeasure(x0, (x1 - x0) / dt, ensemble.weights), 0.0)
-    ok = measures_close(pushed, run.sections[n], atom_tol, weight_tol)
+    ok = measures_close(pushed, run.sections[n], _JOINT_LAW_ATOM_TOL, WEIGHT_TOL)
     detail = "joint law matches section" if ok else (
         f"joint law at step {n} deviates from the selected section"
     )
     return VerifyReport(ok, detail)
 
 
-def verify_marginals(
-    ensemble: PathEnsemble,
-    run: EulerRun,
-    times: Sequence[float],
-    atom_tol: float = 1e-12,
-    weight_tol: float = 1e-12,
-) -> VerifyReport:
-    """Checks (e_t) push of the ensemble against the affine interpolant at each t."""
+def verify_marginals(ensemble: PathEnsemble, run: EulerRun, times: Sequence[float]) -> VerifyReport:
+    """Checks (e_t) push of the ensemble against the affine interpolant at each t.
+
+    Atoms match within ``_MARGINAL_ATOM_TOL`` and weights within ``WEIGHT_TOL``.
+    """
     if ensemble.provenance.kind != "exact-tree":
         raise InputError("marginal verification requires exact-tree provenance")
     times = list(times)
     for t in times:
         lhs = ensemble.evaluate(float(t))
         rhs = interpolate_measure(run, float(t))
-        if not measures_close(lhs, rhs, atom_tol, weight_tol):
+        if not measures_close(lhs, rhs, _MARGINAL_ATOM_TOL, WEIGHT_TOL):
             return VerifyReport(False, f"marginal mismatch at t = {t}")
     return VerifyReport(True, f"marginals match at {len(times)} times")

@@ -5,11 +5,10 @@ measure yields exactly one tangent measure whose x-marginal is the input
 measure (the structural condition of the scheme).  Multivalued experiments
 supply several specs.  Field closures must be pure and reentrant.
 
-A spec built with ``batched=True`` declares its closure array-native: given
-an ``(n, d)`` array of points (and of partners, where the kind has them) it
-returns ``(n, d)`` velocities whose row i equals the call on row i alone, bit
-for bit.  The built-in scenarios and DSL fields declare it; any other closure
-is called once per point.
+Field closures are array-native: given an ``(n, d)`` array of points (and
+of partners, where the kind has them) a closure returns ``(n, d)`` velocities
+whose row i equals the call on row i alone, bit for bit.  Each label's
+closure is called once on a whole batch.
 
 The ``check_*`` functions are sample-based certifiers, not proofs: the
 dissipativity conditions quantify over all measures and couplings, which has
@@ -68,7 +67,6 @@ class SampledField:
 
     g: Callable[[np.ndarray, object], np.ndarray]
     noise: NoiseSpace
-    batched: bool = False
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,6 @@ class InteractionField:
     """v = f(x, y) with the partner y drawn from the measure itself."""
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    batched: bool = False
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,6 @@ class StochasticInteractionField:
 
     h: Callable[[np.ndarray, np.ndarray, object], np.ndarray]
     noise: NoiseSpace
-    batched: bool = False
 
 
 @dataclass(frozen=True)
@@ -94,7 +90,6 @@ class NonlocalSampledField:
 
     g: Callable[[np.ndarray, DiscreteMeasure, object], np.ndarray]
     noise: NoiseSpace
-    batched: bool = False
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,6 @@ class GradientSumField:
     """v = -grad H_u(x) for a finite family of potentials, uniform noise."""
 
     gradients: tuple
-    batched: bool = False
 
     def __post_init__(self):
         grads = tuple(self.gradients)
@@ -126,18 +120,6 @@ def _finite_or_raise(V: np.ndarray, X: np.ndarray) -> np.ndarray:
     if bad is not None:
         raise NumericDomainError("field produced a non-finite velocity", witness=X[bad].copy())
     return V
-
-
-def _per_point(fn: Callable) -> Callable:
-    """The batch form of a per-point term: the one loop that calls a field once per point."""
-
-    def batch(X, Y, mu):
-        V = np.empty(X.shape)
-        for i, x in enumerate(X):
-            V[i] = fn(x, None if Y is None else Y[i], mu)
-        return V
-
-    return batch
 
 
 @dataclass(frozen=True)
@@ -187,8 +169,6 @@ def _section(spec: PvfSpec) -> _Section:
         reads_measure = True
     else:
         raise InputError(f"unknown field spec {type(spec).__name__}")
-    if not spec.batched:
-        fns = [_per_point(fn) for fn in fns]
     if noise is None:
         terms = ((None, 1.0, fns[0]),)
     else:

@@ -34,30 +34,26 @@ from .paths import PathEnsemble, Provenance
 from .transport import _SUP_CHUNK_ELEMS, bram_pairing, w2_distance
 
 _CONTRACTION_TOL_CONSTANT = 10.0  # contraction_check's declared integrator tolerance is this * dt
+_STICKY_TOL = 1e-8  # the distance within which sticky_property_check counts two paths as touching
 
 
 @dataclass(frozen=True)
 class StickyFlowConfig:
-    """Integrator controls: recording step, collision radius, one-step method.
+    """Integrator controls: recording step and collision radius.
 
     ``dt`` is the spacing of the recorded grid (shrunk so the grid lands on T)
-    and the smallest internal step; merges are found at grid times.
-    ``integrator`` is ``"rk4"``, the adaptive higher-order Runge-Kutta
-    integrator (Dormand-Prince 5(4) with a private tolerance of 1e-13), or
-    ``"explicit-euler-fine"``, fixed explicit-Euler steps of dt.
+    and the smallest internal step of the Dormand-Prince 5(4) integrator;
+    merges are found at grid times.
     """
 
     dt: float = 1e-3
     merge_tol: float = 1e-9
-    integrator: str = "rk4"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise InputError("dt must be positive")
         if self.merge_tol < 0:
             raise InputError("merge_tol must be nonnegative")
-        if self.integrator not in ("rk4", "explicit-euler-fine"):
-            raise InputError(f"unknown integrator {self.integrator!r}")
 
 
 @dataclass(frozen=True)
@@ -172,18 +168,6 @@ def _dopri5_step(field, y, w, k1, h):
     return y1, ks[-1], err, dense
 
 
-def _euler_step(field, y, w, k1, h):
-    """One explicit-Euler step: fixed size, no error estimate, linear interpolant.
-
-    The interpolant at theta = 1 is ``y + h*k1`` bitwise, the step itself.
-    """
-
-    def dense(theta):
-        return y + (theta[:, None, None] * h) * k1
-
-    return y + h * k1, None, None, dense
-
-
 def _step_factor(err: float) -> float:
     """Step-size factor 0.9 * err^(-1/5), held to [0.2, 10] (0.2 if err is not finite)."""
     if err == 0.0:
@@ -205,8 +189,8 @@ def sticky_flow(
     """Integrate the limit flow of ``spec`` from ``mu0`` on [0, T].
 
     The recording grid is ``dt * arange(n + 1)`` with ``dt = T / n`` (``n =
-    ceil(T / config.dt)``) and its last time set to T.  The default integrator
-    is an embedded Dormand-Prince 5(4) pair with adaptive steps, held to a
+    ceil(T / config.dt)``) and its last time set to T.  The integrator is an
+    embedded Dormand-Prince 5(4) pair with adaptive steps, held to a
     relative and absolute tolerance of 1e-13 (a private constant, not a
     setting).  Its step never goes below dt; at that floor a step is accepted
     whatever its error estimate, as a fixed step is, and only a last partial
@@ -215,8 +199,6 @@ def sticky_flow(
     not depend on where the internal steps fall.  A field that defeats error
     control (discontinuous or non-Lipschitz near the atoms) runs at the dt
     floor with 6 field evaluations a step; no built-in scenario is such a field.
-    ``integrator="explicit-euler-fine"`` runs the same loop as a one-stage
-    method with fixed steps of dt and a linear interpolant.
 
     Merges are found at recording-time resolution: the recorded rows are
     checked in order, in blocks that keep the pairwise transient near
@@ -230,7 +212,6 @@ def sticky_flow(
     if T <= 0:
         raise InputError("T must be positive")
     config = config or StickyFlowConfig()
-    step = _dopri5_step if config.integrator == "rk4" else _euler_step
     mu0 = coalesce(mu0, 0.0)
     k = mu0.n_atoms
     d = mu0.dim
@@ -262,14 +243,11 @@ def sticky_flow(
             k1 = field(y, w)
         rest = n_steps - s
         H = min(max(H, 1.0), rest)
-        y1, k_next, err, dense = step(field, y, w, k1, H * dt)
-        H_next = H
-        if err is not None:
-            fac = _step_factor(err)
-            if not err <= 1.0 and H > 1.0:  # rejected; at the floor every step stands
-                H *= fac
-                continue
-            H_next = H * fac
+        y1, k_next, err, dense = _dopri5_step(field, y, w, k1, H * dt)
+        fac = _step_factor(err)
+        if not err <= 1.0 and H > 1.0:  # rejected; at the floor every step stands
+            H *= fac
+            continue
         s1 = float(n_steps) if H == rest else s + H
         last = min(int(s1), n_steps)
         for a in range(node, last + 1, block):
@@ -308,7 +286,7 @@ def sticky_flow(
             break
         else:
             s, node, y, k1 = s1, last + 1, y1, k_next
-        H = H_next
+        H *= fac
 
     nodes = history.transpose(1, 0, 2)
     ensemble = PathEnsemble(grid, nodes, mu0.weights, Provenance("limit-flow"))
@@ -392,23 +370,23 @@ class StickyReport:
 
 
 def sticky_property_check(
-    ensemble: PathEnsemble,
-    tol: float,
-    mu0: DiscreteMeasure | None = None,
+    ensemble: PathEnsemble, mu0: DiscreteMeasure | None = None
 ) -> StickyReport:
     """Verifies the sticky path properties P1-P3 on an ensemble's grid times.
 
     P1: paths are pairwise distinct as functions (some grid time separates
-    them beyond tol).  P2: initial points match the declared mu0 atoms (skipped
-    when mu0 is None).  P3: once two paths come within tol at a grid time they
-    stay within tol at every later grid time.  The first violation is reported.
+    them beyond ``_STICKY_TOL``).  P2: initial points match the declared mu0
+    atoms within ``_STICKY_TOL`` (skipped when mu0 is None).  P3: once two
+    paths come within ``_STICKY_TOL`` at a grid time they stay within it at
+    every later grid time.  The first violation is reported.
     """
+    tol = _STICKY_TOL
     n = ensemble.n_paths
     grid = ensemble.grid
     values = ensemble.nodes  # (n, K+1, d)
     if mu0 is not None:
         starts = coalesce(DiscreteMeasure(values[:, 0, :], ensemble.weights), 0.0)
-        if not measures_close(starts, coalesce(mu0, 0.0), atom_tol=max(tol, 1e-12)):
+        if not measures_close(starts, coalesce(mu0, 0.0), atom_tol=tol):
             return StickyReport(False, "P2: initial points do not match mu0", None)
     for i in range(n):
         for j in range(i + 1, n):

@@ -6,8 +6,9 @@ growth constant, the velocity growth constant L with
 int |v|^2 dF[mu] <= L (1 + m2(mu)^2), and the local support bound rho_R.
 Constants are declared with a short justification in a comment at the top
 of each builder; the certifiers re-check them numerically on samples.  Every
-field closure is elementwise numpy over its last axis, so each spec declares
-``batched=True``.
+field closure is elementwise numpy over its last axis, so it is array-native:
+it takes ``(n, d)`` arrays and returns ``(n, d)`` velocities whose row i
+equals the call on row i alone, bit for bit.
 
 For the nonlocal scenario, continuity of b(x, mu) along equi-bounded
 W2-converging sequences holds because the cylinder functional is a bounded
@@ -57,7 +58,7 @@ def _sdf_linear() -> Scenario:
     # g(x, 1) = -x + 1, g(x, 2) = -x - 1; barycenter -x, so lambda = -1.
     # <v, x> = -x^2 +- x <= |x| <= (1 + x^2)/2, so a = 0.5.
     # int |g|^2 dU = x^2 + 1, so L = 1 exactly.
-    spec = SampledField(lambda x, u: -x + u, uniform_noise([1.0, -1.0]), batched=True)
+    spec = SampledField(lambda x, u: -x + u, uniform_noise([1.0, -1.0]))
     return Scenario(
         "sdf-linear",
         1,
@@ -83,7 +84,7 @@ def _gradient_sum() -> Scenario:
         (lambda a, c: (lambda x: a * (x - c)))(a, c)
         for a, c in zip(_GS_SCALES, _GS_CENTERS)
     )
-    spec = GradientSumField(grads, batched=True)
+    spec = GradientSumField(grads)
     return Scenario(
         "gradient-sum",
         2,
@@ -101,7 +102,7 @@ def _idf_attract() -> Scenario:
     # f(x, y) = y - x is pair-dissipative at 0; no uniform support growth
     # constant exists over all bounded measures, so bounds data is undeclared.
     # int int |y - x|^2 dmu dmu <= 4 m2^2 gives L = 4.
-    spec = InteractionField(lambda x, y: y - x, batched=True)
+    spec = InteractionField(lambda x, y: y - x)
     return Scenario(
         "idf-attract",
         1,
@@ -131,7 +132,7 @@ def _nonlocal_cylinder() -> Scenario:
     def g(x, mu, u):
         return -(1.0 + _cyl_gain(mu)) * x + u * _CYL_SHIFT
 
-    spec = NonlocalSampledField(g, uniform_noise([1.0, -1.0]), batched=True)
+    spec = NonlocalSampledField(g, uniform_noise([1.0, -1.0]))
     return Scenario(
         "nonlocal-cylinder",
         2,
@@ -148,9 +149,7 @@ def _nonlocal_cylinder() -> Scenario:
 def _stochastic_idf() -> Scenario:
     # h(x, y, u) = u (y - x) with labels {0.5, 1.5}; the mean field is y - x.
     # E[u^2] = 1.25 and |y - x|^2 <= 2(|x|^2 + |y|^2) give L = 5.
-    spec = StochasticInteractionField(
-        lambda x, y, u: u * (y - x), uniform_noise([0.5, 1.5]), batched=True
-    )
+    spec = StochasticInteractionField(lambda x, y, u: u * (y - x), uniform_noise([0.5, 1.5]))
     return Scenario(
         "stochastic-idf",
         1,

@@ -53,7 +53,6 @@ from .measure import (
     DiscreteMeasure,
     TangentMeasure,
     WEIGHT_TOL,
-    _group_rows,
     barycentric_projection,
 )
 from .paths import HORIZON_TOL, PathEnsemble, PiecewisePath, _interp_nodes, _union_grid
@@ -286,9 +285,17 @@ def _solve_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     return flow, p, q
 
 
-def _flow_result(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
-    cost = _cost_matrix(mu, nu)
-    flow, p, q = _solve_flow(cost, mu.weights, nu.weights)
+def _optimal_flow(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """An optimal flow and the arcs that optimal plans use: (flow, optimal, degenerate).
+
+    ``optimal`` marks the support of the flow and every arc whose reduced
+    cost under the solver's duals is at most ``_RC_EPS`` times the largest
+    cost (at least 1).  By complementary slackness the optimal plans are
+    exactly the feasible plans on those arcs; ``degenerate`` is whether any
+    lies outside the support.  Duals infeasible beyond 1e-9 times that
+    scale raise ``RuntimeError``.
+    """
+    flow, p, q = _solve_flow(cost, a, b)
     scale = max(1.0, float(np.abs(cost).max()))
     rc = cost - p[:, None] - q[None, :]
     worst, bound = float(rc.min()), -1e-9 * scale
@@ -298,11 +305,22 @@ def _flow_result(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
             f"problem: reduced cost {worst:.3g} below {bound:.3g}"
         )
     support = flow > 0.0
-    degenerate = bool(np.any(~support & (rc <= _RC_EPS * scale)))
+    tight = rc <= _RC_EPS * scale
+    return flow, support | tight, bool(np.any(tight & ~support))
+
+
+def _plan_result(mu, nu, cost, flow, degenerate) -> TransportResult:
+    """The transport result of the plan ``flow`` between ``mu`` and ``nu``."""
     total = float(np.sum(flow * cost))
-    ii, jj = np.nonzero(support)
+    ii, jj = np.nonzero(flow > 0.0)
     coupling = Coupling(mu.atoms[ii], nu.atoms[jj], flow[ii, jj], mu, nu)
     return TransportResult(coupling, total, math.sqrt(max(total, 0.0)), degenerate, "flow")
+
+
+def _flow_result(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
+    cost = _cost_matrix(mu, nu)
+    flow, _, degenerate = _optimal_flow(cost, mu.weights, nu.weights)
+    return _plan_result(mu, nu, cost, flow, degenerate)
 
 
 def _quantile_result(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
@@ -343,25 +361,14 @@ def _quantile_result(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResul
     return TransportResult(coupling, total, math.sqrt(max(total, 0.0)), None, "quantile")
 
 
-def optimal_coupling(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, method: str = "auto"
-) -> TransportResult:
+def optimal_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     """An exact minimizer of the squared-distance transport cost.
 
-    ``method`` is "auto" (1-d problems use the monotone rearrangement, all
-    others the flow solver), "flow", or "quantile" (1-d only).
+    1-d problems use the monotone rearrangement, all others the flow solver.
     """
     if mu.dim != nu.dim:
         raise InputError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    if method == "auto":
-        method = "quantile" if mu.dim == 1 else "flow"
-    if method == "quantile":
-        if mu.dim != 1:
-            raise InputError("the quantile route requires dimension 1")
-        return _quantile_result(mu, nu)
-    if method == "flow":
-        return _flow_result(mu, nu)
-    raise InputError(f"unknown method {method!r}")
+    return _quantile_result(mu, nu) if mu.dim == 1 else _flow_result(mu, nu)
 
 
 def w2_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -620,30 +627,30 @@ def bram_pairing_detailed(
 ) -> tuple[float, TransportResult]:
     """Pairing value together with the transport result it was evaluated on.
 
-    The tangent measure is barycentrically projected; the flow solver then
-    returns one optimal coupling gamma_o between the x-marginal and ``nu``
-    (stable pivoting, lexicographic tie-breaking) and the pairing is
-    integral of <bry(x0), x0 - x1> against it.  ``degenerate`` on the result
-    flags instances where several optimal plans exist, in which case the true
-    pairing is the minimum over all of them and this value is an upper bound.
+    The pairing is the least integral of <bry(x0), x0 - x1> over the optimal
+    couplings gamma between the x-marginal of ``phi`` and ``nu``, where bry
+    is the barycentric projection of ``phi``.  A first flow solve gives the
+    arcs that optimal plans use (``_optimal_flow``).  On them the cost is
+    <bry(x0), x0 - x1> less its least value in the row, which keeps it
+    nonnegative and moves every plan's cost by the same constant, as the
+    row marginals are fixed; every other arc costs +inf.  A second solve
+    finds the least of these plans, and the result reports it, with
+    ``degenerate`` set when the first solve found several optimal plans.
     """
     if phi.dim != nu.dim:
         raise InputError(f"dimension mismatch: {phi.dim} vs {nu.dim}")
     proj = barycentric_projection(phi)
     xmarg = DiscreteMeasure(proj.positions, proj.weights)
-    res = optimal_coupling(xmarg, nu, method="flow")
-    # the first row of each group is the projection's own row at that position
-    first, group = _group_rows(np.concatenate([proj.positions, res.coupling.first_atoms]))
-    bry = proj.velocities[first[group[proj.n_atoms :]]]
-    value = 0.0
-    for v, x0, x1, w in zip(
-        bry, res.coupling.first_atoms, res.coupling.second_atoms, res.coupling.weights
-    ):
-        value += w * float(np.dot(v, x0 - x1))
-    return value, res
+    cost = _cost_matrix(xmarg, nu)
+    _, optimal, degenerate = _optimal_flow(cost, xmarg.weights, nu.weights)
+    pairing = np.sum(proj.velocities[:, None, :] * (xmarg.atoms[:, None, :] - nu.atoms), axis=2)
+    shifted = np.where(optimal, pairing, np.inf)
+    shifted -= shifted.min(axis=1, keepdims=True)
+    least, _, _ = _solve_flow(shifted, xmarg.weights, nu.weights)
+    return float(np.sum(least * pairing)), _plan_result(xmarg, nu, cost, least, degenerate)
 
 
 def bram_pairing(phi: TangentMeasure, nu: DiscreteMeasure) -> float:
-    """Metric-duality pairing evaluated on one deterministic optimal plan."""
+    """The metric-duality pairing: its least value over the optimal plans."""
     value, _ = bram_pairing_detailed(phi, nu)
     return value

@@ -103,10 +103,10 @@ def test_criterion_02_exact_lifting_identities():
         ens = build_path_ensemble(run)
         grid = [n * tau for n in range(run.n_steps + 1)]
         mids = [0.5 * tau, 2.5 * tau, 4.5 * tau]
-        rep = verify_marginals(ens, run, grid + mids, atom_tol=1e-12, weight_tol=1e-12)
+        rep = verify_marginals(ens, run, grid + mids)
         assert rep.passed, (name, rep.detail)
         for n in range(run.n_steps - 1):
-            rep = verify_joint_law(ens, run, n, weight_tol=1e-12)
+            rep = verify_joint_law(ens, run, n)
             assert rep.passed, (name, n, rep.detail)
     elapsed = time.perf_counter() - t0
     ok = _within_budget(elapsed, 1.0)
@@ -231,7 +231,7 @@ def test_criterion_08_sticky_representation():
     mu0 = mixture([-1.0, 0.0, 1.0], [0.25, 0.25, 0.5])
     flow = sticky_flow(sc.spec, mu0, 15.0, StickyFlowConfig(dt=2e-3, merge_tol=1e-6))
     merged = len(flow.merge_events) >= 1
-    rep = sticky_property_check(flow.ensemble, 1e-8, mu0)
+    rep = sticky_property_check(flow.ensemble, mu0)
     counts = [flow.measure_curve(t).n_atoms for t in np.linspace(0.0, 15.0, 16)]
     monotone = all(b <= a for a, b in zip(counts, counts[1:]))
     mass_exact = all(

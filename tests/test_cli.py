@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import measureflow
 from measureflow.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -472,3 +476,40 @@ def test_malformed_field_and_initial_values_exit_2(tmp_path, capsys, key, value)
     cfg = _write_cfg(tmp_path, "bad.json", payload)
     assert main(["run", "--config", cfg]) == EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+
+
+_IMPORT_GUARD = """
+import json, sys
+from measureflow.cli import main
+out, verify, sweep = sys.argv[1:]
+codes = [main(["verify", "--config", verify, "--out", out + "/v"]),
+         main(["sweep", "--config", sweep, "--out", out + "/s"])]
+print(json.dumps([codes, sorted(m for m in ("scipy", "numpy.ma") if m in sys.modules)]))
+"""
+
+
+def test_verify_and_sweep_import_neither_scipy_nor_numpy_ma(tmp_path):
+    # import scipy.optimize alone costs about half a second and 49 MB at start-up
+    verify = _write_cfg(tmp_path, "verify.json", {"scenario": "sdf-linear", "tau": 0.5, "T": 1.0})
+    sweep = _write_cfg(
+        tmp_path,
+        "sweep.json",
+        {
+            "scenario": "gradient-sum",
+            "initial": {"atoms": [[0.5, -0.5], [-0.5, 0.5]], "weights": [0.5, 0.5]},
+            "taus": [0.5, 0.25],
+            "steps": 2,
+            "L": 10.0,
+            "reference": {"dt": 0.01},
+        },
+    )
+    src = str(Path(measureflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path), verify, sweep],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], []]

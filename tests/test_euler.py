@@ -24,7 +24,13 @@ from measureflow.euler import (
     verify_joint_law,
     verify_marginals,
 )
-from measureflow.fields import InteractionField, SampledField, uniform_noise
+from measureflow.fields import (
+    InteractionField,
+    SampledField,
+    StochasticInteractionField,
+    uniform_noise,
+)
+from measureflow.limit import StickyFlowConfig, sticky_flow, sticky_property_check
 from measureflow.measure import (
     DiscreteMeasure,
     TangentMeasure,
@@ -36,7 +42,7 @@ from measureflow.measure import (
     velocity_moment,
 )
 from measureflow.paths import PathEnsemble, PiecewisePath, Provenance
-from measureflow.scenarios import scenario
+from measureflow.scenarios import scenario, scenario_names
 from measureflow.transport import w2_distance
 
 SDF = scenario("sdf-linear").spec
@@ -483,3 +489,35 @@ def test_monte_carlo_nodes_equal_stacked_per_particle_trajectories():
     assert set(starts.ravel().tolist()) <= {-0.7, 0.2, 0.9}
     assert ens.grid.tobytes() == grid.tobytes()
     assert ens.nodes.tobytes() == want.tobytes()
+
+
+@st.composite
+def _scenario_runs(draw):
+    """A built-in scenario, 1-3 atoms a lattice step apart, tau in {1/2, 1/4, 1/8}, 1-3 steps."""
+    name = draw(st.sampled_from(sorted(scenario_names())))
+    sc = scenario(name)
+    point = st.tuples(*[st.sampled_from((-1.5, -0.5, 0.5, 1.5))] * sc.dim)
+    atoms = draw(st.lists(point, min_size=1, max_size=3, unique=True))
+    k = len(atoms)
+    raw = np.array(draw(st.lists(st.sampled_from((1.0, 2.0, 3.0)), min_size=k, max_size=k)))
+    tau = draw(st.sampled_from((0.5, 0.25, 0.125)))
+    # partners multiply the tree's width, so interaction fields take at most 2 steps
+    pairs = isinstance(sc.spec, (InteractionField, StochasticInteractionField))
+    steps = draw(st.integers(1, 2 if pairs else 3))
+    return sc.spec, DiscreteMeasure(np.array(atoms), raw / raw.sum()), tau, steps
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_scenario_runs())
+def test_lifting_identities_and_sticky_properties_on_built_in_scenarios(case):
+    spec, mu0, tau, steps = case
+    run = run_explicit_euler(spec, mu0, tau, steps * tau, 50.0)
+    ens = build_path_ensemble(run)
+    times = [n * tau for n in range(steps + 1)] + [(n + 0.5) * tau for n in range(steps)]
+    rep = verify_marginals(ens, run, times)
+    assert rep.passed, rep.detail
+    for n in range(steps):
+        assert verify_joint_law(ens, run, n).passed, n
+    flow = sticky_flow(spec, mu0, steps * tau, StickyFlowConfig(dt=1e-2))
+    rep = sticky_property_check(flow.ensemble, mu0)
+    assert rep.passed, rep.detail

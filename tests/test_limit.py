@@ -107,14 +107,14 @@ def test_sticky_property_check_examples():
         np.array([0.5, 0.5]),
         Provenance("limit-flow"),
     )
-    assert sticky_property_check(two, 1e-8).passed
+    assert sticky_property_check(two).passed
 
     # crossing then separating violates P3
     grid = np.array([0.0, 0.5, 1.0])
     a = PiecewisePath(grid, np.array([[0.0], [1.0], [0.0]]))
     b = PiecewisePath(grid, np.array([[2.0], [1.0], [2.0]]))
     crossing = PathEnsemble.from_paths((a, b), np.array([0.5, 0.5]), Provenance("limit-flow"))
-    rep = sticky_property_check(crossing, 1e-8)
+    rep = sticky_property_check(crossing)
     assert not rep.passed and "P3" in rep.detail
 
     dup = PathEnsemble.from_paths(
@@ -122,12 +122,12 @@ def test_sticky_property_check_examples():
         np.array([0.5, 0.5]),
         Provenance("limit-flow"),
     )
-    rep = sticky_property_check(dup, 1e-8)
+    rep = sticky_property_check(dup)
     assert not rep.passed and "P1" in rep.detail
 
 
 def test_sticky_properties_of_merging_flow(merging_flow):
-    rep = sticky_property_check(merging_flow.ensemble, 1e-8, MERGE_MU0)
+    rep = sticky_property_check(merging_flow.ensemble, MERGE_MU0)
     assert rep.passed, rep.detail
 
 
@@ -170,12 +170,6 @@ def test_quadratic_gradient_flow_decay_rate():
         assert abs(wt - math.exp(-a * t) * w0) <= 1e-4
 
 
-def test_explicit_euler_fine_integrator_mode():
-    flow = sticky_flow(DET, dirac(1.0), 1.0, StickyFlowConfig(dt=1e-4, integrator="explicit-euler-fine"))
-    x1 = flow.measure_curve(1.0).atoms[0, 0]
-    assert abs(x1 - math.exp(-1.0)) <= 1e-3  # first-order accuracy only
-
-
 def test_limit_vs_euler_distance_monotone():
     # scheme lifts approach the limit flow monotonically (10% slack) as tau halves
     from measureflow.euler import build_path_ensemble, run_explicit_euler
@@ -201,7 +195,7 @@ def test_limit_vs_euler_distance_monotone():
 
 
 def _fixed_step_oracle(spec, mu0, T, config):
-    """The fixed-step sticky loop: RK4 (or Euler) at dt, merge pass after every step.
+    """The fixed-step sticky loop: RK4 at dt, merge pass after every step.
 
     Returns the grid, the nodes ``(k, K+1, d)`` and the merge events as
     ``(time, survivor, absorbed)``, with event times read off the grid.
@@ -223,14 +217,11 @@ def _fixed_step_oracle(spec, mu0, T, config):
     for step in range(n_steps):
         p = pos[live]
         w = grp_w[live]
-        if config.integrator == "rk4":
-            k1 = field(p, w)
-            k2 = field(p + 0.5 * dt * k1, w)
-            k3 = field(p + 0.5 * dt * k2, w)
-            k4 = field(p + dt * k3, w)
-            p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            p = p + dt * field(p, w)
+        k1 = field(p, w)
+        k2 = field(p + 0.5 * dt * k1, w)
+        k3 = field(p + 0.5 * dt * k2, w)
+        k4 = field(p + dt * k3, w)
+        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         pos[live] = p
         while len(live) > 1:
             arr = pos[live]
@@ -297,19 +288,6 @@ def test_merge_events_match_fixed_step_rk4(merging_flow):
     assert len(events) == 3
     assert _events(flow) == events
     assert np.max(np.abs(_nodes(flow) - nodes)) <= 1e-9
-
-
-@pytest.mark.parametrize("merge_tol", [1e-9, 1e-3])
-def test_explicit_euler_fine_is_the_fixed_step_loop_bitwise(merge_tol):
-    mu0 = mixture([-1.0, -0.2, 0.3, 1.0], [0.1, 0.4, 0.3, 0.2])
-    config = StickyFlowConfig(dt=5e-3, merge_tol=merge_tol, integrator="explicit-euler-fine")
-    spec = scenario("stochastic-idf").spec
-    flow = sticky_flow(spec, mu0, 8.0, config)
-    grid, nodes, events = _fixed_step_oracle(spec, mu0, 8.0, config)
-    assert np.array_equal(flow.ensemble.grid, grid)
-    assert np.array_equal(_nodes(flow), nodes)
-    assert _events(flow) == events
-    assert (len(events) > 0) == (merge_tol > 1e-9)
 
 
 def test_tree_sweep_reference_steps_coarser_than_dt(monkeypatch):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from measureflow import transport
@@ -25,7 +25,9 @@ from measureflow.paths import (
 from measureflow.transport import (
     _MASS_EPS,
     _cost_matrix,
+    _flow_result,
     _pair_sq,
+    _quantile_result,
     _solve_flow,
     _sup_matrix,
     bram_pairing,
@@ -242,11 +244,11 @@ def test_solver_matches_oracle_on_random_instances():
         nu = _random_measure(rng)
         while nu.dim != mu.dim:
             nu = _random_measure(rng)
-        flow = optimal_coupling(mu, nu, method="flow").cost
+        flow = _flow_result(mu, nu).cost
         oracle = brute_force_w2(mu, nu) ** 2
         assert abs(flow - oracle) <= 1e-9 * max(1.0, oracle)
         if mu.dim == 1:
-            quant = optimal_coupling(mu, nu, method="quantile").cost
+            quant = _quantile_result(mu, nu).cost
             assert abs(quant - oracle) <= 1e-9 * max(1.0, oracle)
 
 
@@ -270,12 +272,12 @@ def test_degeneracy_flag():
     # unit square corners: every admissible plan costs exactly 1
     mu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.5, 0.5]))
     nu = DiscreteMeasure(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
-    assert optimal_coupling(mu, nu, method="flow").degenerate is True
+    assert _flow_result(mu, nu).degenerate is True
     # generic instance: unique optimum
     rng = np.random.default_rng(9)
     mu = DiscreteMeasure(rng.normal(size=(3, 2)), np.array([0.2, 0.3, 0.5]))
     nu = DiscreteMeasure(rng.normal(size=(2, 2)), np.array([0.4, 0.6]))
-    assert optimal_coupling(mu, nu, method="flow").degenerate is False
+    assert _flow_result(mu, nu).degenerate is False
     # the 1-d fast path produces no dual certificate
     assert optimal_coupling(dirac(0.0), dirac(1.0)).degenerate is None
 
@@ -366,17 +368,94 @@ def test_bram_pairing_detail_reports_transport():
     assert res.degenerate in (True, False)
 
 
+def test_pairing_takes_the_least_optimal_plan():
+    # both plans between the two pairs of points cost 2; the solver's own plan
+    # pairs to +0.5, the other one to -0.5
+    phi = tangent_atoms([((0.0, 1.0), (1.0, 0.0)), ((0.0, -1.0), (0.0, 0.0))], [0.5, 0.5])
+    nu = mixture([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5])
+    value, res = bram_pairing_detailed(phi, nu)
+    assert value == -0.5
+    assert res.degenerate is True and res.cost == 2.0
+    plan = res.coupling
+    assert sorted(zip(plan.first_atoms.tolist(), plan.second_atoms.tolist())) == [
+        ([0.0, -1.0], [-1.0, 0.0]),
+        ([0.0, 1.0], [1.0, 0.0]),
+    ]
+
+
+def _vertex_plans(a, b):
+    """Every vertex of the transport polytope between weights ``a`` and ``b``, as (m, n) plans."""
+    m, n = len(a), len(b)
+    if m == 1 or n == 1:
+        return [np.outer(a, b)]
+    plans = []
+    for is_row, node, partner in zip(*_tree_schedules(m, n)):
+        ra, rb, plan = a.copy(), b.copy(), np.zeros((m, n))
+        for r, k, l in zip(is_row, node, partner):
+            i, j = (k, l) if r else (l, k)
+            plan[i, j] = ra[i] if r else rb[j]
+            ra[i] -= plan[i, j]
+            rb[j] -= plan[i, j]
+        if plan.min() >= -1e-12:
+            plans.append(plan)
+    return plans
+
+
+def _least_optimal_pairing(phi, nu):
+    """min over optimal plans of the integral of <bry(x0), x0 - x1>, by vertex enumeration."""
+    mass, moment = {}, {}
+    for x, v, w in zip(phi.positions.tolist(), phi.velocities, phi.weights):
+        mass[tuple(x)] = mass.get(tuple(x), 0.0) + w
+        moment[tuple(x)] = moment.get(tuple(x), 0.0) + w * v
+    xs = np.array(list(mass))
+    bry = np.array([moment[x] / mass[x] for x in mass])
+    diff = xs[:, None, :] - nu.atoms[None, :, :]
+    cost = np.sum(diff * diff, axis=2)
+    pairing = np.sum(bry[:, None, :] * diff, axis=2)
+    plans = _vertex_plans(np.array(list(mass.values())), nu.weights)
+    best = min(float(np.sum(plan * cost)) for plan in plans)
+    optimal = [plan for plan in plans if float(np.sum(plan * cost)) <= best + 1e-9]
+    return min(float(np.sum(plan * pairing)) for plan in optimal), best
+
+
+@st.composite
+def _lattice_pairing_instance(draw):
+    dim = draw(st.integers(1, 2))
+    point = st.lists(st.sampled_from((-1.0, 0.0, 1.0)), min_size=dim, max_size=dim)
+    raw = st.sampled_from((1.0, 1.0, 2.0, 3.0))
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    xs = draw(st.lists(point, min_size=k, max_size=k))
+    vs = draw(st.lists(point, min_size=k, max_size=k))
+    w = np.array(draw(st.lists(raw, min_size=k, max_size=k)))
+    u = np.array(draw(st.lists(raw, min_size=n, max_size=n)))
+    ys = draw(st.lists(point, min_size=n, max_size=n, unique_by=tuple))
+    phi = tangent_atoms(list(zip(xs, vs)), w / w.sum())
+    assume(phi.x_marginal().n_atoms * n <= 12)  # keeps the tree enumeration small
+    return phi, DiscreteMeasure(np.array(ys), u / u.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_lattice_pairing_instance())
+def test_pairing_matches_the_vertex_enumeration_oracle(instance):
+    # lattice points tie often, so many instances have several optimal plans
+    phi, nu = instance
+    value, res = bram_pairing_detailed(phi, nu)
+    want, best = _least_optimal_pairing(phi, nu)
+    assert abs(value - want) <= 1e-12
+    assert abs(res.cost - best) <= 1e-12
+
+
 def test_transport_result_cost_consistency():
     # the reported cost equals the recomputed coupling cost within 1e-10
     rng = np.random.default_rng(12)
-    for method in ("flow", "quantile"):
+    for route in (_flow_result, _quantile_result):
         for _ in range(15):
-            d = 1 if method == "quantile" else int(rng.integers(1, 4))
+            d = 1 if route is _quantile_result else int(rng.integers(1, 4))
             m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             wm, wn = rng.random(m), rng.random(n)
             mu = DiscreteMeasure(rng.normal(size=(m, d)), wm / wm.sum())
             nu = DiscreteMeasure(rng.normal(size=(n, d)), wn / wn.sum())
-            res = optimal_coupling(mu, nu, method=method)
+            res = route(mu, nu)
             c = res.coupling
             recomputed = float(
                 np.sum(c.weights * np.sum((c.first_atoms - c.second_atoms) ** 2, axis=1))
@@ -636,12 +715,12 @@ def test_supply_stranded_by_rounding_stays_in_place():
     mu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5 + 5e-13]))
     nu = DiscreteMeasure(np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([0.5, 0.5]))
     for first, second in ((mu, nu), (nu, mu)):
-        res = optimal_coupling(first, second, method="flow")
+        res = _flow_result(first, second)
         assert abs(res.cost - 1.0) <= 1e-12
     # the demand of a Dirac drifts as 2,221 rows are subtracted from it
     rng = np.random.default_rng(37)
     many = DiscreteMeasure(rng.normal(size=(2221, 2)), np.full(2221, 1 / 2221))
-    res = optimal_coupling(many, dirac([0.3, -0.2]), method="flow")
+    res = _flow_result(many, dirac([0.3, -0.2]))
     assert abs(res.cost - float(np.mean(np.sum((many.atoms - [0.3, -0.2]) ** 2, axis=1)))) <= 1e-12
     # uniform rows against two columns: both fill before the last row is placed
     rng = np.random.default_rng(131)
@@ -670,7 +749,7 @@ def test_flow_errors_name_the_problem():
     flow, p, q = _solve_flow(transport._cost_matrix(mu, mu), mu.weights, mu.weights)
     with mock.patch.object(transport, "_solve_flow", return_value=(flow, p + 1.0, q)):
         with pytest.raises(RuntimeError, match=r"2x2 problem: reduced cost -1 below -1e-09"):
-            optimal_coupling(mu, mu, method="flow")
+            _flow_result(mu, mu)
 
 
 def _per_pair_sup(e1, e2):
