@@ -200,7 +200,7 @@ def _caps(cfg: dict) -> tuple[int, int]:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", newline="\n")
 
 
 def _manifest(cfg: dict, extra: dict) -> dict:
@@ -235,7 +235,7 @@ def cmd_run(cfg: dict) -> int:
         ensemble = sample_paths_monte_carlo(spec, mu0, tau, T, M, seed)
     else:
         raise ConfigError(f"unknown mode {mode!r}")
-    with open(out / "ensemble.json", "w") as json_out, open(out / "ensemble.csv", "w") as csv_out:
+    with open(out / "ensemble.json", "wb") as json_out, open(out / "ensemble.csv", "wb") as csv_out:
         ensemble.write_artifacts(json_out, csv_out)
     _write_json(
         out / "manifest.json",
@@ -289,7 +289,7 @@ def cmd_sweep(cfg: dict) -> int:
         prefix = [(t, e) for t, e, _ in result.rows[: k + 1] if e > 1e-12]
         running = repr(rate_fit(prefix, min_rows=3)[0]) if len(prefix) >= 3 else ""
         lines.append(f"{tau!r},{err!r},{running},{ms!r}")
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    (out / "sweep.csv").write_text("\n".join(lines) + "\n", newline="\n")
     _write_json(out / "sweep.json", result.to_json_dict())
     _write_json(
         out / "manifest.json",

@@ -4,6 +4,9 @@ import csv
 import functools
 import io
 import json
+import subprocess
+import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -11,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measureflow import _render
+from measureflow._render import WRITE_BLOCK
 from measureflow.analysis import ensemble_action
 from measureflow.errors import InputError
 from measureflow.euler import (
@@ -22,7 +27,6 @@ from measureflow.euler import (
 from measureflow.limit import StickyFlowConfig, sticky_flow
 from measureflow.measure import DiscreteMeasure, coalesce, mixture
 from measureflow.paths import (
-    _WRITE_BLOCK,
     HORIZON_TOL,
     PathEnsemble,
     PiecewisePath,
@@ -192,12 +196,21 @@ def _oracle_csv(ens):
     return buf.getvalue()
 
 
-def _assert_writers_match_oracles(ens):
-    json_out, csv_out = io.StringIO(), io.StringIO()
+def _oracle_json(ens):
+    return json.dumps(ens.to_json_dict(), sort_keys=True, indent=1) + "\n"
+
+
+def _written(ens):
+    json_out, csv_out = io.BytesIO(), io.BytesIO()
     ens.write_artifacts(json_out, csv_out)
-    assert json_out.getvalue() == json.dumps(ens.to_json_dict(), sort_keys=True, indent=1) + "\n"
-    assert csv_out.getvalue() == _oracle_csv(ens)
-    assert csv_out.getvalue() == ens.to_csv()
+    return json_out.getvalue(), csv_out.getvalue()
+
+
+def _assert_writers_match_oracles(ens):
+    json_b, csv_b = _written(ens)
+    assert json_b == _oracle_json(ens).encode()
+    assert csv_b == _oracle_csv(ens).encode()
+    assert csv_b == ens.to_csv().encode()
 
 
 _SPECIAL = (-0.0, 0.0, 5e-324, 1e16, 1e-7, -1e16, 1.0 / 3.0)
@@ -252,12 +265,12 @@ def test_writers_match_encoders_on_every_producer():
         _random_ensemble(np.random.default_rng(3), 7, 3, 3),
         # a block's first path, the last block's last path and the one-path
         # ensemble get their own separator tokens
-        sample_paths_monte_carlo(gs, mu2, 0.3, 0.9, _WRITE_BLOCK, seed=5),
-        sample_paths_monte_carlo(gs, mu2, 0.3, 0.9, _WRITE_BLOCK + 1, seed=6),
+        sample_paths_monte_carlo(gs, mu2, 0.3, 0.9, WRITE_BLOCK, seed=5),
+        sample_paths_monte_carlo(gs, mu2, 0.3, 0.9, WRITE_BLOCK + 1, seed=6),
         sample_paths_monte_carlo(gs, mu2, 0.3, 0.9, 1, seed=7),
         sample_paths_monte_carlo(scenario("stochastic-idf").spec, mu3, 0.25, 1.0, 40, seed=4),
     ]
-    assert [e.n_paths for e in producers[5:]] == [_WRITE_BLOCK, _WRITE_BLOCK + 1, 1, 40]
+    assert [e.n_paths for e in producers[5:]] == [WRITE_BLOCK, WRITE_BLOCK + 1, 1, 40]
     assert producers[-1].dim == 3
     for ens in producers:
         for e in (ens, _mixed_grid_copy(ens)):
@@ -266,14 +279,16 @@ def test_writers_match_encoders_on_every_producer():
     assert _mixed_grid_copy(mc).nodes.shape == (mc.n_paths, mc.grid.shape[0] + 1, mc.dim)
 
 
-def test_written_json_loads_back_bitwise():
+def _three_block_ensemble():
     gs = scenario("gradient-sum").spec
     mu2 = mixture([[0.5, -0.2], [-0.3, 0.8]], [0.4, 0.6])
-    mc = sample_paths_monte_carlo(gs, mu2, 0.3, 1.0, 600, seed=2)  # three blocks
+    return sample_paths_monte_carlo(gs, mu2, 0.3, 1.0, 600, seed=2)
+
+
+def test_written_json_loads_back_bitwise():
+    mc = _three_block_ensemble()
     for ens in (mc, _mixed_grid_copy(mc)):
-        json_out = io.StringIO()
-        ens.write_artifacts(json_out, io.StringIO())
-        back = ensemble_from_json(json_out.getvalue())
+        back = ensemble_from_json(_written(ens)[0].decode())
         assert back.grid.tobytes() == ens.grid.tobytes()
         assert back.nodes.tobytes() == ens.nodes.tobytes()
         assert back.weights.tobytes() == ens.weights.tobytes()
@@ -285,21 +300,148 @@ class _Discard:
         pass
 
 
-def test_writer_memory_is_blocked():
-    import tracemalloc
-
+def _walk_ensemble(n):
     rng = np.random.default_rng(8)
     grid = np.arange(33) * (1.0 / 32.0)
-    nodes = np.cumsum(rng.normal(scale=0.1, size=(6000, 33, 2)), axis=1)  # full-length reprs
-    ens = PathEnsemble(grid, nodes, np.full(6000, 1.0 / 6000), Provenance("monte-carlo", 1, 6000))
+    nodes = np.cumsum(rng.normal(scale=0.1, size=(n, 33, 2)), axis=1)  # full-length reprs
+    return PathEnsemble(grid, nodes, np.full(n, 1.0 / n), Provenance("monte-carlo", 1, n))
+
+
+def _traced_peak(fn, *args):
+    import tracemalloc
+
     tracemalloc.start()
     try:
-        ens.write_artifacts(_Discard(), _Discard())
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_writer_memory_is_blocked(monkeypatch):
+    monkeypatch.setattr(_render, "_available_cpus", lambda: 1)  # every block in this process
+    peak = _traced_peak(_walk_ensemble(6000).write_artifacts, _Discard(), _Discard())
     # each file is about 15 MB; one block of 256 paths renders about 1.3 MB of each
     assert peak < 8 * 2**20, peak
+
+
+def test_worker_memory_is_blocked(tmp_path):
+    # The worker reads its input one block at a time: four times the paths
+    # raise its peak by their weights, not by the extra 1.6 MB of node bytes.
+    peaks = []
+    for n in (1024, 4096):
+        grid, weights, dim, nodes = _walk_ensemble(n)._render_inputs()
+        src = tmp_path / f"in{n}"
+        _render.write_input(src, grid, weights, nodes)
+        argv = [str(src), str(tmp_path / "json"), str(tmp_path / "csv"), "0", str(dim)]
+        peaks.append(_traced_peak(_render.main, argv))
+    assert peaks[1] - peaks[0] < 2**20, peaks
+    assert peaks[1] < 8 * 2**20, peaks
+
+
+# ---------------------------------------------------------------------------
+# the render worker: both routes, and a worker that fails
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def started(monkeypatch, tmp_path):
+    """The processes ``write_artifacts`` starts, with temporary directories made under tmp_path."""
+    procs = []
+    popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        procs.append(popen(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(_render, "_WORKER_MIN_FLOATS", 0)  # a worker for the small ensembles here
+    return procs
+
+
+def test_worker_starts_only_for_large_ensembles(monkeypatch):
+    monkeypatch.setattr(_render, "_available_cpus", lambda: 2)
+    floats = _render._WORKER_MIN_FLOATS
+    assert _render._worker_split(600, floats) == 600 - round(600 * _render._WORKER_SHARE)
+    assert _render._worker_split(600, floats - 1) == 600
+    assert _render._worker_split(1, 10 * floats) == 1  # the share of one path rounds to none
+    monkeypatch.setattr(_render, "_available_cpus", lambda: 1)
+    assert _render._worker_split(600, 10 * floats) == 600
+
+
+def test_worker_and_in_process_routes_write_the_same_bytes(monkeypatch, tmp_path, started):
+    # The worker runs under -I -S: an import beyond the standard library in
+    # _render.py makes it exit non-zero, and this test fail.
+    ens = _three_block_ensemble()
+    assert ens.n_paths > 2 * WRITE_BLOCK
+    monkeypatch.setattr(_render, "_available_cpus", lambda: 2)
+    two = _written(ens)
+    assert [p.returncode for p in started] == [0]
+    assert started[0].args[1:4] == ["-I", "-S", _render._WORKER]
+    monkeypatch.setattr(_render, "_available_cpus", lambda: 1)
+    one = _written(ens)
+    assert len(started) == 1  # no second worker
+    assert two == one == (_oracle_json(ens).encode(), _oracle_csv(ens).encode())
+    back = ensemble_from_json(two[0].decode())
+    assert back.nodes.tobytes() == ens.nodes.tobytes()
+    assert back.grid.tobytes() == ens.grid.tobytes()
+    assert back.weights.tobytes() == ens.weights.tobytes()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_worker_that_cannot_start_falls_back_to_the_same_bytes(monkeypatch, tmp_path, started):
+    ens = _three_block_ensemble()
+    expected = (_oracle_json(ens).encode(), _oracle_csv(ens).encode())
+    monkeypatch.setattr(_render, "_available_cpus", lambda: 2)
+    missing = str(tmp_path / "missing")
+    # no interpreter, a missing one, no temporary directory: each raises OSError
+    cases = ((sys, "executable", ""), (sys, "executable", missing), (tempfile, "tempdir", missing))
+    for target, name, value in cases:
+        with monkeypatch.context() as m:
+            m.setattr(target, name, value)
+            assert _written(ens) == expected
+    assert started == [] and list(tmp_path.iterdir()) == []
+
+
+def test_failing_worker_raises_and_leaves_nothing_behind(monkeypatch, tmp_path, started):
+    ens = _three_block_ensemble()
+    script = tmp_path / "fail.py"
+    script.write_text("import sys\nsys.exit(3)\n")
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    monkeypatch.setattr(_render, "_WORKER", str(script))
+    monkeypatch.setattr(_render, "_available_cpus", lambda: 2)
+    split = _render._worker_split(ens.n_paths, ens.nodes.size)
+    with pytest.raises(RuntimeError, match=f"paths {split} to 599 exited with code 3"):
+        _written(ens)
+    assert len(started) == 1 and started[0].poll() == 3
+    assert list(temp.iterdir()) == []
+
+
+class _FullDisk:
+    def __init__(self, writes):
+        self.writes = writes
+
+    def write(self, data):
+        self.writes -= 1
+        if self.writes < 0:
+            raise OSError("no space left")
+
+
+def test_parent_failure_kills_the_worker(monkeypatch, tmp_path, started):
+    script = tmp_path / "slow.py"
+    script.write_text("import time\ntime.sleep(60)\n")
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    monkeypatch.setattr(_render, "_WORKER", str(script))
+    monkeypatch.setattr(_render, "_available_cpus", lambda: 2)
+    with pytest.raises(OSError, match="no space left"):
+        _three_block_ensemble().write_artifacts(_FullDisk(2), _FullDisk(2))
+    assert len(started) == 1 and started[0].poll() is not None
+    assert list(temp.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
