@@ -51,7 +51,7 @@ def node_blocks(nodes, per_path):
     return (nodes[lo : lo + size] for lo in range(0, len(nodes), size))
 
 
-def render_blocks(grid, weights, dim, blocks, start=0, with_json=True):
+def render_blocks(grid, weights, dim, blocks, start=0):
     """Yield ``(json, csv)`` bytes per block for the paths from ``start`` on.
 
     ``grid`` and ``weights`` are rendered by ``repr``, ``weights[i]`` for path
@@ -62,8 +62,7 @@ def render_blocks(grid, weights, dim, blocks, start=0, with_json=True):
     joined into one write: the rendered coordinates interleaved with
     separators built once from the rendered grid and the dimension.  A
     block's JSON closes the previous path first unless it starts the
-    ensemble; the caller closes the last path.  Without ``with_json`` the
-    JSON is not rendered and reads ``None``.
+    ensemble; the caller closes the last path.
     """
     k1 = len(grid)
     per_path = k1 * dim
@@ -87,11 +86,8 @@ def render_blocks(grid, weights, dim, blocks, start=0, with_json=True):
         b = len(coords) // per_path
         if b < WRITE_BLOCK:  # the last block
             json_t, csv_t = json_t[: 2 * len(coords)], csv_t[: b * k1 * width]
-        json_b = None
-        if with_json:
-            json_t[1::2] = coords
-            json_t[0] = (PATH_CLOSE + ",\n" if start + first else "") + head
-            json_b = "".join(json_t).encode()
+        json_t[1::2] = coords
+        json_t[0] = (PATH_CLOSE + ",\n" if start + first else "") + head
         for k in range(dim):
             csv_t[2 + 2 * k :: width] = coords[k::dim]
         ids = map(str, range(start + first, start + first + b))
@@ -99,7 +95,7 @@ def render_blocks(grid, weights, dim, blocks, start=0, with_json=True):
         ends = [f",{w}\n" for w in weights[first : first + b]]
         csv_t[width - 1 :: width] = [e for e in ends for _ in range(k1)]
         first += b
-        yield json_b, "".join(csv_t).encode()
+        yield "".join(json_t).encode(), "".join(csv_t).encode()
 
 
 def _available_cpus() -> int:

@@ -6,8 +6,9 @@ produce byte-identical CSV/JSON artifacts except for ``wall_ms``, the only
 timing field (a column of sweep.csv and a key of each sweep.json row);
 manifests carry no timing.
 
-Exit codes: 0 success, 1 verification failures, 2 config error, 3 stability
-violation, 4 resource cap exceeded, 5 non-finite numbers.
+Exit codes: 0 success, 1 verification failures, 2 config error or an output
+directory that cannot be written, 3 stability violation, 4 resource cap
+exceeded, 5 non-finite numbers.
 """
 
 from __future__ import annotations
@@ -224,10 +225,9 @@ def cmd_run(cfg: dict) -> int:
     mode = cfg.get("mode", "exact")
     out = Path(cfg.get("out", "out"))
     out.mkdir(parents=True, exist_ok=True)
-    coalesce_tol = _number(cfg.get("coalesce_tol", 0.0), "coalesce_tol")
     seed = _number(cfg.get("seed", 0), "seed", integer=True)
     if mode == "exact":
-        run = run_explicit_euler(spec, mu0, tau, T, L, coalesce_tol, atom_cap)
+        run = run_explicit_euler(spec, mu0, tau, T, L, atom_cap)
         ensemble = build_path_ensemble(run, tuple_cap)
         _write_json(out / "measures.json", run.to_json_dict())
     elif mode == "monte-carlo":
@@ -306,7 +306,7 @@ def cmd_verify(cfg: dict) -> int:
     T = _number(cfg.get("T", 1.0), "T", positive=True)
     L = _resolve_L(cfg, meta)
     atom_cap, tuple_cap = _caps(cfg)
-    run = run_explicit_euler(spec, mu0, tau, T, L, 0.0, atom_cap)
+    run = run_explicit_euler(spec, mu0, tau, T, L, atom_cap)
     ensemble = build_path_ensemble(run, tuple_cap)
     checks: dict[str, bool] = {}
 
@@ -324,17 +324,15 @@ def cmd_verify(cfg: dict) -> int:
 
     rng = np.random.default_rng(_number(cfg.get("seed", 0), "seed", integer=True))
     if meta is not None and meta.lambda_diss is not None:
-        pts = rng.normal(size=(64, 2, mu0.dim))
-        pairs = [(p[0], p[1]) for p in pts]
         report = check_one_sided_lipschitz(
-            lambda x: barycenter_field(spec, x, mu0), pairs, meta.lambda_diss
+            lambda x: barycenter_field(spec, x, mu0),
+            rng.normal(size=(64, 2, mu0.dim)),
+            meta.lambda_diss,
         )
         checks["one_sided_lipschitz"] = report.passed
     if isinstance(spec, InteractionField):
-        quads = rng.normal(size=(64, 4, mu0.dim))
-        samples = [((q[0], q[1]), (q[2], q[3])) for q in quads]
         checks["pair_dissipativity"] = check_pair_dissipativity(
-            spec.f, samples, meta.lambda_diss if meta else 0.0
+            spec.f, rng.normal(size=(64, 2, 2, mu0.dim)), meta.lambda_diss if meta else 0.0
         ).passed
     if meta is not None and meta.growth_a is not None:
         mus = [mu0] + [
@@ -422,6 +420,9 @@ def main(argv=None) -> int:
     except NumericDomainError as exc:
         print(f"non-finite numbers: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"cannot write artifacts: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -82,7 +82,6 @@ class EulerRun:
     L: float
     measures: tuple
     sections: tuple
-    coalesce_tol: float = 0.0
 
     @property
     def n_steps(self) -> int:
@@ -97,7 +96,6 @@ class EulerRun:
             "tau": self.tau,
             "T": self.T,
             "L": self.L,
-            "coalesce_tol": self.coalesce_tol,
             "measures": [m.to_json_dict() for m in self.measures],
             "sections": [s.to_json_dict() for s in self.sections],
         }
@@ -114,21 +112,16 @@ def run_explicit_euler(
     tau: float,
     T: float,
     L: float,
-    coalesce_tol: float = 0.0,
     atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> EulerRun:
     """Iterate the scheme from mu0 with step tau up to the final step ceil(T/tau).
 
     Raises :class:`StabilityError` when a section's velocity moment exceeds L
     and :class:`ResourceCapError` when the support outgrows ``atom_cap`` (use
-    Monte-Carlo sampling for such regimes).  ``coalesce_tol`` > 0 merges nearby
-    atoms after each step; this keeps long exact runs bounded but breaks the
-    exact lifting identities, so it is off by default.
+    Monte-Carlo sampling for such regimes).
     """
     if tau <= 0 or T <= 0 or L <= 0:
         raise InputError("tau, T, L must all be positive")
-    if coalesce_tol < 0:
-        raise InputError("coalesce_tol must be nonnegative")
     N = _final_step(T, tau)
     measures = [coalesce(mu0, 0.0)]
     sections = []
@@ -138,7 +131,7 @@ def run_explicit_euler(
         if predicted > max(atom_cap, 4) * 8:
             raise ResourceCapError(
                 f"section at step {n} would hold {predicted} atoms; "
-                "rerun in monte-carlo mode or coalesce",
+                "rerun in monte-carlo mode",
                 predicted=predicted,
                 cap=atom_cap,
             )
@@ -148,17 +141,15 @@ def run_explicit_euler(
             raise StabilityError(n, moment, L)
         sections.append(phi)
         nxt = exp_push(phi, tau)
-        if coalesce_tol > 0.0:
-            nxt = coalesce(nxt, coalesce_tol)
         if nxt.n_atoms > atom_cap:
             raise ResourceCapError(
                 f"measure at step {n + 1} holds {nxt.n_atoms} atoms (cap {atom_cap}); "
-                "rerun in monte-carlo mode or coalesce",
+                "rerun in monte-carlo mode",
                 predicted=nxt.n_atoms,
                 cap=atom_cap,
             )
         measures.append(nxt)
-    return EulerRun(spec, float(tau), float(T), float(L), tuple(measures), tuple(sections), coalesce_tol)
+    return EulerRun(spec, float(tau), float(T), float(L), tuple(measures), tuple(sections))
 
 
 def single_step_plan(phi: TangentMeasure, tau: float) -> Coupling:
@@ -183,8 +174,8 @@ def multi_step_plan(run: EulerRun, cap: int = DEFAULT_TUPLE_CAP) -> TuplePlan:
     extended by the successors of the section rows whose position equals its
     last coordinate (as numbers, so -0.0 equals 0.0), in section order, with
     conditional weights w / (their total, summed in section order).  A tuple
-    whose last coordinate is no atom of the section (a coalescing run) is
-    refused.
+    whose last coordinate is no atom of the section (a hand-built run whose
+    measures are not the push-forwards of its sections) is refused.
     """
     mu0 = run.measures[0]
     pts = mu0.atoms[:, None, :].copy()
@@ -194,8 +185,7 @@ def multi_step_plan(run: EulerRun, cap: int = DEFAULT_TUPLE_CAP) -> TuplePlan:
         if not counts.all():
             raise InputError(
                 f"multi-step plan: {np.sum(counts == 0)} tuple end points at step {n} are no "
-                f"atoms of section {n}; the exact lift needs coalesce_tol = 0 "
-                f"(got {run.coalesce_tol})"
+                f"atoms of section {n}"
             )
         predicted = int(counts.sum())
         if predicted > cap:

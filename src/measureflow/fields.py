@@ -229,11 +229,17 @@ def _mean_velocity(
 
 
 def barycenter_field(spec: PvfSpec, x, mu: DiscreteMeasure) -> np.ndarray:
-    """The barycentric velocity b(x, mu): the mean of the selected section at x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
+    """The barycentric velocity b(x, mu): the mean of the selected section at x.
+
+    ``x`` is one point ``(d,)``, or a batch ``(n, d)`` whose row i of the
+    result equals the call on ``x[i]`` alone, bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    X = np.atleast_2d(x)
     rule = _section(spec)
     read = mu if rule.reads_measure else None
-    return _finite_or_raise(_mean_velocity(rule, x, mu.atoms, mu.weights, read), x)[0]
+    V = _finite_or_raise(_mean_velocity(rule, X, mu.atoms, mu.weights, read), X)
+    return V if x.ndim == 2 else V[0]
 
 
 # ---------------------------------------------------------------------------
@@ -261,56 +267,63 @@ class DissipativityReport:
         return len(self.violations) == 0
 
 
+def _sample_array(samples, shape: tuple) -> np.ndarray:
+    """A copy of ``samples`` as an ``(n, *shape, d)`` float array; ``d`` = 0 for no samples."""
+    S = np.array(samples, dtype=float)
+    return S.reshape(len(S), *shape, S.shape[-1])
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise <a, b>, summed from -0.0: in 1-d the product itself, a signed zero too."""
+    return np.sum(a * b, axis=1, initial=-0.0)
+
+
+def _report(kind, declared, lhs, scale, witness) -> DissipativityReport:
+    """The report on samples whose condition is ``lhs <= declared * scale``.
+
+    ``lambda_hat`` is the largest ``lhs / scale``, the first of equal ones
+    (so -0.0 before 0.0 stays -0.0).  A sample with ``scale`` 0 (two equal
+    points) is skipped but counted as tested.  A failed sample i is
+    witnessed by ``(*witness[i], lhs[i], declared * scale[i])``.
+    """
+    keep = scale != 0.0
+    bound = declared * scale
+    ratio = lhs[keep] / scale[keep]
+    lam_hat = float(ratio[np.argmax(ratio)]) if ratio.size else -np.inf
+    bad = np.flatnonzero(keep & (lhs > bound + _CHECK_SLACK))
+    violations = tuple((*witness[i], float(lhs[i]), float(bound[i])) for i in bad)
+    return DissipativityReport(kind, declared, lam_hat, violations, len(lhs))
+
+
 def check_one_sided_lipschitz(
-    b: Callable[[np.ndarray], np.ndarray],
-    samples: Sequence[tuple],
-    lam: float,
+    b: Callable[[np.ndarray], np.ndarray], samples, lam: float
 ) -> DissipativityReport:
-    """Tests <b(x1)-b(x0), x1-x0> <= lam |x1-x0|^2 on the given point pairs."""
-    violations = []
-    lam_hat = -np.inf
-    for x0, x1 in samples:
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-        dx = x1 - x0
-        sq = float(np.dot(dx, dx))
-        if sq == 0.0:
-            continue
-        lhs = float(np.dot(np.asarray(b(x1)) - np.asarray(b(x0)), dx))
-        lam_hat = max(lam_hat, lhs / sq)
-        if lhs > lam * sq + _CHECK_SLACK:
-            violations.append((x0.copy(), x1.copy(), lhs, lam * sq))
-    return DissipativityReport(
-        "one-sided-lipschitz", lam, lam_hat, tuple(violations), len(samples)
-    )
+    """Tests <b(x1)-b(x0), x1-x0> <= lam |x1-x0|^2 on point pairs.
+
+    ``samples`` is an ``(n, 2, d)`` array of pairs (x0, x1), or a list of
+    them; ``b`` is array-native and called once on all x0 and once on all x1.
+    """
+    S = _sample_array(samples, (2,))
+    X0, X1 = S.swapaxes(0, 1)
+    dx = X1 - X0
+    return _report("one-sided-lipschitz", lam, _inner(b(X1) - b(X0), dx), _inner(dx, dx), S)
 
 
 def check_pair_dissipativity(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    samples: Sequence[tuple],
-    lam: float,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], samples, lam: float
 ) -> DissipativityReport:
     """Tests the doubled field (f(x,y), f(y,x)) for dissipativity on X x X.
 
-    Each sample is a pair ((x0, y0), (x1, y1)).
+    ``samples`` is an ``(n, 2, 2, d)`` array of pairs ((x0, y0), (x1, y1)),
+    or a list of them; ``f`` is array-native and called once per argument
+    order and side.
     """
-    violations = []
-    lam_hat = -np.inf
-    for (x0, y0), (x1, y1) in samples:
-        x0, y0, x1, y1 = (np.atleast_1d(np.asarray(z, dtype=float)) for z in (x0, y0, x1, y1))
-        dx, dy = x1 - x0, y1 - y0
-        sq = float(np.dot(dx, dx) + np.dot(dy, dy))
-        if sq == 0.0:
-            continue
-        dv = np.asarray(f(x1, y1)) - np.asarray(f(x0, y0))
-        dw = np.asarray(f(y1, x1)) - np.asarray(f(y0, x0))
-        lhs = float(np.dot(dv, dx) + np.dot(dw, dy))
-        lam_hat = max(lam_hat, lhs / sq)
-        if lhs > lam * sq + _CHECK_SLACK:
-            violations.append(((x0, y0), (x1, y1), lhs, lam * sq))
-    return DissipativityReport(
-        "pair-dissipativity", lam, lam_hat, tuple(violations), len(samples)
-    )
+    S = _sample_array(samples, (2, 2))
+    (X0, Y0), (X1, Y1) = np.moveaxis(S, 0, 2)
+    dx, dy = X1 - X0, Y1 - Y0
+    dv, dw = f(X1, Y1) - f(X0, Y0), f(Y1, X1) - f(Y0, X0)
+    lhs = _inner(dv, dx) + _inner(dw, dy)
+    return _report("pair-dissipativity", lam, lhs, _inner(dx, dx) + _inner(dy, dy), S)
 
 
 def product_disintegration_coupling(
@@ -339,53 +352,33 @@ def product_disintegration_coupling(
 
 
 def check_total_dissipativity(
-    phi0: TangentMeasure,
-    phi1: TangentMeasure,
-    couplings: Sequence[TangentCoupling],
-    lam: float,
-    gamma: Coupling | None = None,
+    phi0: TangentMeasure, phi1: TangentMeasure, lam: float
 ) -> DissipativityReport:
-    """Tests int <v1-v0, x1-x0> <= lam int |x1-x0|^2 against supplied couplings.
+    """Tests int <v1-v0, x1-x0> <= lam int |x1-x0|^2 on the canonical coupling.
 
-    In addition to the supplied plans, the canonical product-of-disintegrations
-    coupling is always tested, built from ``gamma`` when given and from an
-    optimal coupling of the x-marginals otherwise.
+    The plan is the product-of-disintegrations coupling along an optimal
+    coupling of the two x-marginals; its violation witness is ``(0, lhs,
+    lam * sq)``.
     """
-    plans = list(couplings)
-    if gamma is None:
-        from .transport import optimal_coupling
+    from .transport import optimal_coupling
 
-        gamma = optimal_coupling(phi0.x_marginal(), phi1.x_marginal()).coupling
-    plans.append(product_disintegration_coupling(phi0, phi1, gamma))
-    violations = []
-    lam_hat = -np.inf
-    for idx, theta in enumerate(plans):
-        dx = theta.x1 - theta.x0
-        lhs = float(np.sum(theta.weights * np.sum((theta.v1 - theta.v0) * dx, axis=1)))
-        sq = float(np.sum(theta.weights * np.sum(dx * dx, axis=1)))
-        if sq > 0:
-            lam_hat = max(lam_hat, lhs / sq)
-        if lhs > lam * sq + _CHECK_SLACK:
-            violations.append((idx, lhs, lam * sq))
-    return DissipativityReport(
-        "total-dissipativity", lam, lam_hat, tuple(violations), len(plans)
-    )
+    gamma = optimal_coupling(phi0.x_marginal(), phi1.x_marginal()).coupling
+    theta = product_disintegration_coupling(phi0, phi1, gamma)
+    dx = theta.x1 - theta.x0
+    lhs = np.sum(theta.weights * np.sum((theta.v1 - theta.v0) * dx, axis=1))
+    sq = np.sum(theta.weights * np.sum(dx * dx, axis=1))
+    return _report("total-dissipativity", lam, np.array([lhs]), np.array([sq]), [(0,)])
 
 
 def check_growth(
     spec: PvfSpec, mus: Sequence[DiscreteMeasure], a: float
 ) -> DissipativityReport:
-    """Tests the support growth bound <v, x> <= a (1 + |x|^2) on evaluated fields."""
-    violations = []
-    a_hat = -np.inf
-    tested = 0
-    for mu in mus:
-        phi = evaluate_pvf(spec, mu)
-        for x, v in zip(phi.positions, phi.velocities):
-            tested += 1
-            lhs = float(np.dot(v, x))
-            bound = 1.0 + float(np.dot(x, x))
-            a_hat = max(a_hat, lhs / bound)
-            if lhs > a * bound + _CHECK_SLACK:
-                violations.append((x.copy(), v.copy(), lhs, a * bound))
-    return DissipativityReport("growth", a, a_hat, tuple(violations), tested)
+    """Tests the support growth bound <v, x> <= a (1 + |x|^2) on evaluated fields.
+
+    Every row (x, v) of every section ``evaluate_pvf(spec, mu)`` is a sample.
+    """
+    phis = [evaluate_pvf(spec, mu) for mu in mus]
+    rows = [np.stack((phi.positions, phi.velocities), axis=1) for phi in phis]
+    S = np.concatenate(rows) if rows else np.empty((0, 2, 0))
+    X, V = S.swapaxes(0, 1)
+    return _report("growth", a, _inner(V, X), 1.0 + _inner(X, X), S)

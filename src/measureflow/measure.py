@@ -85,13 +85,11 @@ def _set_atoms(obj, *blocks: str, ndim: int = 2, promote: bool = True) -> None:
     object.__setattr__(obj, "weights", _freeze(weights))
 
 
-def as_point(x, dim: int | None = None) -> Array:
-    """Coerce ``x`` to a finite 1-d float vector, optionally of dimension ``dim``."""
+def as_point(x) -> Array:
+    """Coerce ``x`` to a finite 1-d float vector."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
     if p.ndim != 1:
         raise InputError(f"a point must be a 1-d vector, got shape {p.shape}")
-    if dim is not None and p.size != dim:
-        raise InputError(f"point has dimension {p.size}, expected {dim}")
     _check_finite(p, "point coordinates")
     return p
 

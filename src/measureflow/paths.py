@@ -237,7 +237,7 @@ class PathEnsemble:
 
         grid, weights, dim, nodes = self._render_inputs()
         blocks = _render.node_blocks(nodes, len(grid) * dim)
-        rendered = _render.render_blocks(grid, weights, dim, blocks, with_json=False)
+        rendered = _render.render_blocks(grid, weights, dim, blocks)
         return _render.csv_header(dim) + b"".join(c for _, c in rendered).decode()
 
     def write_artifacts(self, json_out, csv_out) -> None:

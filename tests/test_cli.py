@@ -310,25 +310,35 @@ def test_monte_carlo_position_overflow_exits_5(tmp_path, capsys):
     assert "non-finite position at step 1" in err and "Traceback" not in err
 
 
-def test_exact_run_of_a_coalescing_config_exits_2(tmp_path, capsys):
+def test_run_ignores_a_coalesce_tol_key(tmp_path):
+    # the scheme has no coalescing: the last measure has the 4 atoms the
+    # paths end at, though a tolerance of 0.01 would merge them into 2
     out = tmp_path / "o"
-    base = {
+    payload = {
         "scenario": "sdf-linear",
         "initial": {"atoms": [[0.0], [1e-4]], "weights": [0.5, 0.5]},
         "tau": 0.25,
-        "T": 1.0,
+        "T": 0.25,
         "L": 4.0,
-        "mode": "exact",
+        "coalesce_tol": 0.01,
         "out": str(out),
     }
-    cfg = _write_cfg(tmp_path, "merging.json", {**base, "coalesce_tol": 0.01})
-    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    assert main(["run", "--config", _write_cfg(tmp_path, "c.json", payload)]) == EXIT_OK
+    measures = json.loads((out / "measures.json").read_text())
+    assert "coalesce_tol" not in measures
+    last = sorted(x for [x] in measures["measures"][-1]["atoms"])
+    ends = sorted(p["nodes"][-1][0] for p in json.loads((out / "ensemble.json").read_text())["paths"])
+    assert last == ends and len(ends) == 4
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys, command):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    cfg = _write_cfg(tmp_path, "c.json", {"scenario": "sdf-linear", "tau": 0.5, "T": 0.5, "L": 2.0})
+    assert main([command, "--config", cfg, "--out", str(blocker)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "step 1" in err and "coalesce_tol = 0" in err and "Traceback" not in err
-    # a tolerance that merges nothing still runs
-    cfg = _write_cfg(tmp_path, "apart.json", {**base, "coalesce_tol": 1e-6})
-    assert main(["run", "--config", cfg]) == EXIT_OK
-    assert len(json.loads((out / "ensemble.json").read_text())["paths"]) == 32
+    assert "cannot write artifacts" in err and str(blocker) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("T, n_steps", [(0.25, 1), (0.9, 4)])
@@ -428,7 +438,6 @@ def test_numeric_config_bases_run(tmp_path, command):
         ("run", "L"),
         ("run", "M"),
         ("run", "seed"),
-        ("run", "coalesce_tol"),
         ("run", "caps.atoms"),
         ("run", "caps.tuples"),
         ("sweep", "steps"),

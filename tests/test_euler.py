@@ -28,6 +28,7 @@ from measureflow.fields import (
     InteractionField,
     SampledField,
     StochasticInteractionField,
+    evaluate_pvf,
     uniform_noise,
 )
 from measureflow.limit import StickyFlowConfig, sticky_flow, sticky_property_check
@@ -313,17 +314,15 @@ def test_monte_carlo_refuses_position_overflow():
 
 
 def test_exact_lift_of_a_coalescing_run_is_refused():
-    # 0 and 1e-4 step to successors that coalesce_tol = 0.01 merges, so the
-    # tuples' end points are no atoms of the next section
-    run = run_explicit_euler(SDF, mixture([0.0, 1e-4], [0.5, 0.5]), 0.25, 1.0, 4.0, 0.01)
-    with pytest.raises(InputError, match="step 1 .* coalesce_tol = 0"):
-        build_path_ensemble(run)
-    # a tolerance that merges nothing keeps the exact lift, bit for bit
-    mu0 = mixture([-0.7, 0.2, 0.9], [0.2, 0.5, 0.3])
-    loose = build_path_ensemble(run_explicit_euler(SDF, mu0, 0.25, 1.0, 4.0, 1e-9))
-    exact = build_path_ensemble(run_explicit_euler(SDF, mu0, 0.25, 1.0, 4.0))
-    assert loose.nodes.tobytes() == exact.nodes.tobytes()
-    assert loose.weights.tobytes() == exact.weights.tobytes()
+    # 0 and 1e-4 step to successors that coalescing at tol 0.01 merges, so
+    # the tuples' end points are no atoms of the section built on the merge
+    run = run_explicit_euler(SDF, mixture([0.0, 1e-4], [0.5, 0.5]), 0.25, 0.25, 4.0)
+    merged = coalesce(run.measures[1], 0.01)
+    assert merged.n_atoms == 2
+    phi1 = evaluate_pvf(SDF, merged)
+    coalesced = EulerRun(SDF, 0.25, 0.5, 4.0, (*run.measures[:1], merged), (run.sections[0], phi1))
+    with pytest.raises(InputError, match="4 tuple end points at step 1 are no atoms of section 1"):
+        build_path_ensemble(coalesced)
 
 
 @pytest.mark.parametrize("tau, T", [(0.25, 0.25), (0.25, 1.0), (0.25, 0.9), (0.3, 0.7)])

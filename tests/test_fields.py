@@ -135,15 +135,15 @@ def test_total_dissipativity_examples():
     phi0 = tangent_atoms([((0.0,), (0.0,))], [1.0])
     down = tangent_atoms([((1.0,), (-1.0,))], [1.0])
     up = tangent_atoms([((1.0,), (1.0,))], [1.0])
-    assert check_total_dissipativity(phi0, down, [], 0.0).passed
-    rep = check_total_dissipativity(phi0, up, [], 0.0)
+    assert check_total_dissipativity(phi0, down, 0.0).passed
+    rep = check_total_dissipativity(phi0, up, 0.0)
     assert not rep.passed
-    assert check_total_dissipativity(phi0, up, [], 1.0).passed  # equality case
+    assert check_total_dissipativity(phi0, up, 1.0).passed  # equality case
 
 
 def test_dissbari_product_coupling_inherits_pair_dissipativity():
     # kernels y - x - c x are pair-dissipative at -c; the induced product
-    # coupling along any spatial plan must then be totally (-c)-dissipative
+    # coupling along an optimal spatial plan must then be totally (-c)-dissipative
     rng = np.random.default_rng(4)
     for _ in range(10):
         c = float(rng.random())
@@ -159,8 +159,7 @@ def test_dissbari_product_coupling_inherits_pair_dissipativity():
         assert check_pair_dissipativity(f, samples, -c).passed
         phi0 = evaluate_pvf(spec, mu0)
         phi1 = evaluate_pvf(spec, mu1)
-        gamma = optimal_coupling(mu0, mu1).coupling
-        assert check_total_dissipativity(phi0, phi1, [], -c, gamma=gamma).passed
+        assert check_total_dissipativity(phi0, phi1, -c).passed
 
 
 def test_product_disintegration_marginal_validation():
@@ -237,8 +236,8 @@ def test_total_dissipativity_takes_signed_zeros_for_one_position():
     def phi(zero):
         return TangentMeasure([[zero], [0.0], [1.0]], [[1.0], [2.0], [0.0]], [0.25, 0.25, 0.5])
 
-    report = check_total_dissipativity(phi(-0.0), psi, [], 0.0)
-    assert report == check_total_dissipativity(phi(0.0), psi, [], 0.0)
+    report = check_total_dissipativity(phi(-0.0), psi, 0.0)
+    assert report == check_total_dissipativity(phi(0.0), psi, 0.0)
     assert report.passed and report.samples_tested == 1
 
 
@@ -253,6 +252,113 @@ def test_growth_examples():
 
     unit = SampledField(lambda x, u: np.array([1.0]) * u, uniform_noise([1.0, -1.0]))
     assert check_growth(unit, mus, 1.0).passed
+
+
+def _oracle_one_sided_lipschitz(b, samples, lam):
+    """The per-pair loop that the array certifier replaced; ``b`` takes one point."""
+    violations = []
+    lam_hat = -np.inf
+    for x0, x1 in samples:
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        x1 = np.atleast_1d(np.asarray(x1, dtype=float))
+        dx = x1 - x0
+        sq = float(np.dot(dx, dx))
+        if sq == 0.0:
+            continue
+        lhs = float(np.dot(np.asarray(b(x1)) - np.asarray(b(x0)), dx))
+        lam_hat = max(lam_hat, lhs / sq)
+        if lhs > lam * sq + 1e-10:
+            violations.append((x0.copy(), x1.copy(), lhs, lam * sq))
+    return lam_hat, violations, len(samples)
+
+
+def _oracle_pair_dissipativity(f, samples, lam):
+    """The per-sample loop that the array certifier replaced; ``f`` takes one point pair."""
+    violations = []
+    lam_hat = -np.inf
+    for (x0, y0), (x1, y1) in samples:
+        x0, y0, x1, y1 = (np.atleast_1d(np.asarray(z, dtype=float)) for z in (x0, y0, x1, y1))
+        dx, dy = x1 - x0, y1 - y0
+        sq = float(np.dot(dx, dx) + np.dot(dy, dy))
+        if sq == 0.0:
+            continue
+        dv = np.asarray(f(x1, y1)) - np.asarray(f(x0, y0))
+        dw = np.asarray(f(y1, x1)) - np.asarray(f(y0, x0))
+        lhs = float(np.dot(dv, dx) + np.dot(dw, dy))
+        lam_hat = max(lam_hat, lhs / sq)
+        if lhs > lam * sq + 1e-10:
+            violations.append(((x0, y0), (x1, y1), lhs, lam * sq))
+    return lam_hat, violations, len(samples)
+
+
+def _oracle_growth(spec, mus, a):
+    """The per-atom loop that the array certifier replaced."""
+    violations = []
+    a_hat = -np.inf
+    tested = 0
+    for mu in mus:
+        phi = evaluate_pvf(spec, mu)
+        for x, v in zip(phi.positions, phi.velocities):
+            tested += 1
+            lhs = float(np.dot(v, x))
+            bound = 1.0 + float(np.dot(x, x))
+            a_hat = max(a_hat, lhs / bound)
+            if lhs > a * bound + 1e-10:
+                violations.append((x.copy(), v.copy(), lhs, a * bound))
+    return a_hat, violations, tested
+
+
+@st.composite
+def _point_samples(draw, dim, points):
+    """0-8 samples of ``points`` points each, some with two equal halves."""
+    n = draw(st.integers(0, 8))
+    coord = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    S = np.array(draw(st.lists(coord, min_size=n * points * dim, max_size=n * points * dim)))
+    S = S.reshape(n, 2, points // 2, dim)
+    for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n)):
+        S[i, 1] = S[i, 0]  # a zero-distance sample
+    return S.reshape(n, points, dim) if points == 2 else S
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.integers(1, 3),
+    coef=st.tuples(*[st.sampled_from((-1.0, -0.25, 0.0, 0.5)) for _ in range(3)]),
+    lam=st.sampled_from((-1.0, 0.0, 0.5, 2.0)),
+)
+def test_array_certifiers_match_per_sample_oracles(data, dim, coef, lam):
+    # c x + k (x rolled) + q x^3 is row-wise, so one closure serves both sides;
+    # with q != 0 the Rayleigh quotients vary and some samples violate lam
+    c, k, q = coef
+    b = lambda x: c * x + k * np.roll(x, 1, axis=-1) + q * x * x * x  # noqa: E731
+    f = lambda x, y: c * (y - x) + k * np.roll(y, 1, axis=-1) + q * x * x * x  # noqa: E731
+    spec = SampledField(lambda x, u: u * b(x), uniform_noise([1.0, -0.5]))
+    pairs = data.draw(_point_samples(dim, 2))
+    quads = data.draw(_point_samples(dim, 4))
+    mus = [DiscreteMeasure(*m) for m in data.draw(st.lists(_measures(dim), max_size=3))]
+    as_list = data.draw(st.booleans())  # criterion 11 passes lists of point tuples
+    cases = [
+        (check_one_sided_lipschitz(b, [tuple(p) for p in pairs] if as_list else pairs, lam),
+         _oracle_one_sided_lipschitz(b, pairs, lam)),
+        (check_pair_dissipativity(f, [tuple(map(tuple, p)) for p in quads] if as_list else quads, lam),
+         _oracle_pair_dissipativity(f, quads, lam)),
+        (check_growth(spec, mus, lam), _oracle_growth(spec, mus, lam)),
+    ]
+    if dim == 1:
+        same = lambda got, want: _bits(got) == _bits(want)  # noqa: E731
+    else:  # a BLAS dot may fuse multiply-adds; the arrays sum the products
+        same = lambda got, want: math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)  # noqa: E731
+    for report, (lam_hat, violations, tested) in cases:
+        assert report.samples_tested == tested
+        assert report.passed == (not violations)
+        assert len(report.violations) == len(violations)
+        assert same(report.lambda_hat, lam_hat)
+        if tested == 0:
+            assert report.passed and report.lambda_hat == -np.inf
+        for got, want in zip(report.violations, violations):
+            assert _bits(np.asarray(got[:2])) == _bits(np.asarray(want[:2]))
+            assert same(got[2], want[2]) and same(got[3], want[3])
 
 
 def test_velocity_growth_constants_of_scenarios():
@@ -564,6 +670,7 @@ def test_sticky_rhs_rows_equal_barycenter_field(name, data):
     pos, w = data.draw(_measures(dim, low=2.0, high=3.0, normalise=False))
     rhs = _velocity_fn(spec)(pos, w)
     mu = DiscreteMeasure(pos, w / w.sum())
+    assert _bits(rhs) == _bits(barycenter_field(spec, pos, mu))
     for i in range(pos.shape[0]):
         assert _bits(rhs[i]) == _bits(barycenter_field(spec, pos[i], mu))
         assert _bits(rhs[i]) == _bits(_oracle_barycenter(spec, pos[i], mu))
