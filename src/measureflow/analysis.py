@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import InputError, InsufficientDataError
 from .euler import (
+    DEFAULT_ATOM_CAP,
     DEFAULT_TUPLE_CAP,
     build_path_ensemble,
     run_explicit_euler,
@@ -110,6 +111,19 @@ def rate_fit(rows: Sequence[tuple], min_rows: int = 2) -> tuple[float, float]:
     return float(slope), float(math.exp(intercept))
 
 
+def sweep_rate_fit(rows: Sequence[tuple]) -> tuple[float, float] | None:
+    """The rate fit of sweep rows (tau, err, ...), or None when they do not qualify.
+
+    Only rows with err > 1e-12 count, and they qualify when there are at least
+    3 of them spanning at least 4x (two octaves) in tau.
+    """
+    fit_rows = [(t, e) for t, e, *_ in rows if e > 1e-12]
+    taus = [t for t, _ in fit_rows]
+    if len(fit_rows) < 3 or max(taus) / min(taus) < 4.0:
+        return None
+    return rate_fit(fit_rows, min_rows=3)
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Rows of (tau, W2-sup distance to reference, wall ms) plus the fitted law."""
@@ -140,7 +154,7 @@ def _sweep_row(
     steps: int | None,
     sample_count: int,
     seed: int,
-    cap: int,
+    caps: tuple[int, int],
 ) -> tuple[float, float, float]:
     t0 = time.perf_counter()
     if steps is None:
@@ -154,8 +168,8 @@ def _sweep_row(
             )
         ref_row = reference.restricted(T_row)
     if mode == "exact":
-        run = run_explicit_euler(spec, mu0, tau, T_row, L)
-        ens = build_path_ensemble(run, cap)
+        run = run_explicit_euler(spec, mu0, tau, T_row, L, caps[0])
+        ens = build_path_ensemble(run, caps[1])
     elif mode == "monte-carlo":
         ens = sample_paths_monte_carlo(spec, mu0, tau, T_row, sample_count, seed)
     else:
@@ -174,7 +188,7 @@ def convergence_sweep(
     steps: int | None = None,
     sample_count: int = 1000,
     seed: int = 0,
-    tuple_cap: int | None = None,
+    caps: tuple[int, int] = (DEFAULT_ATOM_CAP, DEFAULT_TUPLE_CAP),
 ) -> SweepResult:
     """W2-sup distances of scheme lifts to a reference flow along a tau sweep.
 
@@ -182,22 +196,19 @@ def convergence_sweep(
     ``steps=N`` each row uses the fixed-depth horizon T_row = N * tau and the
     reference is restricted to it (exact trees grow exponentially in the step
     count, so fixed-T exact sweeps are only possible for non-branching fields).
-    Fits require >= 3 usable rows spanning >= 2 octaves; otherwise the result
+    ``caps`` is the (atoms, tuples) budget of each exact row.  The rate is
+    :func:`sweep_rate_fit` of the rows; when they do not qualify the result
     carries a note instead of a rate.
     """
     taus = [float(t) for t in taus]
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise InputError("taus must be strictly decreasing")
-    cap = tuple_cap if tuple_cap is not None else DEFAULT_TUPLE_CAP
     rows = [
-        _sweep_row(spec, mu0, tau, reference, mode, L, steps, sample_count, seed + i, cap)
+        _sweep_row(spec, mu0, tau, reference, mode, L, steps, sample_count, seed + i, caps)
         for i, tau in enumerate(taus)
     ]
-    fit_rows = [(t, e) for t, e, _ in rows if e > 1e-12]
-    note = ""
-    rate = constant = None
-    if len(fit_rows) >= 3 and max(t for t, _ in fit_rows) / min(t for t, _ in fit_rows) >= 4.0:
-        rate, constant = rate_fit(fit_rows, min_rows=3)
-    else:
+    fit = sweep_rate_fit(rows)
+    if fit is None:
         note = "insufficient usable rows for a rate fit (all-zero errors or too narrow a span)"
-    return SweepResult(tuple(rows), rate, constant, note)
+        return SweepResult(tuple(rows), None, None, note)
+    return SweepResult(tuple(rows), *fit)

@@ -1,7 +1,8 @@
 """Batch front-end: config loading, experiment commands, report emission.
 
 Commands: run | sweep | verify | bounds.  One self-contained JSON config per
-invocation; --out and --seed override the config.  Identical config and seed
+invocation; --out and --seed override the config, and the output directory
+is created before the command does any work.  Identical config and seed
 produce byte-identical CSV/JSON artifacts except for ``wall_ms``, the only
 timing field (a column of sweep.csv and a key of each sweep.json row);
 manifests carry no timing.
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import convergence_sweep, ensemble_action, rate_fit, solvability_bounds
+from .analysis import convergence_sweep, ensemble_action, solvability_bounds, sweep_rate_fit
 from .dsl import field_from_config
 from .errors import InputError, NumericDomainError, ResourceCapError, StabilityError
 from .euler import (
@@ -48,7 +49,7 @@ from .fields import (
 )
 from .limit import StickyFlowConfig, sticky_flow, sticky_property_check
 from .measure import DiscreteMeasure, WEIGHT_TOL, velocity_moment
-from .scenarios import Scenario, scenario, scenario_names
+from .scenarios import Scenario, scenario
 
 SCHEMA_VERSION = 1
 
@@ -59,16 +60,21 @@ EXIT_STABILITY = 3
 EXIT_RESOURCE = 4
 EXIT_NUMERIC = 5
 
+# exit code and stderr prefix of each error the commands report; the first match wins
+_EXITS = {
+    InputError: (EXIT_CONFIG, "config error"),
+    StabilityError: (EXIT_STABILITY, "stability violation"),
+    ResourceCapError: (EXIT_RESOURCE, "resource cap"),
+    NumericDomainError: (EXIT_NUMERIC, "non-finite numbers"),
+    OSError: (EXIT_CONFIG, "cannot write artifacts"),
+}
+
 _TOLERANCES = {
     "weight_tol": WEIGHT_TOL,
     "marginal_atom_tol": _MARGINAL_ATOM_TOL,
     "joint_law_atom_tol": _JOINT_LAW_ATOM_TOL,
     "stability_slack": _STAB_SLACK,
 }
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _git_describe() -> str:
@@ -97,11 +103,11 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
     try:
         cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise InputError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+        raise InputError("config must be a JSON object")
     if cfg.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {cfg.get('schema_version')}")
+        raise InputError(f"unsupported schema_version {cfg.get('schema_version')}")
     cfg.setdefault("schema_version", SCHEMA_VERSION)
     if overrides.seed is not None:
         cfg["seed"] = overrides.seed
@@ -113,29 +119,23 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
 def _resolve_scenario(cfg: dict) -> tuple[object, DiscreteMeasure, Scenario | None]:
     sc = cfg.get("scenario")
     if sc is None:
-        raise ConfigError("config needs a 'scenario' (name or inline field table)")
+        raise InputError("config needs a 'scenario' (name or inline field table)")
     if isinstance(sc, str):
-        if sc not in scenario_names():
-            raise ConfigError(
-                f"unknown scenario {sc!r}; available: {', '.join(scenario_names())}"
-            )
-        built = scenario(sc)
-        spec = built.spec
-        dim = built.dim
-        meta = built
+        meta = scenario(sc)
+        spec, dim = meta.spec, meta.dim
     elif isinstance(sc, dict):
         dim = _number(cfg.get("dim"), "dim", integer=True, positive=True)
         try:
             spec = field_from_config(sc, dim)
-        except (InputError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad custom field: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad custom field: {exc}") from exc
         meta = None
     else:
-        raise ConfigError("'scenario' must be a name or an object")
+        raise InputError("'scenario' must be a name or an object")
     init = cfg.get("initial")
     if init is None:
         if meta is None:
-            raise ConfigError("custom fields need an explicit 'initial' measure")
+            raise InputError("custom fields need an explicit 'initial' measure")
         mu0 = meta.default_initial
     else:
         try:
@@ -143,24 +143,23 @@ def _resolve_scenario(cfg: dict) -> tuple[object, DiscreteMeasure, Scenario | No
                 np.asarray(init["atoms"], dtype=float),
                 np.asarray(init["weights"], dtype=float),
             )
-        except (InputError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad initial measure: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad initial measure: {exc}") from exc
         if mu0.dim != dim:
-            raise ConfigError(f"initial measure dim {mu0.dim} != field dim {dim}")
+            raise InputError(f"initial measure dim {mu0.dim} != field dim {dim}")
     return spec, mu0, meta
 
 
-def _resolve_L(cfg: dict, meta: Scenario | None) -> float:
+def _resolve_L(cfg: dict, meta: Scenario | None, T: float) -> float:
+    """The config's L; ``"auto"`` is the solvability bound on the horizon ``T``."""
     L = cfg.get("L", 10.0)
     if L == "auto":
         if meta is None or not meta.has_bounds_data:
-            raise ConfigError(
+            raise InputError(
                 "'auto' L needs a scenario with declared growth constants a and rho_R"
             )
         R = _number(_table(cfg, "bounds").get("R", 1.0), "bounds.R")
-        T = _number(cfg.get("T", 1.0), "T")
-        report = solvability_bounds(R, meta.growth_a, T, meta.rho)
-        return report.L
+        return solvability_bounds(R, meta.growth_a, T, meta.rho).L
     return _number(L, "L", positive=True)
 
 
@@ -168,10 +167,10 @@ def _number(value, name: str, *, integer: bool = False, positive: bool = False):
     """A config value as a finite float, or as an int >= 0 when ``integer``.
 
     ``None`` (a missing key without default), booleans, strings, non-finite
-    and fractional values (for integers) are refused with ConfigError.
+    and fractional values (for integers) are refused with InputError.
     """
     if value is None:
-        raise ConfigError(f"config needs '{name}'")
+        raise InputError(f"config needs '{name}'")
     bad = (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
@@ -181,14 +180,14 @@ def _number(value, name: str, *, integer: bool = False, positive: bool = False):
     )
     if bad:
         sign = "positive" if positive else "nonnegative" if integer else "finite"
-        raise ConfigError(f"'{name}' must be a {sign} {'integer' if integer else 'number'}")
+        raise InputError(f"'{name}' must be a {sign} {'integer' if integer else 'number'}")
     return int(value) if integer else float(value)
 
 
 def _table(cfg: dict, key: str) -> dict:
     table = cfg.get(key, {})
     if not isinstance(table, dict):
-        raise ConfigError(f"'{key}' must be an object")
+        raise InputError(f"'{key}' must be an object")
     return table
 
 
@@ -204,27 +203,29 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", newline="\n")
 
 
-def _manifest(cfg: dict, extra: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config_hash": _config_hash(cfg),
-        "config": cfg,
-        "tolerances": _TOLERANCES,
-        "version": __version__,
-        "git_describe": _git_describe(),
-        **extra,
-    }
+def _write_report(out: Path, name: str, cfg: dict, extra: dict) -> None:
+    """Writes ``out/name``: the config and its provenance, plus the command's ``extra``."""
+    _write_json(
+        out / name,
+        {
+            "schema_version": SCHEMA_VERSION,
+            "config_hash": _config_hash(cfg),
+            "config": cfg,
+            "tolerances": _TOLERANCES,
+            "version": __version__,
+            "git_describe": _git_describe(),
+            **extra,
+        },
+    )
 
 
-def cmd_run(cfg: dict) -> int:
+def cmd_run(cfg: dict, out: Path) -> int:
     spec, mu0, meta = _resolve_scenario(cfg)
     tau = _number(cfg.get("tau"), "tau", positive=True)
     T = _number(cfg.get("T"), "T", positive=True)
-    L = _resolve_L(cfg, meta)
+    L = _resolve_L(cfg, meta, T)
     atom_cap, tuple_cap = _caps(cfg)
     mode = cfg.get("mode", "exact")
-    out = Path(cfg.get("out", "out"))
-    out.mkdir(parents=True, exist_ok=True)
     seed = _number(cfg.get("seed", 0), "seed", integer=True)
     if mode == "exact":
         run = run_explicit_euler(spec, mu0, tau, T, L, atom_cap)
@@ -234,28 +235,19 @@ def cmd_run(cfg: dict) -> int:
         M = _number(cfg.get("M", 1000), "M", integer=True)
         ensemble = sample_paths_monte_carlo(spec, mu0, tau, T, M, seed)
     else:
-        raise ConfigError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     with open(out / "ensemble.json", "wb") as json_out, open(out / "ensemble.csv", "wb") as csv_out:
         ensemble.write_artifacts(json_out, csv_out)
-    _write_json(
-        out / "manifest.json",
-        _manifest(cfg, {"command": "run", "n_paths": ensemble.n_paths}),
-    )
+    _write_report(out, "manifest.json", cfg, {"command": "run", "n_paths": ensemble.n_paths})
     print(f"run: {ensemble.n_paths} paths written to {out}")
     return EXIT_OK
 
 
-def _sticky_reference(spec, mu0, horizon: float, cfg: dict):
-    dt = _number(_table(cfg, "reference").get("dt", 1e-4), "reference.dt", positive=True)
-    flow = sticky_flow(spec, mu0, horizon, StickyFlowConfig(dt=dt))
-    return flow.ensemble
-
-
-def cmd_sweep(cfg: dict) -> int:
+def cmd_sweep(cfg: dict, out: Path) -> int:
     spec, mu0, meta = _resolve_scenario(cfg)
     taus = cfg.get("taus")
     if not isinstance(taus, list) or len(taus) < 2:
-        raise ConfigError("sweep needs 'taus': a decreasing list of step sizes")
+        raise InputError("sweep needs 'taus': a decreasing list of step sizes")
     taus = [_number(t, "taus", positive=True) for t in taus]
     steps = cfg.get("steps")
     if steps is None:
@@ -263,48 +255,43 @@ def cmd_sweep(cfg: dict) -> int:
     else:
         steps = _number(steps, "steps", integer=True, positive=True)
         horizon = steps * max(taus)
-    L = _resolve_L(cfg, meta)
-    _, tuple_cap = _caps(cfg)
+    L = _resolve_L(cfg, meta, horizon)
+    caps = _caps(cfg)
     mode = cfg.get("mode", "exact")
     seed = _number(cfg.get("seed", 0), "seed", integer=True)
-    reference = _sticky_reference(spec, mu0, horizon, cfg)
+    dt = _number(_table(cfg, "reference").get("dt", 1e-4), "reference.dt", positive=True)
     result = convergence_sweep(
         spec,
         mu0,
         taus,
-        reference,
+        sticky_flow(spec, mu0, horizon, StickyFlowConfig(dt=dt)).ensemble,
         mode=mode,
         L=L,
         steps=steps,
         sample_count=_number(cfg.get("M", 1000), "M", integer=True),
         seed=seed,
-        tuple_cap=tuple_cap,
+        caps=caps,
     )
-    out = Path(cfg.get("out", "out"))
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["tau,w2sup,rate_running,wall_ms"]
-    for k in range(len(result.rows)):
-        tau, err, ms = result.rows[k]
-        # every prefix row has err > 0, so three rows always fit
-        prefix = [(t, e) for t, e, _ in result.rows[: k + 1] if e > 1e-12]
-        running = repr(rate_fit(prefix, min_rows=3)[0]) if len(prefix) >= 3 else ""
+    for k, (tau, err, ms) in enumerate(result.rows):
+        fit = sweep_rate_fit(result.rows[: k + 1])
+        running = "" if fit is None else repr(fit[0])
         lines.append(f"{tau!r},{err!r},{running},{ms!r}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n", newline="\n")
     _write_json(out / "sweep.json", result.to_json_dict())
-    _write_json(
-        out / "manifest.json",
-        _manifest(cfg, {"command": "sweep", "fitted_rate": result.fitted_rate}),
+    _write_report(
+        out, "manifest.json", cfg, {"command": "sweep", "fitted_rate": result.fitted_rate}
     )
     rate = "n/a" if result.fitted_rate is None else f"{result.fitted_rate:.3f}"
     print(f"sweep: {len(result.rows)} rows, fitted rate {rate}, artifacts in {out}")
     return EXIT_OK
 
 
-def cmd_verify(cfg: dict) -> int:
+def cmd_verify(cfg: dict, out: Path) -> int:
     spec, mu0, meta = _resolve_scenario(cfg)
     tau = _number(cfg.get("tau", 0.25), "tau", positive=True)
     T = _number(cfg.get("T", 1.0), "T", positive=True)
-    L = _resolve_L(cfg, meta)
+    L = _resolve_L(cfg, meta, T)
     atom_cap, tuple_cap = _caps(cfg)
     run = run_explicit_euler(spec, mu0, tau, T, L, atom_cap)
     ensemble = build_path_ensemble(run, tuple_cap)
@@ -341,19 +328,16 @@ def cmd_verify(cfg: dict) -> int:
         ]
         checks["growth"] = check_growth(spec, mus, meta.growth_a).passed
 
-    out = Path(cfg.get("out", "out"))
-    out.mkdir(parents=True, exist_ok=True)
     passed = all(checks.values())
-    _write_json(
-        out / "verify_report.json",
-        _manifest(cfg, {"command": "verify", "checks": checks, "passed": passed}),
+    _write_report(
+        out, "verify_report.json", cfg, {"command": "verify", "checks": checks, "passed": passed}
     )
     for name, ok in checks.items():
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     return EXIT_OK if passed else EXIT_FAIL
 
 
-def cmd_bounds(cfg: dict) -> int:
+def cmd_bounds(cfg: dict, out: Path) -> int:
     _, _, meta = _resolve_scenario(cfg)
     bounds_cfg = _table(cfg, "bounds")
     R = _number(bounds_cfg.get("R", 1.0), "bounds.R")
@@ -370,16 +354,11 @@ def cmd_bounds(cfg: dict) -> int:
         rho = meta.rho
         a = meta.growth_a if a is None else _number(a, "bounds.a")
     else:
-        raise ConfigError(
+        raise InputError(
             "bounds needs a scenario with declared growth data or an explicit rho_linear"
         )
     report = solvability_bounds(R, a, T, rho, tau)
-    out = Path(cfg.get("out", "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        out / "bounds.json",
-        _manifest(cfg, {"command": "bounds", "bounds": report.to_json_dict()}),
-    )
+    _write_report(out, "bounds.json", cfg, {"command": "bounds", "bounds": report.to_json_dict()})
     print(
         f"bounds: R' = {report.R_prime:.6g}, L = {report.L:.6g}, "
         f"tau_bar = {report.tau_bar:.6g}, final radius {report.radii[-1]:.6g}"
@@ -399,30 +378,17 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
+    # looked up at call time, so a rebinding of cli.cmd_run and the like takes effect
+    handler = {"run": cmd_run, "sweep": cmd_sweep, "verify": cmd_verify, "bounds": cmd_bounds}
     try:
         cfg = _load_config(args.config, args)
-        handler = {
-            "run": cmd_run,
-            "sweep": cmd_sweep,
-            "verify": cmd_verify,
-            "bounds": cmd_bounds,
-        }[args.command]
-        return handler(cfg)
-    except (ConfigError, InputError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except StabilityError as exc:
-        print(f"stability violation: {exc}", file=sys.stderr)
-        return EXIT_STABILITY
-    except ResourceCapError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except NumericDomainError as exc:
-        print(f"non-finite numbers: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"cannot write artifacts: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        out = Path(cfg.get("out", "out"))
+        out.mkdir(parents=True, exist_ok=True)
+        return handler[args.command](cfg, out)
+    except tuple(_EXITS) as exc:
+        code, prefix = next(row for kind, row in _EXITS.items() if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

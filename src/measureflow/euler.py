@@ -10,9 +10,7 @@ interpolated measures and the selected sections; ``verify_marginals`` and
 ``verify_joint_law`` check those identities atom-by-atom.
 
 Exact propagation is deterministic and single-threaded.  Atom and tuple caps
-make tree blowup an explicit error rather than a silent stall; long-horizon
-runs can opt into coalescing, which trades the exact lifting identities for
-bounded support.
+make tree blowup an explicit error rather than a silent stall.
 """
 
 from __future__ import annotations
@@ -326,6 +324,7 @@ def sample_paths_monte_carlo(
 class VerifyReport:
     passed: bool
     detail: str
+    witness: tuple | None = None
 
     def __bool__(self) -> bool:  # allows `ok, report = ...; if ok:` or truthiness
         return self.passed

@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericDomainError
+from .euler import VerifyReport
 from .fields import PvfSpec, _mean_velocity, _section
 from .measure import DiscreteMeasure, _first_non_finite, coalesce, measures_close
 from .paths import PathEnsemble, Provenance
@@ -359,19 +360,9 @@ def evi_residual(
     return out
 
 
-@dataclass(frozen=True)
-class StickyReport:
-    passed: bool
-    detail: str
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 def sticky_property_check(
     ensemble: PathEnsemble, mu0: DiscreteMeasure | None = None
-) -> StickyReport:
+) -> VerifyReport:
     """Verifies the sticky path properties P1-P3 on an ensemble's grid times.
 
     P1: paths are pairwise distinct as functions (some grid time separates
@@ -387,12 +378,12 @@ def sticky_property_check(
     if mu0 is not None:
         starts = coalesce(DiscreteMeasure(values[:, 0, :], ensemble.weights), 0.0)
         if not measures_close(starts, coalesce(mu0, 0.0), atom_tol=tol):
-            return StickyReport(False, "P2: initial points do not match mu0", None)
+            return VerifyReport(False, "P2: initial points do not match mu0")
     for i in range(n):
         for j in range(i + 1, n):
             dist = np.linalg.norm(values[i] - values[j], axis=1)
             if np.all(dist <= tol):
-                return StickyReport(
+                return VerifyReport(
                     False, f"P1: paths {i} and {j} coincide at every grid time", (i, j)
                 )
             close = np.nonzero(dist <= tol)[0]
@@ -401,10 +392,10 @@ def sticky_property_check(
                 later = dist[first:]
                 if np.any(later > tol):
                     bad = first + int(np.argmax(later > tol))
-                    return StickyReport(
+                    return VerifyReport(
                         False,
                         f"P3: paths {i} and {j} touch at t = {grid[first]:.6g} "
                         f"but separate at t = {grid[bad]:.6g}",
                         (i, j, float(grid[first]), float(grid[bad])),
                     )
-    return StickyReport(True, "P1-P3 hold on the grid")
+    return VerifyReport(True, "P1-P3 hold on the grid")

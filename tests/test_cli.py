@@ -156,7 +156,9 @@ def test_invalid_tau_exits_2(tmp_path):
 
 def test_unknown_scenario_exits_2(tmp_path):
     cfg = _write_cfg(
-        tmp_path, "bad2.json", {"scenario": "no-such", "tau": 0.5, "T": 1.0}
+        tmp_path,
+        "bad2.json",
+        {"scenario": "no-such", "tau": 0.5, "T": 1.0, "out": str(tmp_path / "o")},
     )
     assert main(["run", "--config", cfg]) == EXIT_CONFIG
 
@@ -235,7 +237,13 @@ def test_auto_L_refused_without_growth_data(tmp_path):
     cfg = _write_cfg(
         tmp_path,
         "auto_bad.json",
-        {"scenario": "idf-attract", "tau": 0.25, "T": 1.0, "L": "auto"},
+        {
+            "scenario": "idf-attract",
+            "tau": 0.25,
+            "T": 1.0,
+            "L": "auto",
+            "out": str(tmp_path / "o"),
+        },
     )
     assert main(["run", "--config", cfg]) == EXIT_CONFIG
 
@@ -331,14 +339,84 @@ def test_run_ignores_a_coalesce_tol_key(tmp_path):
     assert last == ends and len(ends) == 4
 
 
-@pytest.mark.parametrize("command", ["run", "verify"])
-def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["run", "sweep", "verify", "bounds"])
+def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, command):
+    from measureflow import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the out directory was made")
+
+    for name in ("run_explicit_euler", "sticky_flow", "convergence_sweep"):
+        monkeypatch.setattr(cli, name, refuse)
     blocker = tmp_path / "a-file"
     blocker.write_text("")
-    cfg = _write_cfg(tmp_path, "c.json", {"scenario": "sdf-linear", "tau": 0.5, "T": 0.5, "L": 2.0})
+    payload = {"scenario": "sdf-linear", "tau": 0.5, "T": 0.5, "L": 2.0, "taus": [0.5, 0.25]}
+    cfg = _write_cfg(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg, "--out", str(blocker)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "cannot write artifacts" in err and str(blocker) in err and "Traceback" not in err
+
+
+def test_sweep_passes_the_atom_cap_on(tmp_path, capsys):
+    # three atoms of a three-label field have 9 successors after one step
+    payload = {
+        "scenario": "gradient-sum",
+        "initial": {"atoms": [[0.5, -0.5], [-0.5, 0.5], [0.0, 0.25]], "weights": [0.4, 0.3, 0.3]},
+        "taus": [0.5, 0.25],
+        "steps": 2,
+        "L": 10.0,
+        "reference": {"dt": 0.01},
+        "caps": {"atoms": 5},
+        "out": str(tmp_path / "o"),
+    }
+    assert main(["sweep", "--config", _write_cfg(tmp_path, "cap.json", payload)]) == EXIT_RESOURCE
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_sweep_auto_L_covers_the_sweep_horizon(tmp_path, monkeypatch):
+    from measureflow import cli
+    from measureflow.analysis import solvability_bounds
+    from measureflow.scenarios import scenario
+
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["L"])
+        return sweep(*args, **kwargs)
+
+    sweep = cli.convergence_sweep
+    monkeypatch.setattr(cli, "convergence_sweep", recording)
+    payload = {
+        "scenario": "gradient-sum",
+        "taus": [0.5, 0.25, 0.125],
+        "steps": 4,
+        "L": "auto",
+        "reference": {"dt": 0.01},
+        "out": str(tmp_path / "o"),
+    }
+    assert main(["sweep", "--config", _write_cfg(tmp_path, "auto.json", payload)]) == EXIT_OK
+    sc = scenario("gradient-sum")
+    assert seen == [solvability_bounds(1.0, sc.growth_a, 4 * 0.5, sc.rho).L]
+
+
+@pytest.mark.parametrize(
+    "taus", [[0.25, 0.125, 0.0625, 0.03125], [0.25, 0.2, 0.16, 0.128]], ids=["wide", "narrow"]
+)
+def test_last_running_rate_is_the_fitted_rate(tmp_path, taus):
+    out = tmp_path / "o"
+    payload = {
+        "scenario": "sdf-linear",
+        "taus": taus,
+        "steps": 4,
+        "L": 3.0,
+        "reference": {"dt": 0.001},
+        "out": str(out),
+    }
+    assert main(["sweep", "--config", _write_cfg(tmp_path, "s.json", payload)]) == EXIT_OK
+    rate = json.loads((out / "sweep.json").read_text())["fitted_rate"]
+    last = (out / "sweep.csv").read_text().splitlines()[-1].split(",")[2]
+    assert last == ("" if rate is None else repr(rate))
+    assert (rate is None) == (taus[0] / taus[-1] < 4.0)
 
 
 @pytest.mark.parametrize("T, n_steps", [(0.25, 1), (0.9, 4)])
