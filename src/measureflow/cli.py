@@ -258,6 +258,9 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     L = _resolve_L(cfg, meta, horizon)
     caps = _caps(cfg)
     mode = cfg.get("mode", "exact")
+    if mode not in ("exact", "monte-carlo"):
+        raise InputError(f"unknown sweep mode {mode!r}")
+    M = _number(cfg.get("M", 1000), "M", integer=True)
     seed = _number(cfg.get("seed", 0), "seed", integer=True)
     dt = _number(_table(cfg, "reference").get("dt", 1e-4), "reference.dt", positive=True)
     result = convergence_sweep(
@@ -268,7 +271,7 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         mode=mode,
         L=L,
         steps=steps,
-        sample_count=_number(cfg.get("M", 1000), "M", integer=True),
+        sample_count=M,
         seed=seed,
         caps=caps,
     )
@@ -382,7 +385,10 @@ def main(argv=None) -> int:
     handler = {"run": cmd_run, "sweep": cmd_sweep, "verify": cmd_verify, "bounds": cmd_bounds}
     try:
         cfg = _load_config(args.config, args)
-        out = Path(cfg.get("out", "out"))
+        out = cfg.get("out", "out")
+        if not isinstance(out, str):
+            raise InputError(f"'out' must be a directory path string; got {out!r}")
+        out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
         return handler[args.command](cfg, out)
     except tuple(_EXITS) as exc:

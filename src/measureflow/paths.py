@@ -1,11 +1,8 @@
 """Piecewise-affine paths on a time grid and weighted path ensembles.
 
 An ensemble's ``ensemble.json`` and ``ensemble.csv`` are rendered in blocks
-of paths by ``_render``.  A large ensemble is rendered by two processes when
-more than one CPU is available: a stdlib-only interpreter renders the tail
-paths while this one renders the head paths.  The bytes are the same as
-from one process; the trade is less wall time for more total CPU, up to
-about 20 %.
+of paths by ``_render``, in the calling process, with every float printed as
+``repr`` prints it.
 """
 
 from __future__ import annotations
@@ -225,33 +222,26 @@ class PathEnsemble:
             "paths": [{"grid": list(grid), "nodes": nodes} for nodes in self.nodes.tolist()],
         }
 
-    def _render_inputs(self) -> tuple:
-        """The rendered grid and weights, the dimension and the flat node view ``_render`` takes."""
-        grid = list(map(repr, self.grid.tolist()))
-        weights = list(map(repr, self.weights.tolist()))
-        return grid, weights, self.dim, memoryview(self.nodes.reshape(-1))
-
     def to_csv(self) -> str:
         """One row per (path id, time, coordinates..., weight), as ``ensemble.csv`` holds them."""
         from . import _render  # on first use: verify and sweep render no ensemble
 
-        grid, weights, dim, nodes = self._render_inputs()
-        blocks = _render.node_blocks(nodes, len(grid) * dim)
-        rendered = _render.render_blocks(grid, weights, dim, blocks)
-        return _render.csv_header(dim) + b"".join(c for _, c in rendered).decode()
+        grid, weights = _render._reprs(self.grid), _render._reprs(self.weights)
+        rendered = _render.render_blocks(grid, weights, self.nodes)
+        return _render.csv_header(self.dim) + b"".join(c for _, c in rendered).decode()
 
     def write_artifacts(self, json_out, csv_out) -> None:
         """Write the ensemble's JSON to ``json_out`` and its CSV to ``csv_out``, binary handles.
 
         The bytes equal ``json.dumps(self.to_json_dict(), sort_keys=True,
-        indent=1) + "\\n"`` and ``self.to_csv()``, encoded.  The paths are
-        written by ``_render.write_ensemble`` in blocks, so neither text is held
-        whole, and by two processes for a large ensemble on several CPUs.
+        indent=1) + "\\n"`` and ``self.to_csv()``, encoded: every float as
+        ``repr`` prints it.  The paths are written by ``_render.write_ensemble``
+        in blocks, in this process, so neither text is held whole.
         """
         from . import _render  # on first use: verify and sweep render no ensemble
 
         provenance = json.dumps(self._provenance_dict(), sort_keys=True, indent=1)
-        _render.write_ensemble(json_out, csv_out, *self._render_inputs(), provenance)
+        _render.write_ensemble(json_out, csv_out, self.grid, self.weights, self.nodes, provenance)
 
 
 def ensemble_from_json(s: str) -> PathEnsemble:

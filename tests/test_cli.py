@@ -357,6 +357,36 @@ def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, co
     assert "cannot write artifacts" in err and str(blocker) in err and "Traceback" not in err
 
 
+def test_a_non_string_out_is_a_config_error(tmp_path, capsys):
+    payload = {"scenario": "sdf-linear", "tau": 0.5, "T": 0.5, "L": 2.0, "out": 5}
+    assert main(["run", "--config", _write_cfg(tmp_path, "c.json", payload)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "'out'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("mode", "bogus"), ("M", "x")])
+def test_sweep_refuses_mode_and_M_before_the_reference_flow(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    from measureflow import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference flow ran before the config was checked")
+
+    monkeypatch.setattr(cli, "sticky_flow", refuse)
+    payload = {
+        "scenario": "sdf-linear",
+        "taus": [0.5, 0.25],
+        "steps": 2,
+        "L": 2.0,
+        "out": str(tmp_path / "o"),
+        key: value,
+    }
+    assert main(["sweep", "--config", _write_cfg(tmp_path, "c.json", payload)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
 def test_sweep_passes_the_atom_cap_on(tmp_path, capsys):
     # three atoms of a three-label field have 9 successors after one step
     payload = {
@@ -600,3 +630,17 @@ def test_verify_and_sweep_import_neither_scipy_nor_numpy_ma(tmp_path):
         check=True,
     )
     assert json.loads(out.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], []]
+
+
+def test_cli_import_loads_neither_the_renderer_nor_orjson():
+    # only run renders an ensemble; the other commands' start-up must not pay for it
+    code = (
+        "import measureflow.cli, sys; "
+        "print([m for m in ('orjson', 'measureflow._render') if m in sys.modules])"
+    )
+    src = str(Path(measureflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -4,8 +4,6 @@ import csv
 import functools
 import io
 import json
-import subprocess
-import sys
 import tempfile
 import warnings
 
@@ -318,106 +316,21 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_writer_memory_is_blocked(monkeypatch):
-    monkeypatch.setattr(_render, "_available_cpus", lambda: 1)  # every block in this process
+def test_writer_memory_is_blocked():
     peak = _traced_peak(_walk_ensemble(6000).write_artifacts, _Discard(), _Discard())
     # each file is about 15 MB; one block of 256 paths renders about 1.3 MB of each
     assert peak < 8 * 2**20, peak
 
 
-def test_worker_memory_is_blocked(tmp_path):
-    # The worker reads its input one block at a time: four times the paths
-    # raise its peak by their weights, not by the extra 1.6 MB of node bytes.
-    peaks = []
-    for n in (1024, 4096):
-        grid, weights, dim, nodes = _walk_ensemble(n)._render_inputs()
-        src = tmp_path / f"in{n}"
-        _render.write_input(src, grid, weights, nodes)
-        argv = [str(src), str(tmp_path / "json"), str(tmp_path / "csv"), "0", str(dim)]
-        peaks.append(_traced_peak(_render.main, argv))
-    assert peaks[1] - peaks[0] < 2**20, peaks
-    assert peaks[1] < 8 * 2**20, peaks
-
-
-# ---------------------------------------------------------------------------
-# the render worker: both routes, and a worker that fails
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def started(monkeypatch, tmp_path):
-    """The processes ``write_artifacts`` starts, with temporary directories made under tmp_path."""
-    procs = []
-    popen = subprocess.Popen
-
-    def spy(*args, **kwargs):
-        procs.append(popen(*args, **kwargs))
-        return procs[-1]
-
-    monkeypatch.setattr(subprocess, "Popen", spy)
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    monkeypatch.setattr(_render, "_WORKER_MIN_FLOATS", 0)  # a worker for the small ensembles here
-    return procs
-
-
-def test_worker_starts_only_for_large_ensembles(monkeypatch):
-    monkeypatch.setattr(_render, "_available_cpus", lambda: 2)
-    floats = _render._WORKER_MIN_FLOATS
-    assert _render._worker_split(600, floats) == 600 - round(600 * _render._WORKER_SHARE)
-    assert _render._worker_split(600, floats - 1) == 600
-    assert _render._worker_split(1, 10 * floats) == 1  # the share of one path rounds to none
-    monkeypatch.setattr(_render, "_available_cpus", lambda: 1)
-    assert _render._worker_split(600, 10 * floats) == 600
-
-
-def test_worker_and_in_process_routes_write_the_same_bytes(monkeypatch, tmp_path, started):
-    # The worker runs under -I -S: an import beyond the standard library in
-    # _render.py makes it exit non-zero, and this test fail.
+def test_three_block_ensemble_writes_the_oracle_bytes():
     ens = _three_block_ensemble()
     assert ens.n_paths > 2 * WRITE_BLOCK
-    monkeypatch.setattr(_render, "_available_cpus", lambda: 2)
-    two = _written(ens)
-    assert [p.returncode for p in started] == [0]
-    assert started[0].args[1:4] == ["-I", "-S", _render._WORKER]
-    monkeypatch.setattr(_render, "_available_cpus", lambda: 1)
-    one = _written(ens)
-    assert len(started) == 1  # no second worker
-    assert two == one == (_oracle_json(ens).encode(), _oracle_csv(ens).encode())
-    back = ensemble_from_json(two[0].decode())
+    written = _written(ens)
+    assert written == (_oracle_json(ens).encode(), _oracle_csv(ens).encode())
+    back = ensemble_from_json(written[0].decode())
     assert back.nodes.tobytes() == ens.nodes.tobytes()
     assert back.grid.tobytes() == ens.grid.tobytes()
     assert back.weights.tobytes() == ens.weights.tobytes()
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_worker_that_cannot_start_falls_back_to_the_same_bytes(monkeypatch, tmp_path, started):
-    ens = _three_block_ensemble()
-    expected = (_oracle_json(ens).encode(), _oracle_csv(ens).encode())
-    monkeypatch.setattr(_render, "_available_cpus", lambda: 2)
-    missing = str(tmp_path / "missing")
-    # no interpreter, a missing one, no temporary directory: each raises OSError
-    cases = ((sys, "executable", ""), (sys, "executable", missing), (tempfile, "tempdir", missing))
-    for target, name, value in cases:
-        with monkeypatch.context() as m:
-            m.setattr(target, name, value)
-            assert _written(ens) == expected
-    assert started == [] and list(tmp_path.iterdir()) == []
-
-
-def test_failing_worker_raises_and_leaves_nothing_behind(monkeypatch, tmp_path, started):
-    ens = _three_block_ensemble()
-    script = tmp_path / "fail.py"
-    script.write_text("import sys\nsys.exit(3)\n")
-    temp = tmp_path / "tmp"
-    temp.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(temp))
-    monkeypatch.setattr(_render, "_WORKER", str(script))
-    monkeypatch.setattr(_render, "_available_cpus", lambda: 2)
-    split = _render._worker_split(ens.n_paths, ens.nodes.size)
-    with pytest.raises(RuntimeError, match=f"paths {split} to 599 exited with code 3"):
-        _written(ens)
-    assert len(started) == 1 and started[0].poll() == 3
-    assert list(temp.iterdir()) == []
 
 
 class _FullDisk:
@@ -430,18 +343,50 @@ class _FullDisk:
             raise OSError("no space left")
 
 
-def test_parent_failure_kills_the_worker(monkeypatch, tmp_path, started):
-    script = tmp_path / "slow.py"
-    script.write_text("import time\ntime.sleep(60)\n")
-    temp = tmp_path / "tmp"
-    temp.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(temp))
-    monkeypatch.setattr(_render, "_WORKER", str(script))
-    monkeypatch.setattr(_render, "_available_cpus", lambda: 2)
+def test_failing_write_raises_and_leaves_no_temporary_file(monkeypatch, tmp_path):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     with pytest.raises(OSError, match="no space left"):
         _three_block_ensemble().write_artifacts(_FullDisk(2), _FullDisk(2))
-    assert len(started) == 1 and started[0].poll() is not None
-    assert list(temp.iterdir()) == []
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# the float formatter against repr
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+def test_reprs_match_repr(xs):
+    assert _render._reprs(np.array(xs, dtype=float)) == list(map(repr, xs))
+
+
+def test_reprs_match_repr_at_the_notation_bounds():
+    # repr switches to an exponent below 1e-4 and from 1e16 on; the integer-valued
+    # floats are where a formatter might drop the ".0"
+    xs = [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        np.nextafter(1e-4, 0),
+        1e-4,
+        np.nextafter(1e-4, 1),
+        -1e-4,
+        np.nextafter(1e16, 0),
+        1e16,
+        -1e16,
+        1.7976931348623157e308,
+        -1.7976931348623157e308,
+        1e15,
+        -3.0,
+        1.0,
+        float("nan"),
+        float("inf"),
+        -float("inf"),
+    ]
+    xs = [float(x) for x in xs]
+    assert _render._reprs(np.array(xs)) == list(map(repr, xs))
 
 
 # ---------------------------------------------------------------------------
