@@ -1,11 +1,13 @@
 """Batch front-end: config loading, experiment commands, report emission.
 
 Commands: run | sweep | verify | bounds.  One self-contained JSON config per
-invocation; --out and --seed override the config, and the output directory
-is created before the command does any work.  Identical config and seed
-produce byte-identical CSV/JSON artifacts except for ``wall_ms``, the only
-timing field (a column of sweep.csv and a key of each sweep.json row);
-manifests carry no timing.
+invocation; --out and --seed override the config.  ``_KEYS`` lists the keys
+each command reads; ``main`` checks the whole config against it before it
+makes the output directory, so every config error exits 2 before any work,
+and reports the keys the command does not read (``unread_keys``).  Identical
+config and seed produce byte-identical CSV/JSON artifacts except for
+``wall_ms``, the only timing field (a column of sweep.csv and a key of each
+sweep.json row); manifests carry no timing.
 
 Exit codes: 0 success, 1 verification failures, 2 config error or an output
 directory that cannot be written, 3 stability violation, 4 resource cap
@@ -17,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -93,12 +94,6 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def _config_hash(cfg: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
-
 def _load_config(path: str, overrides: argparse.Namespace) -> dict:
     try:
         cfg = json.loads(Path(path).read_text())
@@ -106,25 +101,139 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
-    if cfg.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise InputError(f"unsupported schema_version {cfg.get('schema_version')}")
     cfg.setdefault("schema_version", SCHEMA_VERSION)
-    if overrides.seed is not None:
-        cfg["seed"] = overrides.seed
-    if overrides.out is not None:
-        cfg["out"] = overrides.out
+    cfg.update((k, v) for k, v in vars(overrides).items() if k in ("seed", "out") and v is not None)
     return cfg
 
 
-def _resolve_scenario(cfg: dict) -> tuple[object, DiscreteMeasure, Scenario | None]:
-    sc = cfg.get("scenario")
-    if sc is None:
-        raise InputError("config needs a 'scenario' (name or inline field table)")
+_NEEDED = object()  # the default of a key that the command cannot do without
+
+# the keys each command reads, name -> (kind, default); "caps.atoms" is key "atoms" of table "caps"
+_SHARED = {
+    "schema_version": ("schema", SCHEMA_VERSION),
+    "out": ("path", Path("out")),
+    "scenario": ("given", _NEEDED),
+    "dim": ("positive count", None),
+    "initial": ("given", None),
+}
+_SCHEME = {  # run, sweep and verify
+    **_SHARED,
+    "L": ("positive or auto", 10.0),
+    "bounds.R": ("positive", 1.0),
+    "caps.atoms": ("count", DEFAULT_ATOM_CAP),
+    "caps.tuples": ("count", DEFAULT_TUPLE_CAP),
+    "seed": ("count", 0),
+}
+_SAMPLING = {"mode": ("mode", "exact"), "M": ("positive count", 1000)}  # run and sweep
+_KEYS = {
+    "run": {**_SCHEME, **_SAMPLING, "tau": ("positive", _NEEDED), "T": ("positive", _NEEDED)},
+    "sweep": {
+        **_SCHEME,
+        **_SAMPLING,
+        "taus": ("taus", _NEEDED),
+        "steps": ("positive count", None),
+        "T": ("positive", None),
+        "reference.dt": ("positive", 1e-4),
+    },
+    "verify": {**_SCHEME, "tau": ("positive", 0.25), "T": ("positive", 1.0)},
+    "bounds": {
+        **_SHARED,
+        "T": ("positive", 1.0),
+        "bounds.R": ("positive", 1.0),
+        "bounds.T": ("positive", None),
+        "bounds.a": ("number", None),
+        "bounds.tau": ("positive", None),
+        "bounds.rho_linear": ("number", None),
+    },
+}
+# the kinds that are not numbers: the test a value must pass, and what it asks for
+_SHAPES = {
+    "mode": (lambda v: v in ("exact", "monte-carlo"), "'exact' or 'monte-carlo'"),
+    "path": (lambda v: isinstance(v, str), "a directory path string"),
+    "schema": (lambda v: type(v) is int and v == SCHEMA_VERSION, f"the integer {SCHEMA_VERSION}"),
+}
+
+
+def _checked(kind: str, value, name: str):
+    """The value of key ``name`` read as ``kind``, or InputError.
+
+    Numbers refuse booleans, strings, NaN, infinities and values beyond the
+    float range; counts also refuse fractions and negatives, and the positive
+    kinds values <= 0.
+    """
+    if kind == "given":  # scenario and initial: _resolve_scenario checks them
+        return value
+    if kind == "taus":
+        taus = [_checked("positive", t, name) for t in value] if isinstance(value, list) else []
+        if len(taus) < 2 or any(b >= a for a, b in zip(taus, taus[1:])):
+            raise InputError("'taus' must be a strictly decreasing list of two or more step sizes")
+        return taus
+    if kind in _SHAPES:
+        ok, wanted = _SHAPES[kind]
+        if not ok(value):
+            raise InputError(f"'{name}' must be {wanted}; got {value!r}")
+        return Path(value) if kind == "path" else value
+    if kind == "positive or auto" and value == "auto":
+        return value
+    integer, positive = "count" in kind, "positive" in kind
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+        or (integer and (value < 0 or value != int(value)))
+        or (positive and value <= 0)
+    ):
+        sign = "positive" if positive else "nonnegative" if integer else "finite"
+        raise InputError(f"'{name}' must be a {sign} {'integer' if integer else 'number'}")
+    return int(value) if integer else float(value)
+
+
+def _settings(command: str, cfg: dict) -> dict:
+    """``cfg`` checked whole against ``_KEYS[command]``, before any work.
+
+    Every key of the table with its value or default (``L`` resolved, ``T``
+    the horizon), the scenario's ``spec``, ``mu0`` and ``meta``, the
+    ``config`` as given and ``unread_keys``, the keys the command does not
+    read (with ``dim`` next to a built-in scenario).
+    """
+    keys = _KEYS[command]
+    tables = {name.split(".")[0] for name in keys if "." in name}
+    given = {}
+    for key, value in cfg.items():
+        if key in tables and not isinstance(value, dict):
+            raise InputError(f"'{key}' must be an object")
+        given.update({f"{key}.{k}": v for k, v in value.items()} if key in tables else {key: value})
+    s = {"config": cfg}
+    for name, (kind, default) in keys.items():
+        if name not in given and default is _NEEDED:
+            raise InputError(f"config needs '{name}'")
+        s[name] = _checked(kind, given[name], name) if name in given else default
+    unread = given.keys() - keys.keys()
+    if isinstance(s["scenario"], str):
+        unread |= given.keys() & {"dim"}
+    s["unread_keys"] = sorted(unread)
+    s["spec"], s["mu0"], s["meta"] = _resolve_scenario(s["scenario"], s["dim"], s["initial"])
+    if s.get("steps") is not None:
+        s["T"] = s["steps"] * max(s["taus"])
+    elif s["T"] is None:
+        raise InputError("sweep needs 'T' (a fixed horizon) or 'steps' (a fixed tree depth)")
+    growth = s["meta"] is not None and s["meta"].has_bounds_data
+    if s.get("L") == "auto":
+        if not growth:
+            raise InputError("'L': 'auto' needs a scenario with declared growth data")
+        s["L"] = solvability_bounds(s["bounds.R"], s["meta"].growth_a, s["T"], s["meta"].rho).L
+    if command == "bounds" and s["bounds.rho_linear"] is None and not growth:
+        raise InputError("bounds needs 'bounds.rho_linear' or a scenario with declared growth data")
+    return s
+
+
+def _resolve_scenario(sc, dim, init) -> tuple[object, DiscreteMeasure, Scenario | None]:
     if isinstance(sc, str):
         meta = scenario(sc)
         spec, dim = meta.spec, meta.dim
     elif isinstance(sc, dict):
-        dim = _number(cfg.get("dim"), "dim", integer=True, positive=True)
+        if dim is None:
+            raise InputError("config needs 'dim' next to an inline field")
         try:
             spec = field_from_config(sc, dim)
         except (KeyError, TypeError, ValueError) as exc:
@@ -132,149 +241,62 @@ def _resolve_scenario(cfg: dict) -> tuple[object, DiscreteMeasure, Scenario | No
         meta = None
     else:
         raise InputError("'scenario' must be a name or an object")
-    init = cfg.get("initial")
     if init is None:
         if meta is None:
             raise InputError("custom fields need an explicit 'initial' measure")
-        mu0 = meta.default_initial
-    else:
-        try:
-            mu0 = DiscreteMeasure(
-                np.asarray(init["atoms"], dtype=float),
-                np.asarray(init["weights"], dtype=float),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad initial measure: {exc}") from exc
-        if mu0.dim != dim:
-            raise InputError(f"initial measure dim {mu0.dim} != field dim {dim}")
+        return spec, meta.default_initial, meta
+    try:
+        mu0 = DiscreteMeasure(init["atoms"], init["weights"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad initial measure: {exc}") from exc
+    if mu0.dim != dim:
+        raise InputError(f"initial measure dim {mu0.dim} != field dim {dim}")
     return spec, mu0, meta
-
-
-def _resolve_L(cfg: dict, meta: Scenario | None, T: float) -> float:
-    """The config's L; ``"auto"`` is the solvability bound on the horizon ``T``."""
-    L = cfg.get("L", 10.0)
-    if L == "auto":
-        if meta is None or not meta.has_bounds_data:
-            raise InputError(
-                "'auto' L needs a scenario with declared growth constants a and rho_R"
-            )
-        R = _number(_table(cfg, "bounds").get("R", 1.0), "bounds.R")
-        return solvability_bounds(R, meta.growth_a, T, meta.rho).L
-    return _number(L, "L", positive=True)
-
-
-def _number(value, name: str, *, integer: bool = False, positive: bool = False):
-    """A config value as a finite float, or as an int >= 0 when ``integer``.
-
-    ``None`` (a missing key without default), booleans, strings, non-finite
-    and fractional values (for integers) are refused with InputError.
-    """
-    if value is None:
-        raise InputError(f"config needs '{name}'")
-    bad = (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not math.isfinite(value))
-        or (integer and (value < 0 or value != int(value)))
-        or (positive and value <= 0)
-    )
-    if bad:
-        sign = "positive" if positive else "nonnegative" if integer else "finite"
-        raise InputError(f"'{name}' must be a {sign} {'integer' if integer else 'number'}")
-    return int(value) if integer else float(value)
-
-
-def _table(cfg: dict, key: str) -> dict:
-    table = cfg.get(key, {})
-    if not isinstance(table, dict):
-        raise InputError(f"'{key}' must be an object")
-    return table
-
-
-def _caps(cfg: dict) -> tuple[int, int]:
-    caps = _table(cfg, "caps")
-    return (
-        _number(caps.get("atoms", DEFAULT_ATOM_CAP), "caps.atoms", integer=True),
-        _number(caps.get("tuples", DEFAULT_TUPLE_CAP), "caps.tuples", integer=True),
-    )
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", newline="\n")
 
 
-def _write_report(out: Path, name: str, cfg: dict, extra: dict) -> None:
-    """Writes ``out/name``: the config and its provenance, plus the command's ``extra``."""
+def _write_report(s: dict, name: str, extra: dict) -> None:
+    """Writes ``out/name``: the config, its provenance and unread keys, and ``extra``."""
+    canonical = json.dumps(s["config"], sort_keys=True, separators=(",", ":")).encode()
+    unread = {"unread_keys": s["unread_keys"]} if s["unread_keys"] else {}
     _write_json(
-        out / name,
+        s["out"] / name,
         {
             "schema_version": SCHEMA_VERSION,
-            "config_hash": _config_hash(cfg),
-            "config": cfg,
+            "config_hash": hashlib.sha256(canonical).hexdigest(),
+            "config": s["config"],
             "tolerances": _TOLERANCES,
             "version": __version__,
             "git_describe": _git_describe(),
+            **unread,
             **extra,
         },
     )
 
 
-def cmd_run(cfg: dict, out: Path) -> int:
-    spec, mu0, meta = _resolve_scenario(cfg)
-    tau = _number(cfg.get("tau"), "tau", positive=True)
-    T = _number(cfg.get("T"), "T", positive=True)
-    L = _resolve_L(cfg, meta, T)
-    atom_cap, tuple_cap = _caps(cfg)
-    mode = cfg.get("mode", "exact")
-    seed = _number(cfg.get("seed", 0), "seed", integer=True)
-    if mode == "exact":
-        run = run_explicit_euler(spec, mu0, tau, T, L, atom_cap)
-        ensemble = build_path_ensemble(run, tuple_cap)
+def cmd_run(s: dict) -> int:
+    out = s["out"]
+    if s["mode"] == "exact":
+        run = run_explicit_euler(s["spec"], s["mu0"], s["tau"], s["T"], s["L"], s["caps.atoms"])
+        ensemble = build_path_ensemble(run, s["caps.tuples"])
         _write_json(out / "measures.json", run.to_json_dict())
-    elif mode == "monte-carlo":
-        M = _number(cfg.get("M", 1000), "M", integer=True)
-        ensemble = sample_paths_monte_carlo(spec, mu0, tau, T, M, seed)
     else:
-        raise InputError(f"unknown mode {mode!r}")
+        ensemble = sample_paths_monte_carlo(s["spec"], s["mu0"], s["tau"], s["T"], s["M"], s["seed"])
     with open(out / "ensemble.json", "wb") as json_out, open(out / "ensemble.csv", "wb") as csv_out:
         ensemble.write_artifacts(json_out, csv_out)
-    _write_report(out, "manifest.json", cfg, {"command": "run", "n_paths": ensemble.n_paths})
+    _write_report(s, "manifest.json", {"command": "run", "n_paths": ensemble.n_paths})
     print(f"run: {ensemble.n_paths} paths written to {out}")
     return EXIT_OK
 
 
-def cmd_sweep(cfg: dict, out: Path) -> int:
-    spec, mu0, meta = _resolve_scenario(cfg)
-    taus = cfg.get("taus")
-    if not isinstance(taus, list) or len(taus) < 2:
-        raise InputError("sweep needs 'taus': a decreasing list of step sizes")
-    taus = [_number(t, "taus", positive=True) for t in taus]
-    steps = cfg.get("steps")
-    if steps is None:
-        horizon = _number(cfg.get("T"), "T", positive=True)
-    else:
-        steps = _number(steps, "steps", integer=True, positive=True)
-        horizon = steps * max(taus)
-    L = _resolve_L(cfg, meta, horizon)
-    caps = _caps(cfg)
-    mode = cfg.get("mode", "exact")
-    if mode not in ("exact", "monte-carlo"):
-        raise InputError(f"unknown sweep mode {mode!r}")
-    M = _number(cfg.get("M", 1000), "M", integer=True)
-    seed = _number(cfg.get("seed", 0), "seed", integer=True)
-    dt = _number(_table(cfg, "reference").get("dt", 1e-4), "reference.dt", positive=True)
-    result = convergence_sweep(
-        spec,
-        mu0,
-        taus,
-        sticky_flow(spec, mu0, horizon, StickyFlowConfig(dt=dt)).ensemble,
-        mode=mode,
-        L=L,
-        steps=steps,
-        sample_count=M,
-        seed=seed,
-        caps=caps,
-    )
+def cmd_sweep(s: dict) -> int:
+    spec, mu0, out, caps = s["spec"], s["mu0"], s["out"], (s["caps.atoms"], s["caps.tuples"])
+    reference = sticky_flow(spec, mu0, s["T"], StickyFlowConfig(dt=s["reference.dt"])).ensemble
+    per_row = dict(mode=s["mode"], L=s["L"], steps=s["steps"], sample_count=s["M"], seed=s["seed"])
+    result = convergence_sweep(spec, mu0, s["taus"], reference, caps=caps, **per_row)
     lines = ["tau,w2sup,rate_running,wall_ms"]
     for k, (tau, err, ms) in enumerate(result.rows):
         fit = sweep_rate_fit(result.rows[: k + 1])
@@ -282,22 +304,16 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         lines.append(f"{tau!r},{err!r},{running},{ms!r}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n", newline="\n")
     _write_json(out / "sweep.json", result.to_json_dict())
-    _write_report(
-        out, "manifest.json", cfg, {"command": "sweep", "fitted_rate": result.fitted_rate}
-    )
+    _write_report(s, "manifest.json", {"command": "sweep", "fitted_rate": result.fitted_rate})
     rate = "n/a" if result.fitted_rate is None else f"{result.fitted_rate:.3f}"
     print(f"sweep: {len(result.rows)} rows, fitted rate {rate}, artifacts in {out}")
     return EXIT_OK
 
 
-def cmd_verify(cfg: dict, out: Path) -> int:
-    spec, mu0, meta = _resolve_scenario(cfg)
-    tau = _number(cfg.get("tau", 0.25), "tau", positive=True)
-    T = _number(cfg.get("T", 1.0), "T", positive=True)
-    L = _resolve_L(cfg, meta, T)
-    atom_cap, tuple_cap = _caps(cfg)
-    run = run_explicit_euler(spec, mu0, tau, T, L, atom_cap)
-    ensemble = build_path_ensemble(run, tuple_cap)
+def cmd_verify(s: dict) -> int:
+    spec, mu0, meta, tau, T = s["spec"], s["mu0"], s["meta"], s["tau"], s["T"]
+    run = run_explicit_euler(spec, mu0, tau, T, s["L"], s["caps.atoms"])
+    ensemble = build_path_ensemble(run, s["caps.tuples"])
     checks: dict[str, bool] = {}
 
     grid = [n * tau for n in range(run.n_steps)] + [T]
@@ -312,7 +328,7 @@ def cmd_verify(cfg: dict, out: Path) -> int:
     flow = sticky_flow(spec, mu0, T, StickyFlowConfig(dt=min(tau / 20.0, 1e-3)))
     checks["sticky_properties"] = sticky_property_check(flow.ensemble, mu0).passed
 
-    rng = np.random.default_rng(_number(cfg.get("seed", 0), "seed", integer=True))
+    rng = np.random.default_rng(s["seed"])
     if meta is not None and meta.lambda_diss is not None:
         report = check_one_sided_lipschitz(
             lambda x: barycenter_field(spec, x, mu0),
@@ -332,36 +348,19 @@ def cmd_verify(cfg: dict, out: Path) -> int:
         checks["growth"] = check_growth(spec, mus, meta.growth_a).passed
 
     passed = all(checks.values())
-    _write_report(
-        out, "verify_report.json", cfg, {"command": "verify", "checks": checks, "passed": passed}
-    )
+    extra = {"command": "verify", "checks": checks, "passed": passed}
+    _write_report(s, "verify_report.json", extra)
     for name, ok in checks.items():
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     return EXIT_OK if passed else EXIT_FAIL
 
 
-def cmd_bounds(cfg: dict, out: Path) -> int:
-    _, _, meta = _resolve_scenario(cfg)
-    bounds_cfg = _table(cfg, "bounds")
-    R = _number(bounds_cfg.get("R", 1.0), "bounds.R")
-    a = bounds_cfg.get("a")
-    T = _number(bounds_cfg.get("T", _number(cfg.get("T", 1.0), "T")), "bounds.T")
-    tau = bounds_cfg.get("tau")
-    tau = None if tau is None else _number(tau, "bounds.tau")
-    rho_linear = bounds_cfg.get("rho_linear")
-    if rho_linear is not None:
-        slope = _number(rho_linear, "bounds.rho_linear")
-        rho = lambda r: slope * r  # noqa: E731
-        a = _number(a if a is not None else 0.0, "bounds.a")
-    elif meta is not None and meta.has_bounds_data:
-        rho = meta.rho
-        a = meta.growth_a if a is None else _number(a, "bounds.a")
-    else:
-        raise InputError(
-            "bounds needs a scenario with declared growth data or an explicit rho_linear"
-        )
-    report = solvability_bounds(R, a, T, rho, tau)
-    _write_report(out, "bounds.json", cfg, {"command": "bounds", "bounds": report.to_json_dict()})
+def cmd_bounds(s: dict) -> int:
+    slope, meta = s["bounds.rho_linear"], s["meta"]
+    rho, a = (meta.rho, meta.growth_a) if slope is None else ((lambda r: slope * r), 0.0)
+    a = a if s["bounds.a"] is None else s["bounds.a"]
+    report = solvability_bounds(s["bounds.R"], a, s["bounds.T"] or s["T"], rho, s["bounds.tau"])
+    _write_report(s, "bounds.json", {"command": "bounds", "bounds": report.to_json_dict()})
     print(
         f"bounds: R' = {report.R_prime:.6g}, L = {report.L:.6g}, "
         f"tau_bar = {report.tau_bar:.6g}, final radius {report.radii[-1]:.6g}"
@@ -384,13 +383,12 @@ def main(argv=None) -> int:
     # looked up at call time, so a rebinding of cli.cmd_run and the like takes effect
     handler = {"run": cmd_run, "sweep": cmd_sweep, "verify": cmd_verify, "bounds": cmd_bounds}
     try:
-        cfg = _load_config(args.config, args)
-        out = cfg.get("out", "out")
-        if not isinstance(out, str):
-            raise InputError(f"'out' must be a directory path string; got {out!r}")
-        out = Path(out)
-        out.mkdir(parents=True, exist_ok=True)
-        return handler[args.command](cfg, out)
+        s = _settings(args.command, _load_config(args.config, args))
+        if s["unread_keys"]:
+            unread = ", ".join(s["unread_keys"])
+            print(f"warning: {args.command} does not read {unread}", file=sys.stderr)
+        s["out"].mkdir(parents=True, exist_ok=True)
+        return handler[args.command](s)
     except tuple(_EXITS) as exc:
         code, prefix = next(row for kind, row in _EXITS.items() if isinstance(exc, kind))
         print(f"{prefix}: {exc}", file=sys.stderr)

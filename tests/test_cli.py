@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import measureflow
 from measureflow.cli import (
+    _KEYS,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
@@ -26,6 +30,18 @@ def _write_cfg(tmp_path: Path, name: str, payload: dict) -> str:
     p = tmp_path / name
     p.write_text(json.dumps(payload))
     return str(p)
+
+
+def _refuse_work(monkeypatch) -> None:
+    """Makes every scheme, flow and sweep call of the CLI fail the test."""
+    from measureflow import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the config was checked")
+
+    names = ("run_explicit_euler", "sample_paths_monte_carlo", "sticky_flow", "convergence_sweep")
+    for name in names:
+        monkeypatch.setattr(cli, name, refuse)
 
 
 def test_run_exact_artifacts(tmp_path):
@@ -364,7 +380,7 @@ def test_a_non_string_out_is_a_config_error(tmp_path, capsys):
     assert "config error" in err and "'out'" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("key, value", [("mode", "bogus"), ("M", "x")])
+@pytest.mark.parametrize("key, value", [("mode", "bogus"), ("M", "x"), ("taus", [0.25, 0.5])])
 def test_sweep_refuses_mode_and_M_before_the_reference_flow(
     tmp_path, capsys, monkeypatch, key, value
 ):
@@ -385,6 +401,7 @@ def test_sweep_refuses_mode_and_M_before_the_reference_flow(
     assert main(["sweep", "--config", _write_cfg(tmp_path, "c.json", payload)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_passes_the_atom_cap_on(tmp_path, capsys):
@@ -517,6 +534,7 @@ _NUMERIC_BASES = {
         "L": 3.0,
         "reference": {"dt": 0.01},
     },
+    "verify": {"scenario": "sdf-linear", "tau": 0.5, "T": 0.5, "L": 2.0},
     "bounds": {"scenario": "sdf-linear", "bounds": {"R": 1.0, "T": 1.0}},
 }
 
@@ -537,29 +555,99 @@ def test_numeric_config_bases_run(tmp_path, command):
     assert main([command, "--config", cfg]) == EXIT_OK
 
 
+# the kinds of _KEYS whose values are numbers; "positive or auto" also takes the text "auto"
+_NUMERIC_KINDS = ("number", "positive", "count", "positive count", "positive or auto")
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _malformed(kind: str):
+    """Values that a key of ``kind`` refuses, as JSON that json.loads reads back.
+
+    Booleans, text, NaN, Infinity and integers beyond the float range for every
+    numeric kind; fractions and negative values for counts; values <= 0 for the
+    positive kinds.
+    """
+    values = (
+        st.booleans()
+        | st.text().filter(lambda t: t != "auto")
+        | st.sampled_from([math.nan, math.inf, -math.inf])
+        | st.integers(min_value=2**1024)
+        | st.integers(max_value=-(2**1024))
+    )
+    if "count" in kind:
+        values |= st.integers(max_value=-1) | _FINITE.filter(lambda x: x != int(x))
+    if "positive" in kind:
+        values |= st.integers(max_value=0) | _FINITE.filter(lambda x: x <= 0)
+    return values
+
+
+@settings(
+    max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
 @pytest.mark.parametrize("value", [True, "lots"])
 @pytest.mark.parametrize(
     "command, key",
     [
-        ("run", "tau"),
-        ("run", "T"),
-        ("run", "L"),
-        ("run", "M"),
-        ("run", "seed"),
-        ("run", "caps.atoms"),
-        ("run", "caps.tuples"),
-        ("sweep", "steps"),
-        ("sweep", "reference.dt"),
-        ("bounds", "bounds.R"),
-        ("bounds", "bounds.T"),
+        (command, key)
+        for command in sorted(_KEYS)
+        for key, (kind, _) in _KEYS[command].items()
+        if kind in _NUMERIC_KINDS
     ],
 )
-def test_malformed_numeric_config_values_exit_2(tmp_path, capsys, command, key, value):
-    payload = _with({**_NUMERIC_BASES[command], "out": str(tmp_path / "o")}, key, value)
-    cfg = _write_cfg(tmp_path, "bad.json", payload)
-    assert main([command, "--config", cfg]) == EXIT_CONFIG
+def test_malformed_numeric_config_values_exit_2(
+    tmp_path, capsys, monkeypatch, command, key, value, data
+):
+    # the fixed value, then one that hypothesis draws for the key's kind
+    _refuse_work(monkeypatch)
+    out = tmp_path / "o"
+    for bad in (value, data.draw(_malformed(_KEYS[command][key][0]), label=key)):
+        payload = _with({**_NUMERIC_BASES[command], "out": str(out)}, key, bad)
+        assert main([command, "--config", _write_cfg(tmp_path, "bad.json", payload)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"'{key}' must be" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("run", "out", 5),
+        ("run", "schema_version", True),
+        ("run", "schema_version", 1.0),
+        ("run", "scenario", "no-such"),
+        ("verify", "scenario", "no-such"),
+        ("run", "caps", 3),
+        ("bounds", "bounds", 3),
+    ],
+)
+def test_config_errors_exit_2_before_the_out_directory_and_any_work(
+    tmp_path, capsys, monkeypatch, command, key, value
+):
+    _refuse_work(monkeypatch)
+    out = tmp_path / "o"
+    payload = {**_NUMERIC_BASES[command], "out": str(out), key: value}
+    assert main([command, "--config", _write_cfg(tmp_path, "bad.json", payload)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"'{key}' must be" in err and "Traceback" not in err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("tua", 0.01), ("caps.atom", 3), ("dim", 3)])
+def test_unread_keys_are_reported_and_warned(tmp_path, capsys, key, value):
+    # the command runs as it would without the key, and its report names the key
+    base = {"scenario": "sdf-linear", "T": 0.5, "L": 20.0}
+    codes, reports, errs = [], [], []
+    for tag, payload in (("clean", base), ("typo", _with(base, key, value))):
+        out = tmp_path / tag
+        cfg = _write_cfg(tmp_path, f"{tag}.json", {**payload, "out": str(out)})
+        codes.append(main(["verify", "--config", cfg]))
+        reports.append(json.loads((out / "verify_report.json").read_text()))
+        errs.append(capsys.readouterr().err)
+    assert codes == [EXIT_OK, EXIT_OK]
+    assert "unread_keys" not in reports[0] and "warning" not in errs[0]
+    assert reports[1]["unread_keys"] == [key]
+    assert errs[1].count("warning:") == 1 and key in errs[1]
 
 
 _CUSTOM = {
