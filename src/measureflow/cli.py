@@ -2,12 +2,13 @@
 
 Commands: run | sweep | verify | bounds.  One self-contained JSON config per
 invocation; --out and --seed override the config.  ``_KEYS`` lists the keys
-each command reads; ``main`` checks the whole config against it before it
-makes the output directory, so every config error exits 2 before any work,
-and reports the keys the command does not read (``unread_keys``).  Identical
-config and seed produce byte-identical CSV/JSON artifacts except for
-``wall_ms``, the only timing field (a column of sweep.csv and a key of each
-sweep.json row); manifests carry no timing.
+each command reads, one per quantity; ``_settings`` checks the whole config
+against it and settles every input before ``main`` makes the output
+directory, so every config error exits 2 before any work, and reports the
+keys the command does not read (``unread_keys``).  Identical config, seed and
+package source (``source_sha256`` in each report) give byte-identical
+CSV/JSON artifacts except for ``wall_ms``, the only timing field (a column of
+sweep.csv and a key of each sweep.json row); manifests carry no timing.
 
 Exit codes: 0 success, 1 verification failures, 2 config error or an output
 directory that cannot be written, 3 stability violation, 4 resource cap
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -78,20 +78,13 @@ _TOLERANCES = {
 }
 
 
-def _git_describe() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-            cwd=Path(__file__).resolve().parent,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except Exception:
-        pass
-    return "unknown"
+def _source_sha256() -> str:
+    """sha256 over the name, length and bytes of each of the package's ``*.py`` files, by name."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 def _load_config(path: str, overrides: argparse.Namespace) -> dict:
@@ -114,7 +107,8 @@ _SHARED = {
     "out": ("path", Path("out")),
     "scenario": ("given", _NEEDED),
     "dim": ("positive count", None),
-    "initial": ("given", None),
+    "initial.atoms": ("given", None),
+    "initial.weights": ("given", None),
 }
 _SCHEME = {  # run, sweep and verify
     **_SHARED,
@@ -140,7 +134,6 @@ _KEYS = {
         **_SHARED,
         "T": ("positive", 1.0),
         "bounds.R": ("positive", 1.0),
-        "bounds.T": ("positive", None),
         "bounds.a": ("number", None),
         "bounds.tau": ("positive", None),
         "bounds.rho_linear": ("number", None),
@@ -161,7 +154,7 @@ def _checked(kind: str, value, name: str):
     float range; counts also refuse fractions and negatives, and the positive
     kinds values <= 0.
     """
-    if kind == "given":  # scenario and initial: _resolve_scenario checks them
+    if kind == "given":  # scenario and initial.*: _resolve_scenario checks them
         return value
     if kind == "taus":
         taus = [_checked("positive", t, name) for t in value] if isinstance(value, list) else []
@@ -192,9 +185,9 @@ def _settings(command: str, cfg: dict) -> dict:
     """``cfg`` checked whole against ``_KEYS[command]``, before any work.
 
     Every key of the table with its value or default (``L`` resolved, ``T``
-    the horizon), the scenario's ``spec``, ``mu0`` and ``meta``, the
-    ``config`` as given and ``unread_keys``, the keys the command does not
-    read (with ``dim`` next to a built-in scenario).
+    the horizon), the scenario's ``spec``, ``mu0`` and ``meta``, ``bounds``'
+    ``report``, the ``config`` as given and ``unread_keys``, the keys the
+    command does not read (with ``dim`` next to a built-in scenario).
     """
     keys = _KEYS[command]
     tables = {name.split(".")[0] for name in keys if "." in name}
@@ -212,22 +205,29 @@ def _settings(command: str, cfg: dict) -> dict:
     if isinstance(s["scenario"], str):
         unread |= given.keys() & {"dim"}
     s["unread_keys"] = sorted(unread)
-    s["spec"], s["mu0"], s["meta"] = _resolve_scenario(s["scenario"], s["dim"], s["initial"])
+    s["spec"], s["mu0"], s["meta"] = _resolve_scenario(s)
+    meta = s["meta"]
+    if command == "sweep" and (s["steps"] is None) == (s["T"] is None):
+        raise InputError("sweep needs either 'T' (a fixed horizon) or 'steps' (a fixed depth)")
     if s.get("steps") is not None:
         s["T"] = s["steps"] * max(s["taus"])
-    elif s["T"] is None:
-        raise InputError("sweep needs 'T' (a fixed horizon) or 'steps' (a fixed tree depth)")
-    growth = s["meta"] is not None and s["meta"].has_bounds_data
+    growth = meta is not None and meta.has_bounds_data
     if s.get("L") == "auto":
         if not growth:
             raise InputError("'L': 'auto' needs a scenario with declared growth data")
-        s["L"] = solvability_bounds(s["bounds.R"], s["meta"].growth_a, s["T"], s["meta"].rho).L
-    if command == "bounds" and s["bounds.rho_linear"] is None and not growth:
-        raise InputError("bounds needs 'bounds.rho_linear' or a scenario with declared growth data")
+        s["L"] = solvability_bounds(s["bounds.R"], meta.growth_a, s["T"], meta.rho).L
+    if command == "bounds":
+        slope = s["bounds.rho_linear"]
+        if slope is None and not growth:
+            raise InputError("bounds needs 'bounds.rho_linear' or a scenario's growth data")
+        rho, a = (meta.rho, meta.growth_a) if slope is None else ((lambda r: slope * r), 0.0)
+        a = a if s["bounds.a"] is None else s["bounds.a"]
+        s["report"] = solvability_bounds(s["bounds.R"], a, s["T"], rho, s["bounds.tau"])
     return s
 
 
-def _resolve_scenario(sc, dim, init) -> tuple[object, DiscreteMeasure, Scenario | None]:
+def _resolve_scenario(s: dict) -> tuple[object, DiscreteMeasure, Scenario | None]:
+    sc, dim, atoms, weights = s["scenario"], s["dim"], s["initial.atoms"], s["initial.weights"]
     if isinstance(sc, str):
         meta = scenario(sc)
         spec, dim = meta.spec, meta.dim
@@ -241,13 +241,15 @@ def _resolve_scenario(sc, dim, init) -> tuple[object, DiscreteMeasure, Scenario 
         meta = None
     else:
         raise InputError("'scenario' must be a name or an object")
-    if init is None:
+    if atoms is None and weights is None:
         if meta is None:
             raise InputError("custom fields need an explicit 'initial' measure")
         return spec, meta.default_initial, meta
+    if atoms is None or weights is None:
+        raise InputError("'initial' needs both 'atoms' and 'weights'")
     try:
-        mu0 = DiscreteMeasure(init["atoms"], init["weights"])
-    except (KeyError, TypeError, ValueError) as exc:
+        mu0 = DiscreteMeasure(atoms, weights)
+    except (TypeError, ValueError) as exc:
         raise InputError(f"bad initial measure: {exc}") from exc
     if mu0.dim != dim:
         raise InputError(f"initial measure dim {mu0.dim} != field dim {dim}")
@@ -270,7 +272,7 @@ def _write_report(s: dict, name: str, extra: dict) -> None:
             "config": s["config"],
             "tolerances": _TOLERANCES,
             "version": __version__,
-            "git_describe": _git_describe(),
+            "source_sha256": _source_sha256(),
             **unread,
             **extra,
         },
@@ -356,10 +358,7 @@ def cmd_verify(s: dict) -> int:
 
 
 def cmd_bounds(s: dict) -> int:
-    slope, meta = s["bounds.rho_linear"], s["meta"]
-    rho, a = (meta.rho, meta.growth_a) if slope is None else ((lambda r: slope * r), 0.0)
-    a = a if s["bounds.a"] is None else s["bounds.a"]
-    report = solvability_bounds(s["bounds.R"], a, s["bounds.T"] or s["T"], rho, s["bounds.tau"])
+    report = s["report"]
     _write_report(s, "bounds.json", {"command": "bounds", "bounds": report.to_json_dict()})
     print(
         f"bounds: R' = {report.R_prime:.6g}, L = {report.L:.6g}, "

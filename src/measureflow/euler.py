@@ -262,16 +262,14 @@ def sample_paths_monte_carlo(
     T: float,
     sample_count: int,
     seed: int,
-    noise_mode: str = "independent",
 ) -> PathEnsemble:
     """Monte-Carlo particle sampling of the stochastic flow, deterministic per seed.
 
-    Per step, sampled fields draw one label per particle ("independent", the
-    mode that reproduces M^n as the particle law) or one shared label for the
-    whole population ("shared"); interaction fields draw a partner uniformly
-    with replacement from the current population, independently of the
-    particle's own index (self-pairing allowed: the independent-copy law is
-    realized at the empirical level).  Each step calls each drawn label's
+    Per step, sampled fields draw one label per particle, independently, which
+    reproduces M^n as the particle law; interaction fields draw a partner
+    uniformly with replacement from the current population, independently of
+    the particle's own index (self-pairing allowed: the independent-copy law
+    is realized at the empirical level).  Each step calls each drawn label's
     kernel once, on all the particles that drew it.  A non-finite velocity, or
     a position that overflows, raises :class:`NumericDomainError` naming the
     step and the particle.
@@ -280,8 +278,6 @@ def sample_paths_monte_carlo(
         raise InputError("sample_count must be >= 1")
     if tau <= 0 or T <= 0:
         raise InputError("tau and T must be positive")
-    if noise_mode not in ("independent", "shared"):
-        raise InputError(f"unknown noise mode {noise_mode!r}")
     rng = np.random.default_rng(seed)
     N = _final_step(T, tau)
     M = sample_count
@@ -296,8 +292,6 @@ def sample_paths_monte_carlo(
         Y = X[rng.integers(0, M, size=M)] if rule.pairs else None
         if rule.noise is None:
             groups = [(fns[0], slice(None))]
-        elif noise_mode == "shared":
-            groups = [(fns[rng.choice(len(fns), p=rule.noise.weights)], slice(None))]
         else:
             idx = rng.choice(len(fns), size=M, p=rule.noise.weights)
             groups = [(fn, np.flatnonzero(idx == k)) for k, fn in enumerate(fns)]

@@ -133,6 +133,7 @@ _DP_D = np.array(
     )
 )
 _DP_TOL = 1e-13  # relative and absolute tolerance of the adaptive reference
+_QUIET = {"over": "ignore", "invalid": "ignore"}  # sticky_flow reports non-finite states itself
 
 
 def _combine(coefs: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -152,19 +153,22 @@ def _dopri5_step(field, y, w, k1, h):
     ks = np.empty((len(_DP_E),) + y.shape)
     ks[0] = k1
     for i, row in enumerate(_DP_A, start=1):
-        y1 = y + h * _combine(row, ks)
+        with np.errstate(**_QUIET):
+            y1 = y + h * _combine(row, ks)
         ks[i] = field(y1, w)
-    scale = _DP_TOL + _DP_TOL * np.maximum(np.abs(y), np.abs(y1))
-    err = float(np.sqrt(np.mean((h * _combine(_DP_E, ks) / scale) ** 2)))
+    with np.errstate(**_QUIET):
+        scale = _DP_TOL + _DP_TOL * np.maximum(np.abs(y), np.abs(y1))
+        err = float(np.sqrt(np.mean((h * _combine(_DP_E, ks) / scale) ** 2)))
 
     def dense(theta):
-        ydiff = y1 - y
-        bspl = h * k1 - ydiff
-        r4 = ydiff - h * ks[-1] - bspl
-        r5 = h * _combine(_DP_D, ks)
-        th = theta[:, None, None]
-        th1 = 1.0 - th
-        return y + th * (ydiff + th1 * (bspl + th * (r4 + th1 * r5)))
+        with np.errstate(**_QUIET):
+            ydiff = y1 - y
+            bspl = h * k1 - ydiff
+            r4 = ydiff - h * ks[-1] - bspl
+            r5 = h * _combine(_DP_D, ks)
+            th = theta[:, None, None]
+            th1 = 1.0 - th
+            return y + th * (ydiff + th1 * (bspl + th * (r4 + th1 * r5)))
 
     return y1, ks[-1], err, dense
 

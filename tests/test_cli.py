@@ -1,6 +1,7 @@
 """Command-line front end: artifacts, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -65,6 +66,12 @@ def test_run_exact_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["schema_version"] == 1
     assert "config_hash" in manifest and "tolerances" in manifest
+    # provenance is the package source, not the state of a git checkout
+    digest = hashlib.sha256()
+    for path in sorted(Path(measureflow.__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(path.name.encode() + b"\0" + str(len(data)).encode() + b"\0" + data)
+    assert manifest["source_sha256"] == digest.hexdigest() and "git_describe" not in manifest
     rows = list(csv.reader((out / "ensemble.csv").read_text().splitlines()))
     assert rows[0] == ["path_id", "time", "x0", "weight"]
     assert len(rows) == 1 + 4 * 3
@@ -96,20 +103,21 @@ def test_sweep_artifacts_and_determinism(tmp_path):
         "taus": [0.25, 0.125, 0.0625, 0.03125],
         "steps": 5,
         "L": 3.0,
-        "mode": "exact",
         "reference": {"dt": 0.001},
         "seed": 1,
     }
-    tables = []
-    for tag in ("a", "b"):
-        out = tmp_path / tag
-        cfg = _write_cfg(tmp_path, f"{tag}.json", {**base, "out": str(out)})
-        assert main(["sweep", "--config", cfg]) == EXIT_OK
-        rows = list(csv.reader((out / "sweep.csv").read_text().splitlines()))
-        assert rows[0] == ["tau", "w2sup", "rate_running", "wall_ms"]
-        # wall_ms varies between runs; everything else must be byte-identical
-        tables.append([r[:3] for r in rows])
-    assert tables[0] == tables[1]
+    # the exact tree, then the Monte-Carlo rows of analysis._sweep_row
+    for mode in ({"mode": "exact"}, {"mode": "monte-carlo", "M": 50, "reference": {"dt": 0.01}}):
+        tables = []
+        for tag in ("a", "b"):
+            out = tmp_path / mode["mode"] / tag
+            cfg = _write_cfg(tmp_path, f"{tag}.json", {**base, **mode, "out": str(out)})
+            assert main(["sweep", "--config", cfg]) == EXIT_OK
+            rows = list(csv.reader((out / "sweep.csv").read_text().splitlines()))
+            assert rows[0] == ["tau", "w2sup", "rate_running", "wall_ms"] and len(rows) == 5
+            # wall_ms varies between runs; everything else must be byte-identical
+            tables.append([r[:3] for r in rows])
+        assert tables[0] == tables[1]
 
 
 def test_verify_passes_on_builtin(tmp_path):
@@ -151,7 +159,8 @@ def test_bounds_example_values(tmp_path):
         "bounds.json",
         {
             "scenario": "sdf-linear",
-            "bounds": {"R": 1.0, "a": 0.0, "T": 1.0, "rho_linear": 1.0},
+            "T": 1.0,
+            "bounds": {"R": 1.0, "a": 0.0, "rho_linear": 1.0},
             "out": str(out),
         },
     )
@@ -194,25 +203,34 @@ def test_stability_violation_exits_3(tmp_path):
     assert main(["run", "--config", cfg]) == EXIT_STABILITY
 
 
-def test_resource_cap_exits_4(tmp_path):
+def test_resource_cap_exits_4(tmp_path, capsys):
     # interaction tree from five atoms: support squares every step
-    cfg = _write_cfg(
-        tmp_path,
-        "cap.json",
-        {
-            "scenario": "idf-attract",
-            "initial": {
-                "atoms": [[-1.0], [0.0], [0.5], [1.0], [2.0]],
-                "weights": [0.2, 0.2, 0.2, 0.2, 0.2],
-            },
-            "tau": 0.1,
-            "T": 1.0,
-            "L": 50.0,
-            "caps": {"atoms": 20000},
-            "out": str(tmp_path / "o"),
+    atoms = {
+        "scenario": "idf-attract",
+        "initial": {
+            "atoms": [[-1.0], [0.0], [0.5], [1.0], [2.0]],
+            "weights": [0.2, 0.2, 0.2, 0.2, 0.2],
         },
-    )
-    assert main(["run", "--config", cfg]) == EXIT_RESOURCE
+        "L": 50.0,
+        "caps": {"atoms": 20000},
+    }
+    # x + tau u with u = +-1 recombines: at most 11 atoms, but 2**n tuples
+    tuples = {
+        "scenario": {
+            "kind": "sampled",
+            "g": "u",
+            "noise": {"labels": [1, -1], "weights": [0.5, 0.5]},
+        },
+        "dim": 1,
+        "initial": {"atoms": [[0.0]], "weights": [1.0]},
+        "L": 2.0,
+        "caps": {"tuples": 100},
+    }
+    for payload, message in ((atoms, "atoms"), (tuples, "128 tuples at step 7 (cap 100)")):
+        payload = {**payload, "tau": 0.1, "T": 1.0, "out": str(tmp_path / "o")}
+        assert main(["run", "--config", _write_cfg(tmp_path, "cap.json", payload)]) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert "resource cap" in err and message in err and "Traceback" not in err
 
 
 def test_custom_dsl_field_runs(tmp_path):
@@ -535,7 +553,7 @@ _NUMERIC_BASES = {
         "reference": {"dt": 0.01},
     },
     "verify": {"scenario": "sdf-linear", "tau": 0.5, "T": 0.5, "L": 2.0},
-    "bounds": {"scenario": "sdf-linear", "bounds": {"R": 1.0, "T": 1.0}},
+    "bounds": {"scenario": "sdf-linear", "T": 1.0, "bounds": {"R": 1.0}},
 }
 
 
@@ -619,6 +637,11 @@ def test_malformed_numeric_config_values_exit_2(
         ("verify", "scenario", "no-such"),
         ("run", "caps", 3),
         ("bounds", "bounds", 3),
+        ("run", "initial", [[0.0]]),
+        ("run", "initial", {"atoms": [[0.0]]}),
+        ("sweep", "T", 5.0),
+        ("bounds", "bounds", {"R": 1.0, "tau": 5.0}),
+        ("bounds", "bounds", {"R": 1.0, "a": -1.0}),
     ],
 )
 def test_config_errors_exit_2_before_the_out_directory_and_any_work(
@@ -633,10 +656,17 @@ def test_config_errors_exit_2_before_the_out_directory_and_any_work(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("tua", 0.01), ("caps.atom", 3), ("dim", 3)])
+@pytest.mark.parametrize(
+    "key, value", [("tua", 0.01), ("caps.atom", 3), ("dim", 3), ("initial.weight", [2])]
+)
 def test_unread_keys_are_reported_and_warned(tmp_path, capsys, key, value):
     # the command runs as it would without the key, and its report names the key
-    base = {"scenario": "sdf-linear", "T": 0.5, "L": 20.0}
+    base = {
+        "scenario": "sdf-linear",
+        "initial": {"atoms": [[0.0], [0.5]], "weights": [0.5, 0.5]},
+        "T": 0.5,
+        "L": 20.0,
+    }
     codes, reports, errs = [], [], []
     for tag, payload in (("clean", base), ("typo", _with(base, key, value))):
         out = tmp_path / tag
@@ -689,12 +719,14 @@ from measureflow.cli import main
 out, verify, sweep = sys.argv[1:]
 codes = [main(["verify", "--config", verify, "--out", out + "/v"]),
          main(["sweep", "--config", sweep, "--out", out + "/s"])]
-print(json.dumps([codes, sorted(m for m in ("scipy", "numpy.ma") if m in sys.modules)]))
+absent = ("scipy", "numpy.ma", "subprocess")
+print(json.dumps([codes, sorted(m for m in absent if m in sys.modules)]))
 """
 
 
 def test_verify_and_sweep_import_neither_scipy_nor_numpy_ma(tmp_path):
-    # import scipy.optimize alone costs about half a second and 49 MB at start-up
+    # import scipy.optimize alone costs about half a second and 49 MB at start-up;
+    # no command starts a child process
     verify = _write_cfg(tmp_path, "verify.json", {"scenario": "sdf-linear", "tau": 0.5, "T": 1.0})
     sweep = _write_cfg(
         tmp_path,

@@ -264,12 +264,6 @@ def test_monte_carlo_binomial_mass():
     assert 0.45 <= mass_up <= 0.55  # binomial(10^4, 1/2) 99.99% interval
 
 
-def test_monte_carlo_shared_noise_mode():
-    mc = sample_paths_monte_carlo(SDF, dirac(0.0), 0.5, 0.5, 32, seed=2, noise_mode="shared")
-    # one shared label per step: all particles move together from a Dirac start
-    assert mc.evaluate(0.5).n_atoms == 1
-
-
 def test_monte_carlo_exact_agreement_rate():
     # Against an atomic target the squared distance shrinks ~ M^{-1/2}
     # (mass defects of order M^{-1/2} transported over fixed gaps).

@@ -561,7 +561,7 @@ def _oracle_evaluate_pvf(spec, mu):
     return coalesce(TangentMeasure(np.stack(xs), np.stack(vs), np.asarray(ws)), 0.0)
 
 
-def _oracle_monte_carlo(spec, mu0, tau, n_steps, M, seed, noise_mode):
+def _oracle_monte_carlo(spec, mu0, tau, n_steps, M, seed):
     """The per-kind particle loop that the section rule replaced: (M, N+1, d) nodes."""
     spec = _as_sampled(spec)
     rng = np.random.default_rng(seed)
@@ -569,8 +569,6 @@ def _oracle_monte_carlo(spec, mu0, tau, n_steps, M, seed, noise_mode):
     traj = [X]
 
     def draw_labels(noise):
-        if noise_mode == "shared":
-            return [noise.labels[rng.choice(len(noise.labels), p=noise.weights)]] * M
         idx = rng.choice(len(noise.labels), size=M, p=noise.weights)
         return [noise.labels[i] for i in idx]
 
@@ -648,17 +646,16 @@ def test_evaluate_pvf_matches_per_kind_oracle(name, data):
     assert _bits(got.weights) == _bits(want.weights)
 
 
-@pytest.mark.parametrize("noise_mode", ["independent", "shared"])
 @pytest.mark.parametrize("name", _KINDS + _PER_POINT)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_monte_carlo_matches_per_kind_oracle(name, noise_mode, data, seed):
+def test_monte_carlo_matches_per_kind_oracle(name, data, seed):
     spec, dim = _spec_and_dim(name)
     atoms, w = data.draw(_measures(dim))
     mu0 = DiscreteMeasure(atoms, w)
-    ens = sample_paths_monte_carlo(spec, mu0, 0.25, 0.75, 12, seed, noise_mode)
+    ens = sample_paths_monte_carlo(spec, mu0, 0.25, 0.75, 12, seed)
     got = np.stack([p.nodes for p in ens.paths])
-    assert _bits(got) == _bits(_oracle_monte_carlo(spec, mu0, 0.25, 3, 12, seed, noise_mode))
+    assert _bits(got) == _bits(_oracle_monte_carlo(spec, mu0, 0.25, 3, 12, seed))
 
 
 @pytest.mark.parametrize("name", _KINDS + _PER_POINT)

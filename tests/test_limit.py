@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from measureflow import limit
-from measureflow.errors import InputError
+from measureflow.errors import InputError, NumericDomainError
 from measureflow.fields import GradientSumField, InteractionField, SampledField, uniform_noise
 from measureflow.limit import (
     StickyFlowConfig,
@@ -339,6 +339,15 @@ def test_merge_on_the_last_step_is_logged_at_T():
     flow = sticky_flow(ATTRACT, mu0, 0.7, StickyFlowConfig(dt=1e-3, merge_tol=tol))
     assert len(flow.merge_events) == 1
     assert flow.merge_events[0].time == flow.T == 0.7
+
+
+def test_a_blow_up_is_reported_without_a_warning_of_the_integrator():
+    # x' = x^3 from 10 blows up at t = 1 / 200; the field's own overflow is the
+    # caller's to silence, but the step and dense-output arithmetic on the
+    # infinite stages must not warn before the non-finite state is reported
+    cube = SampledField(lambda x, u: x**3, uniform_noise([0]))
+    with np.errstate(over="ignore"), pytest.raises(NumericDomainError, match="t = 0.006$"):
+        sticky_flow(cube, dirac(10.0), 1.0, StickyFlowConfig(dt=1e-3))
 
 
 # Known defect: a merge fires only when two atoms sit within merge_tol at a
