@@ -34,7 +34,6 @@ from .transport import (
 )
 from .fields import (
     DissipativityReport,
-    GradientSumField,
     InteractionField,
     NoiseSpace,
     NonlocalSampledField,

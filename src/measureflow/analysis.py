@@ -63,6 +63,20 @@ class BoundsReport:
         }
 
 
+def velocity_bound(R: float, a: float, T: float, rho: Callable[[float], float]) -> tuple:
+    """R' = e^{aT} (R^2 + T(1 + 2a))^{1/2} + 1 and L = rho(R'), or InputError."""
+    if R <= 0 or T <= 0 or a < 0:
+        raise InputError("need R > 0, T > 0, a >= 0")
+    try:
+        R_prime = math.exp(a * T) * math.sqrt(R * R + T * (1.0 + 2.0 * a)) + 1.0
+        L = float(rho(R_prime))
+    except OverflowError:
+        R_prime = L = math.inf
+    if not (math.isfinite(R_prime) and 0.0 <= L < math.inf):
+        raise InputError(f"need a finite R' and a finite L = rho(R') >= 0; got {R_prime}, {L}")
+    return R_prime, L
+
+
 def solvability_bounds(
     R: float,
     a: float,
@@ -72,18 +86,16 @@ def solvability_bounds(
 ) -> BoundsReport:
     """Support radius R', velocity bound L = rho(R'), threshold tau_bar, and radii.
 
-    R' = e^{aT} (R^2 + T(1 + 2a))^{1/2} + 1 and tau_bar = min(L^{-2}, T); the
+    R' and L are ``velocity_bound``'s, tau_bar = min(L^{-2}, T), and the
     radii follow R_{n+1}^2 = R_n^2 (1 + 2 a tau) + tau^2 L^2 + 2 a tau up to
     the final step for the given tau (default tau_bar / 2).  ``rho`` must be
     monotone in R; this is asserted per scenario, not checked here.
     """
-    if R <= 0 or T <= 0 or a < 0:
-        raise InputError("need R > 0, T > 0, a >= 0")
-    R_prime = math.exp(a * T) * math.sqrt(R * R + T * (1.0 + 2.0 * a)) + 1.0
-    L = float(rho(R_prime))
-    if L < 0:
-        raise InputError("rho must be nonnegative")
-    tau_bar = T if L == 0.0 else min(L**-2, T)
+    R_prime, L = velocity_bound(R, a, T, rho)
+    try:
+        tau_bar = T if L == 0.0 else min(L**-2, T)
+    except OverflowError:  # L**-2 is beyond the float range, so above T
+        tau_bar = T
     if tau is None:
         tau = tau_bar / 2.0
     if not 0.0 < tau < tau_bar:

@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import convergence_sweep, ensemble_action, solvability_bounds, sweep_rate_fit
-from .dsl import field_from_config
+from .analysis import convergence_sweep, ensemble_action, solvability_bounds
+from .analysis import sweep_rate_fit, velocity_bound
+from .dsl import field_from_config, unread_keys
 from .errors import InputError, NumericDomainError, ResourceCapError, StabilityError
 from .euler import (
     DEFAULT_ATOM_CAP,
@@ -187,7 +188,8 @@ def _settings(command: str, cfg: dict) -> dict:
     Every key of the table with its value or default (``L`` resolved, ``T``
     the horizon), the scenario's ``spec``, ``mu0`` and ``meta``, ``bounds``'
     ``report``, the ``config`` as given and ``unread_keys``, the keys the
-    command does not read (with ``dim`` next to a built-in scenario).
+    command does not read (with ``dim`` next to a built-in scenario and
+    ``scenario.<key>`` inside an inline field).
     """
     keys = _KEYS[command]
     tables = {name.split(".")[0] for name in keys if "." in name}
@@ -201,12 +203,14 @@ def _settings(command: str, cfg: dict) -> dict:
         if name not in given and default is _NEEDED:
             raise InputError(f"config needs '{name}'")
         s[name] = _checked(kind, given[name], name) if name in given else default
-    unread = given.keys() - keys.keys()
-    if isinstance(s["scenario"], str):
-        unread |= given.keys() & {"dim"}
-    s["unread_keys"] = sorted(unread)
     s["spec"], s["mu0"], s["meta"] = _resolve_scenario(s)
     meta = s["meta"]
+    unread = given.keys() - keys.keys()
+    if meta is None:
+        unread |= {f"scenario.{k}" for k in unread_keys(s["scenario"])}
+    else:
+        unread |= given.keys() & {"dim"}
+    s["unread_keys"] = sorted(unread)
     if command == "sweep" and (s["steps"] is None) == (s["T"] is None):
         raise InputError("sweep needs either 'T' (a fixed horizon) or 'steps' (a fixed depth)")
     if s.get("steps") is not None:
@@ -215,7 +219,7 @@ def _settings(command: str, cfg: dict) -> dict:
     if s.get("L") == "auto":
         if not growth:
             raise InputError("'L': 'auto' needs a scenario with declared growth data")
-        s["L"] = solvability_bounds(s["bounds.R"], meta.growth_a, s["T"], meta.rho).L
+        s["L"] = velocity_bound(s["bounds.R"], meta.growth_a, s["T"], meta.rho)[1]
     if command == "bounds":
         slope = s["bounds.rho_linear"]
         if slope is None and not growth:

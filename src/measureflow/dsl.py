@@ -34,7 +34,7 @@ from .fields import (
     SampledField,
     StochasticInteractionField,
 )
-from .measure import DiscreteMeasure, second_moment
+from .measure import second_moment
 
 
 def _ordered_sum(v: np.ndarray) -> np.ndarray:
@@ -187,6 +187,16 @@ def _noise_from_config(cfg: dict) -> NoiseSpace:
     return NoiseSpace(tuple(labels), weights)
 
 
+# kind -> (field class, expression key, the field closure's arguments); a
+# closure argument ``mu`` is read through the variables m1 and m2
+_KINDS = {
+    "sampled": (SampledField, "g", ("x", "u")),
+    "interaction": (InteractionField, "f", ("x", "y")),
+    "stochastic-interaction": (StochasticInteractionField, "h", ("x", "y", "u")),
+    "nonlocal-sampled": (NonlocalSampledField, "g", ("x", "mu", "u")),
+}
+
+
 def field_from_config(cfg: dict, dim: int) -> PvfSpec:
     """Build a PvfSpec from a config mapping with a DSL expression.
 
@@ -194,32 +204,27 @@ def field_from_config(cfg: dict, dim: int) -> PvfSpec:
     nonlocal-sampled), the expression under "g", "f", or "h", and a noise
     table {"labels": [...], "weights": [...]} where applicable.
     """
-    kind = cfg.get("kind")
-    if kind == "sampled":
-        fn = compile_expression(cfg["g"], ("x", "u"))
-        noise = _noise_from_config(cfg["noise"])
-        return SampledField(lambda x, u: _as_velocity(fn({"x": x, "u": u}), x, dim), noise)
-    if kind == "interaction":
-        fn = compile_expression(cfg["f"], ("x", "y"))
-        return InteractionField(lambda x, y: _as_velocity(fn({"x": x, "y": y}), x, dim))
-    if kind == "stochastic-interaction":
-        fn = compile_expression(cfg["h"], ("x", "y", "u"))
-        noise = _noise_from_config(cfg["noise"])
-        return StochasticInteractionField(
-            lambda x, y, u: _as_velocity(fn({"x": x, "y": y, "u": u}), x, dim), noise
-        )
-    if kind == "nonlocal-sampled":
-        fn = compile_expression(cfg["g"], ("x", "u", "m1", "m2"))
-        noise = _noise_from_config(cfg["noise"])
+    if cfg.get("kind") not in _KINDS:
+        raise InputError(f"unknown custom field kind {cfg.get('kind')!r}")
+    cls, key, args = _KINDS[cfg["kind"]]
+    variables = tuple(v for a in args for v in (("m1", "m2") if a == "mu" else (a,)))
+    fn = compile_expression(cfg[key], variables)
 
-        def g(x, mu: DiscreteMeasure, u):
-            env = {
-                "x": x,
-                "u": u,
-                "m1": np.sum(mu.weights[:, None] * mu.atoms, axis=0),
-                "m2": second_moment(mu),
-            }
-            return _as_velocity(fn(env), x, dim)
+    def velocity(*values):
+        env = dict(zip(args, values))
+        if "mu" in env:
+            mu = env.pop("mu")
+            env.update(m1=np.sum(mu.weights[:, None] * mu.atoms, axis=0), m2=second_moment(mu))
+        return _as_velocity(fn(env), env["x"], dim)
 
-        return NonlocalSampledField(g, noise)
-    raise InputError(f"unknown custom field kind {kind!r}")
+    return cls(velocity, _noise_from_config(cfg["noise"])) if "u" in args else cls(velocity)
+
+
+def unread_keys(cfg: dict) -> list:
+    """The sorted keys that ``field_from_config`` does not read; key w of ``noise`` is "noise.w"."""
+    _, key, args = _KINDS[cfg["kind"]]
+    given, read = set(cfg), {"kind", key}
+    if "u" in args:  # the kind draws a label from the noise table
+        given |= {f"noise.{k}" for k in cfg["noise"]}
+        read |= {"noise", "noise.labels", "noise.weights"}
+    return sorted(given - read)

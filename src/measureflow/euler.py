@@ -304,7 +304,7 @@ def sample_paths_monte_carlo(
             V[rows] = fn(X[rows], None if Y is None else Y[rows], mu_hat)
         _refuse_non_finite(V, "velocity", n, X)
         with np.errstate(over="ignore"):  # reported just below, with its step
-            X_next = X + tau * (rule.sign * V)
+            X_next = X + tau * V
         _refuse_non_finite(X_next, "position", n, X)
         X = X_next
         traj[n + 1] = X

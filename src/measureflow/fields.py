@@ -3,7 +3,10 @@
 A ``PvfSpec`` describes one section selector: evaluating it at a discrete
 measure yields exactly one tangent measure whose x-marginal is the input
 measure (the structural condition of the scheme).  Multivalued experiments
-supply several specs.  Field closures must be pure and reentrant.
+supply several specs.  Field closures must be pure and reentrant.  There are
+four kinds, one per way of drawing the velocity; a gradient sum
+v = -grad H_u(x), u drawn from a finite law (stochastic gradient descent), is
+a ``SampledField``.
 
 Field closures are array-native: given an ``(n, d)`` array of points (and
 of partners, where the kind has them) a closure returns ``(n, d)`` velocities
@@ -92,25 +95,11 @@ class NonlocalSampledField:
     noise: NoiseSpace
 
 
-@dataclass(frozen=True)
-class GradientSumField:
-    """v = -grad H_u(x) for a finite family of potentials, uniform noise."""
-
-    gradients: tuple
-
-    def __post_init__(self):
-        grads = tuple(self.gradients)
-        if len(grads) < 1:
-            raise InputError("need at least one potential gradient")
-        object.__setattr__(self, "gradients", grads)
-
-
 PvfSpec = Union[
     SampledField,
     InteractionField,
     StochasticInteractionField,
     NonlocalSampledField,
-    GradientSumField,
 ]
 
 
@@ -131,31 +120,23 @@ class _Section:
     term ``(None, 1.0, f)``.  fn takes a batch: points ``X`` of shape
     ``(n, d)``, partners ``Y`` of the same shape (None when ``pairs`` is
     false) and returns ``(n, d)`` velocities.  ``pairs``: partners are drawn
-    from mu.  ``reads_measure``: fn reads mu (else mu is None).  ``sign``
-    multiplies every velocity; consumers apply it once per stacked array or
-    fold it into a coefficient.  ``noise`` is the label law, None when no
-    label is drawn.
+    from mu.  ``reads_measure``: fn reads mu (else mu is None).  ``noise``
+    is the label law, None when no label is drawn.
     """
 
     terms: tuple
     pairs: bool
     reads_measure: bool
-    sign: float
     noise: NoiseSpace | None
 
 
 def _section(spec: PvfSpec) -> _Section:
     """The section rule of a field spec: the one dispatch over field kinds."""
     pairs = reads_measure = False
-    sign = 1.0
     if isinstance(spec, InteractionField):
         noise = None
         fns = [lambda x, y, mu, f=spec.f: f(x, y)]
         pairs = True
-    elif isinstance(spec, GradientSumField):
-        noise = uniform_noise(range(len(spec.gradients)))
-        fns = [lambda x, y, mu, g=g: g(x) for g in spec.gradients]
-        sign = -1.0
     elif isinstance(spec, SampledField):
         noise = spec.noise
         fns = [lambda x, y, mu, g=spec.g, u=u: g(x, u) for u in noise.labels]
@@ -173,7 +154,7 @@ def _section(spec: PvfSpec) -> _Section:
         terms = ((None, 1.0, fns[0]),)
     else:
         terms = tuple(zip(noise.labels, noise.weights, fns))
-    return _Section(terms, pairs, reads_measure, sign, noise)
+    return _Section(terms, pairs, reads_measure, noise)
 
 
 def evaluate_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> TangentMeasure:
@@ -198,7 +179,7 @@ def evaluate_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> TangentMeasure:
     uw = np.array([uw for _, uw, _ in rule.terms])
     phi = TangentMeasure(
         np.repeat(X, len(rule.terms), axis=0),
-        rule.sign * V.reshape(-1, d),
+        V.reshape(-1, d),
         (wx[:, None] * uw).ravel(),
     )
     return coalesce(phi, 0.0)
@@ -210,7 +191,7 @@ def _mean_velocity(
     """The barycentric velocity at each row of ``X`` against partners ``atoms``.
 
     Each label's kernel is called once on every (row, partner) pair.  The
-    terms ``sign * wy * uw * v`` are then added partner by partner and label
+    terms ``wy * uw * v`` are then added partner by partner and label
     by label, starting from zero, as the per-point sum does, so row i equals
     the sum at ``X[i]`` alone bitwise.
     """
@@ -224,7 +205,7 @@ def _mean_velocity(
     out = np.zeros((m, d))
     for j, wy in enumerate(weights):
         for (_, uw, _), v in zip(rule.terms, vals):
-            out += rule.sign * wy * uw * v[:, j]
+            out += wy * uw * v[:, j]
     return out
 
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import InputError
 from .fields import (
-    GradientSumField,
     InteractionField,
     NonlocalSampledField,
     PvfSpec,
@@ -77,14 +76,11 @@ _GS_CENTERS = (np.array([1.0, 0.0]), np.array([-1.0, 1.0]), np.array([0.0, -1.0]
 
 
 def _gradient_sum() -> Scenario:
-    # H_u(x) = a_u |x - c_u|^2 / 2; mean slope 1.0 gives lambda = -1.
+    # v = -grad H_u(x) with H_u(x) = a_u |x - c_u|^2 / 2 and the index u drawn
+    # uniformly, as in stochastic gradient descent; mean slope 1.0 gives lambda = -1.
     # max_u a_u |c_u| / 2 = 0.75 bounds the growth constant.
-    # |g_u|^2 <= 2 a_u^2 max(1, |c_u|^2)(1 + |x|^2); averaging gives L = 3.
-    grads = tuple(
-        (lambda a, c: (lambda x: a * (x - c)))(a, c)
-        for a, c in zip(_GS_SCALES, _GS_CENTERS)
-    )
-    spec = GradientSumField(grads)
+    # |v_u|^2 <= 2 a_u^2 max(1, |c_u|^2)(1 + |x|^2); averaging gives L = 3.
+    spec = SampledField(lambda x, u: -_GS_SCALES[u] * (x - _GS_CENTERS[u]), uniform_noise(range(3)))
     return Scenario(
         "gradient-sum",
         2,

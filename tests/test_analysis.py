@@ -77,6 +77,15 @@ def test_solvability_bounds_zero_field():
     assert all(r == 2.0 for r in rep.radii)
 
 
+def test_solvability_bounds_tiny_and_overflowing_L():
+    # L**-2 beyond the float range is above T; R' = e^{aT} ... beyond it is an input error
+    rep = solvability_bounds(1.0, 0.0, 1.0, lambda R: 1e-200 * R)
+    assert rep.tau_bar == 1.0 and rep.tau == 0.5 and len(rep.radii) == 3
+    for a, rho in ((1000.0, lambda R: R), (0.5, lambda R: math.inf), (0.5, lambda R: math.nan)):
+        with pytest.raises(InputError, match="need a finite"):
+            solvability_bounds(1.0, a, 1.0, rho)
+
+
 def test_rate_fit_examples():
     taus = [0.5, 0.25, 0.125, 0.0625]
     slope, const = rate_fit([(t, t) for t in taus])

@@ -257,14 +257,24 @@ def test_custom_dsl_field_runs(tmp_path):
     assert len(ens["paths"]) == 4
 
 
-def test_auto_L_with_declared_growth_data(tmp_path):
-    out = tmp_path / "out"
-    cfg = _write_cfg(
-        tmp_path,
-        "auto.json",
-        {"scenario": "sdf-linear", "tau": 0.25, "T": 1.0, "L": "auto", "out": str(out)},
-    )
-    assert main(["run", "--config", cfg]) == EXIT_OK
+def test_auto_L_with_declared_growth_data(tmp_path, monkeypatch):
+    # "auto" is L = rho(R') of the bounds report, read off R' without the radii
+    from measureflow import cli
+    from measureflow.scenarios import scenario
+
+    sc = scenario("sdf-linear")
+    L = cli.solvability_bounds(1.0, sc.growth_a, 1.0, sc.rho).L
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run built the solvability radii")
+
+    monkeypatch.setattr(cli, "solvability_bounds", refuse)
+    base = {"scenario": "sdf-linear", "tau": 0.25, "T": 1.0}
+    for tag, value in (("auto", "auto"), ("given", L)):
+        cfg = _write_cfg(tmp_path, f"{tag}.json", {**base, "L": value, "out": str(tmp_path / tag)})
+        assert main(["run", "--config", cfg]) == EXIT_OK
+    measures = [(tmp_path / tag / "measures.json").read_bytes() for tag in ("auto", "given")]
+    assert measures[0] == measures[1]
 
 
 def test_auto_L_refused_without_growth_data(tmp_path):
@@ -642,6 +652,8 @@ def test_malformed_numeric_config_values_exit_2(
         ("sweep", "T", 5.0),
         ("bounds", "bounds", {"R": 1.0, "tau": 5.0}),
         ("bounds", "bounds", {"R": 1.0, "a": -1.0}),
+        ("bounds", "bounds", {"R": 1.0, "a": 1000.0}),  # R' = e^{aT} ... overflows
+        ("run", ("L", "T"), ("auto", 2000.0)),  # so does the R' behind "auto"
     ],
 )
 def test_config_errors_exit_2_before_the_out_directory_and_any_work(
@@ -649,35 +661,12 @@ def test_config_errors_exit_2_before_the_out_directory_and_any_work(
 ):
     _refuse_work(monkeypatch)
     out = tmp_path / "o"
-    payload = {**_NUMERIC_BASES[command], "out": str(out), key: value}
+    changes = dict(zip(key, value)) if isinstance(key, tuple) else {key: value}
+    payload = {**_NUMERIC_BASES[command], "out": str(out), **changes}
     assert main([command, "--config", _write_cfg(tmp_path, "bad.json", payload)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "key, value", [("tua", 0.01), ("caps.atom", 3), ("dim", 3), ("initial.weight", [2])]
-)
-def test_unread_keys_are_reported_and_warned(tmp_path, capsys, key, value):
-    # the command runs as it would without the key, and its report names the key
-    base = {
-        "scenario": "sdf-linear",
-        "initial": {"atoms": [[0.0], [0.5]], "weights": [0.5, 0.5]},
-        "T": 0.5,
-        "L": 20.0,
-    }
-    codes, reports, errs = [], [], []
-    for tag, payload in (("clean", base), ("typo", _with(base, key, value))):
-        out = tmp_path / tag
-        cfg = _write_cfg(tmp_path, f"{tag}.json", {**payload, "out": str(out)})
-        codes.append(main(["verify", "--config", cfg]))
-        reports.append(json.loads((out / "verify_report.json").read_text()))
-        errs.append(capsys.readouterr().err)
-    assert codes == [EXIT_OK, EXIT_OK]
-    assert "unread_keys" not in reports[0] and "warning" not in errs[0]
-    assert reports[1]["unread_keys"] == [key]
-    assert errs[1].count("warning:") == 1 and key in errs[1]
 
 
 _CUSTOM = {
@@ -692,6 +681,46 @@ _CUSTOM = {
     "T": 1.0,
     "L": 2.0,
 }
+
+
+_UNREAD_BASE = {
+    "scenario": "sdf-linear",
+    "initial": {"atoms": [[0.0], [0.5]], "weights": [0.5, 0.5]},
+    "T": 0.5,
+    "L": 20.0,
+}
+
+
+@pytest.mark.parametrize(
+    "base, stray",
+    [
+        pytest.param(_UNREAD_BASE, {"tua": 0.01}, id="tua-0.01"),
+        pytest.param(_UNREAD_BASE, {"caps.atom": 3}, id="caps.atom-3"),
+        pytest.param(_UNREAD_BASE, {"dim": 3}, id="dim-3"),
+        pytest.param(_UNREAD_BASE, {"initial.weight": [2]}, id="initial.weight-value3"),
+        pytest.param(
+            {**_UNREAD_BASE, "scenario": _CUSTOM["scenario"], "dim": 1},
+            {"scenario.gg": "x", "scenario.noise.w": 1},
+            id="scenario.gg-scenario.noise.w",
+        ),
+    ],
+)
+def test_unread_keys_are_reported_and_warned(tmp_path, capsys, base, stray):
+    # the command runs as it would without the keys, and its report names them
+    typo = base
+    for key, value in stray.items():
+        typo = _with(typo, key, value)
+    codes, reports, errs = [], [], []
+    for tag, payload in (("clean", base), ("typo", typo)):
+        out = tmp_path / tag
+        cfg = _write_cfg(tmp_path, f"{tag}.json", {**payload, "out": str(out)})
+        codes.append(main(["verify", "--config", cfg]))
+        reports.append(json.loads((out / "verify_report.json").read_text()))
+        errs.append(capsys.readouterr().err)
+    assert codes == [EXIT_OK, EXIT_OK]
+    assert "unread_keys" not in reports[0] and "warning" not in errs[0]
+    assert reports[1]["unread_keys"] == sorted(stray)
+    assert errs[1].count("warning:") == 1 and all(key in errs[1] for key in stray)
 
 
 def test_nan_noise_weight_exits_2(tmp_path, capsys):

@@ -13,7 +13,6 @@ from measureflow.dsl import _as_velocity, compile_expression, field_from_config
 from measureflow.errors import InputError
 from measureflow.euler import _predicted_section_atoms, sample_paths_monte_carlo
 from measureflow.fields import (
-    GradientSumField,
     InteractionField,
     NonlocalSampledField,
     SampledField,
@@ -87,8 +86,21 @@ def test_barycenter_field_examples():
     assert barycenter_field(SDF, np.array([0.0]), dirac(0.0))[0] == 0.0
     mu = mixture([-1.0, 1.0], [0.5, 0.5])
     assert barycenter_field(ATTRACT, np.array([0.0]), mu)[0] == 0.0
-    grad = GradientSumField((lambda x: x,))  # H(x) = x^2 / 2
-    assert barycenter_field(grad, np.array([3.0]), dirac(0.0))[0] == -3.0
+    descent = SampledField(lambda x, u: -x, uniform_noise([0]))  # -grad of H(x) = x^2 / 2
+    assert barycenter_field(descent, np.array([3.0]), dirac(0.0))[0] == -3.0
+
+
+def test_gradient_sum_is_a_sampled_field_of_negated_gradients():
+    # v = -grad H_u(x) = -(a_u (x - c_u)), u uniform on {0, 1, 2}; the
+    # batch holds the centers, where the velocity is a signed zero
+    spec = scenario("gradient-sum").spec
+    assert isinstance(spec, SampledField)
+    assert spec.noise.labels == (0, 1, 2)
+    assert spec.noise.weights.tolist() == [1 / 3] * 3
+    centers = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
+    x = np.vstack([np.random.default_rng(4).normal(size=(5, 2)), centers])
+    for u, (a, c) in enumerate(zip((0.5, 1.0, 1.5), centers)):
+        assert _bits(spec.g(x, u)) == _bits(-(a * (x - c)))
 
 
 def test_barycenter_consistency_with_projection():
@@ -512,24 +524,12 @@ def _spec_and_dim(name):
         spec, dim = sc.spec, sc.dim
     if base == name:
         return spec, dim
-    if isinstance(spec, GradientSumField):
-        return GradientSumField(tuple(_row_by_row(g) for g in spec.gradients)), dim
     attr = next(a for a in ("g", "f", "h") if hasattr(spec, a))
     return dataclasses.replace(spec, **{attr: _row_by_row(getattr(spec, attr))}), dim
 
 
-def _as_sampled(spec):
-    if isinstance(spec, GradientSumField):
-        grads = spec.gradients
-        return SampledField(
-            lambda x, u: -np.asarray(grads[u](x)), uniform_noise(range(len(grads)))
-        )
-    return spec
-
-
 def _oracle_evaluate_pvf(spec, mu):
     """The per-kind evaluation loop that the section rule replaced."""
-    spec = _as_sampled(spec)
     vec = lambda v: np.atleast_1d(np.asarray(v, dtype=float))  # noqa: E731
     xs, vs, ws = [], [], []
     if isinstance(spec, SampledField):
@@ -563,7 +563,6 @@ def _oracle_evaluate_pvf(spec, mu):
 
 def _oracle_monte_carlo(spec, mu0, tau, n_steps, M, seed):
     """The per-kind particle loop that the section rule replaced: (M, N+1, d) nodes."""
-    spec = _as_sampled(spec)
     rng = np.random.default_rng(seed)
     X = mu0.atoms[rng.choice(mu0.n_atoms, size=M, p=mu0.weights)].copy()
     traj = [X]
@@ -599,11 +598,8 @@ def _oracle_monte_carlo(spec, mu0, tau, n_steps, M, seed):
 
 def _oracle_barycenter(spec, x, mu):
     """The per-point barycenter sum: partner by partner, then label by label."""
-    sign, noise, pairs = 1.0, getattr(spec, "noise", None), False
-    if isinstance(spec, GradientSumField):
-        sign, noise = -1.0, uniform_noise(range(len(spec.gradients)))
-        call = lambda y, u: spec.gradients[u](x)  # noqa: E731
-    elif isinstance(spec, SampledField):
+    noise, pairs = getattr(spec, "noise", None), False
+    if isinstance(spec, SampledField):
         call = lambda y, u: spec.g(x, u)  # noqa: E731
     elif isinstance(spec, InteractionField):
         call, pairs = (lambda y, u: spec.f(x, y)), True
@@ -616,7 +612,7 @@ def _oracle_barycenter(spec, x, mu):
     out = np.zeros_like(x)
     for y, wy in partners:
         for u, uw in labels:
-            out = out + sign * wy * uw * np.asarray(call(y, u), dtype=float)
+            out = out + wy * uw * np.asarray(call(y, u), dtype=float)
     return out
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from measureflow import limit
 from measureflow.errors import InputError, NumericDomainError
-from measureflow.fields import GradientSumField, InteractionField, SampledField, uniform_noise
+from measureflow.fields import InteractionField, SampledField, uniform_noise
 from measureflow.limit import (
     StickyFlowConfig,
     contraction_check,
@@ -160,7 +160,7 @@ def test_evi_residual_horizon_guard():
 def test_quadratic_gradient_flow_decay_rate():
     # single quadratic H(x) = a|x - c|^2 / 2: W2(mu_t, delta_c) = e^{-a t} W2(mu_0, delta_c)
     a, c = 1.5, 0.7
-    spec = GradientSumField(((lambda x: a * (x - c)),))
+    spec = SampledField(lambda x, u: -(a * (x - c)), uniform_noise([0]))
     mu0 = mixture([-1.0, 0.5, 2.0], [0.25, 0.25, 0.5])
     flow = sticky_flow(spec, mu0, 1.0, StickyFlowConfig(dt=1e-3))
     target = dirac(c)
