@@ -33,7 +33,7 @@ from .transport import (
     wasserstein2_sup,
 )
 from .fields import (
-    DissipativityReport,
+    Check,
     InteractionField,
     NoiseSpace,
     NonlocalSampledField,

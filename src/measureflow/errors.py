@@ -6,7 +6,7 @@ class InputError(ValueError):
 
 
 class NumericDomainError(ArithmeticError):
-    """A computation produced non-finite values; carries a witness."""
+    """A computation produced non-finite values or a weight that underflows to 0; has a witness."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericDomainError, ResourceCapError, StabilityError
-from .fields import PvfSpec, _section, evaluate_pvf
+from .fields import Check, PvfSpec, _section, evaluate_pvf
 from .measure import (
     Coupling,
     DiscreteMeasure,
@@ -42,7 +42,6 @@ __all__ = [
     "DEFAULT_ATOM_CAP",
     "DEFAULT_TUPLE_CAP",
     "EulerRun",
-    "VerifyReport",
     "build_path_ensemble",
     "interpolate_measure",
     "multi_step_plan",
@@ -114,9 +113,11 @@ def run_explicit_euler(
 ) -> EulerRun:
     """Iterate the scheme from mu0 with step tau up to the final step ceil(T/tau).
 
-    Raises :class:`StabilityError` when a section's velocity moment exceeds L
-    and :class:`ResourceCapError` when the support outgrows ``atom_cap`` (use
-    Monte-Carlo sampling for such regimes).
+    Raises :class:`StabilityError` when a section's velocity moment exceeds L,
+    :class:`ResourceCapError` when the support outgrows ``atom_cap`` (use
+    Monte-Carlo sampling for such regimes) and :class:`NumericDomainError`,
+    naming the step, when a section has a non-finite velocity or a weight
+    that underflows to 0.
     """
     if tau <= 0 or T <= 0 or L <= 0:
         raise InputError("tau, T, L must all be positive")
@@ -133,7 +134,10 @@ def run_explicit_euler(
                 predicted=predicted,
                 cap=atom_cap,
             )
-        phi = evaluate_pvf(spec, current)
+        try:
+            phi = evaluate_pvf(spec, current)
+        except NumericDomainError as exc:
+            raise NumericDomainError(f"{exc} at step {n}", exc.witness) from exc
         moment = velocity_moment(phi)
         if moment > L + _STAB_SLACK:
             raise StabilityError(n, moment, L)
@@ -314,17 +318,7 @@ def sample_paths_monte_carlo(
     return PathEnsemble(grid, nodes, np.full(M, 1.0 / M), prov)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    passed: bool
-    detail: str
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:  # allows `ok, report = ...; if ok:` or truthiness
-        return self.passed
-
-
-def verify_joint_law(ensemble: PathEnsemble, run: EulerRun, n: int) -> VerifyReport:
+def verify_joint_law(ensemble: PathEnsemble, run: EulerRun, n: int) -> Check:
     """Checks (e_{n tau}, (e_{(n+1) tau} - e_{n tau}) / tau) push = Phi^n, n in [0, N-1].
 
     Atoms match within ``_JOINT_LAW_ATOM_TOL`` and weights within ``WEIGHT_TOL``.
@@ -344,13 +338,11 @@ def verify_joint_law(ensemble: PathEnsemble, run: EulerRun, n: int) -> VerifyRep
     dt = grid[N] - grid[N - 1] if overshoot and n == N - 1 else run.tau
     pushed = coalesce(TangentMeasure(x0, (x1 - x0) / dt, ensemble.weights), 0.0)
     ok = measures_close(pushed, run.sections[n], _JOINT_LAW_ATOM_TOL, WEIGHT_TOL)
-    detail = "joint law matches section" if ok else (
-        f"joint law at step {n} deviates from the selected section"
-    )
-    return VerifyReport(ok, detail)
+    verdict = "matches" if ok else "deviates from"
+    return Check(ok, f"joint law at step {n} {verdict} the selected section")
 
 
-def verify_marginals(ensemble: PathEnsemble, run: EulerRun, times: Sequence[float]) -> VerifyReport:
+def verify_marginals(ensemble: PathEnsemble, run: EulerRun, times: Sequence[float]) -> Check:
     """Checks (e_t) push of the ensemble against the affine interpolant at each t.
 
     Atoms match within ``_MARGINAL_ATOM_TOL`` and weights within ``WEIGHT_TOL``.
@@ -362,5 +354,5 @@ def verify_marginals(ensemble: PathEnsemble, run: EulerRun, times: Sequence[floa
         lhs = ensemble.evaluate(float(t))
         rhs = interpolate_measure(run, float(t))
         if not measures_close(lhs, rhs, _MARGINAL_ATOM_TOL, WEIGHT_TOL):
-            return VerifyReport(False, f"marginal mismatch at t = {t}")
-    return VerifyReport(True, f"marginals match at {len(times)} times")
+            return Check(False, f"marginal mismatch at t = {t}")
+    return Check(True, f"marginals match at {len(times)} times")

@@ -15,8 +15,8 @@ closure is called once on a whole batch.
 
 The ``check_*`` functions are sample-based certifiers, not proofs: the
 dissipativity conditions quantify over all measures and couplings, which has
-no finite certificate, so reports carry explicit violation witnesses and an
-empirically fitted best constant.
+no finite certificate, so each ``Check`` carries a witness per failed sample
+and the empirically fitted best constant.
 """
 
 from __future__ import annotations
@@ -163,7 +163,9 @@ def evaluate_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> TangentMeasure:
     The x-marginal of the result equals ``mu``: velocities are attached to the
     existing atoms and only exact duplicate (x, v) pairs are merged.  Rows are
     expanded atom by atom, then partner by partner, then label by label, and
-    each label's kernel is called once on all (atom, partner) rows.
+    each label's kernel is called once on all (atom, partner) rows.  A row
+    weight (atom weight, times partner weight, times label weight) that
+    underflows to 0 raises NumericDomainError, witnessed by its atom.
     """
     rule = _section(spec)
     n, d = mu.atoms.shape
@@ -176,13 +178,11 @@ def evaluate_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> TangentMeasure:
     V = np.empty((X.shape[0], len(rule.terms), d))
     for k, (_, _, fn) in enumerate(rule.terms):
         V[:, k] = _finite_or_raise(fn(X, Y, read), X)
-    uw = np.array([uw for _, uw, _ in rule.terms])
-    phi = TangentMeasure(
-        np.repeat(X, len(rule.terms), axis=0),
-        V.reshape(-1, d),
-        (wx[:, None] * uw).ravel(),
-    )
-    return coalesce(phi, 0.0)
+    W = (wx[:, None] * np.array([uw for _, uw, _ in rule.terms])).ravel()
+    if not W.all():
+        i = int(np.argmin(W)) // len(rule.terms)
+        raise NumericDomainError("a section weight underflows to 0", witness=X[i].copy())
+    return coalesce(TangentMeasure(np.repeat(X, len(rule.terms), axis=0), V.reshape(-1, d), W), 0.0)
 
 
 def _mean_velocity(
@@ -229,23 +229,21 @@ def barycenter_field(spec: PvfSpec, x, mu: DiscreteMeasure) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DissipativityReport:
-    """Outcome of a sample-based certifier.
+class Check:
+    """The outcome of one certifier that ``verify`` runs; unmeasured fields are None.
 
-    ``lambda_hat`` is the empirical best constant over the tested samples (the
-    largest Rayleigh quotient, or the best growth constant for check_growth).
-    ``violations`` holds witness tuples for every failed sample.
+    ``value`` is the measured quantity and ``bound`` what it is held to: for
+    the sample-based certifiers, the best constant over the ``samples``
+    tested (the largest Rayleigh quotient, or the best growth constant) and
+    the declared one, with one ``witness`` tuple per failed sample.
     """
 
-    kind: str
-    declared: float
-    lambda_hat: float
-    violations: tuple
-    samples_tested: int
-
-    @property
-    def passed(self) -> bool:
-        return len(self.violations) == 0
+    passed: bool
+    detail: str
+    value: float | None = None
+    bound: float | None = None
+    witness: tuple | None = None
+    samples: int | None = None
 
 
 def _sample_array(samples, shape: tuple) -> np.ndarray:
@@ -259,10 +257,10 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * b, axis=1, initial=-0.0)
 
 
-def _report(kind, declared, lhs, scale, witness) -> DissipativityReport:
-    """The report on samples whose condition is ``lhs <= declared * scale``.
+def _check(kind, declared, lhs, scale, witness) -> Check:
+    """The check of samples whose condition is ``lhs <= declared * scale``.
 
-    ``lambda_hat`` is the largest ``lhs / scale``, the first of equal ones
+    ``value`` is the largest ``lhs / scale``, the first of equal ones
     (so -0.0 before 0.0 stays -0.0).  A sample with ``scale`` 0 (two equal
     points) is skipped but counted as tested.  A failed sample i is
     witnessed by ``(*witness[i], lhs[i], declared * scale[i])``.
@@ -273,12 +271,10 @@ def _report(kind, declared, lhs, scale, witness) -> DissipativityReport:
     lam_hat = float(ratio[np.argmax(ratio)]) if ratio.size else -np.inf
     bad = np.flatnonzero(keep & (lhs > bound + _CHECK_SLACK))
     violations = tuple((*witness[i], float(lhs[i]), float(bound[i])) for i in bad)
-    return DissipativityReport(kind, declared, lam_hat, violations, len(lhs))
+    return Check(not violations, kind, lam_hat, declared, violations, len(lhs))
 
 
-def check_one_sided_lipschitz(
-    b: Callable[[np.ndarray], np.ndarray], samples, lam: float
-) -> DissipativityReport:
+def check_one_sided_lipschitz(b: Callable[[np.ndarray], np.ndarray], samples, lam: float) -> Check:
     """Tests <b(x1)-b(x0), x1-x0> <= lam |x1-x0|^2 on point pairs.
 
     ``samples`` is an ``(n, 2, d)`` array of pairs (x0, x1), or a list of
@@ -287,12 +283,12 @@ def check_one_sided_lipschitz(
     S = _sample_array(samples, (2,))
     X0, X1 = S.swapaxes(0, 1)
     dx = X1 - X0
-    return _report("one-sided-lipschitz", lam, _inner(b(X1) - b(X0), dx), _inner(dx, dx), S)
+    return _check("one-sided-lipschitz", lam, _inner(b(X1) - b(X0), dx), _inner(dx, dx), S)
 
 
 def check_pair_dissipativity(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray], samples, lam: float
-) -> DissipativityReport:
+) -> Check:
     """Tests the doubled field (f(x,y), f(y,x)) for dissipativity on X x X.
 
     ``samples`` is an ``(n, 2, 2, d)`` array of pairs ((x0, y0), (x1, y1)),
@@ -304,7 +300,7 @@ def check_pair_dissipativity(
     dx, dy = X1 - X0, Y1 - Y0
     dv, dw = f(X1, Y1) - f(X0, Y0), f(Y1, X1) - f(Y0, X0)
     lhs = _inner(dv, dx) + _inner(dw, dy)
-    return _report("pair-dissipativity", lam, lhs, _inner(dx, dx) + _inner(dy, dy), S)
+    return _check("pair-dissipativity", lam, lhs, _inner(dx, dx) + _inner(dy, dy), S)
 
 
 def product_disintegration_coupling(
@@ -332,9 +328,7 @@ def product_disintegration_coupling(
     )
 
 
-def check_total_dissipativity(
-    phi0: TangentMeasure, phi1: TangentMeasure, lam: float
-) -> DissipativityReport:
+def check_total_dissipativity(phi0: TangentMeasure, phi1: TangentMeasure, lam: float) -> Check:
     """Tests int <v1-v0, x1-x0> <= lam int |x1-x0|^2 on the canonical coupling.
 
     The plan is the product-of-disintegrations coupling along an optimal
@@ -348,12 +342,10 @@ def check_total_dissipativity(
     dx = theta.x1 - theta.x0
     lhs = np.sum(theta.weights * np.sum((theta.v1 - theta.v0) * dx, axis=1))
     sq = np.sum(theta.weights * np.sum(dx * dx, axis=1))
-    return _report("total-dissipativity", lam, np.array([lhs]), np.array([sq]), [(0,)])
+    return _check("total-dissipativity", lam, np.array([lhs]), np.array([sq]), [(0,)])
 
 
-def check_growth(
-    spec: PvfSpec, mus: Sequence[DiscreteMeasure], a: float
-) -> DissipativityReport:
+def check_growth(spec: PvfSpec, mus: Sequence[DiscreteMeasure], a: float) -> Check:
     """Tests the support growth bound <v, x> <= a (1 + |x|^2) on evaluated fields.
 
     Every row (x, v) of every section ``evaluate_pvf(spec, mu)`` is a sample.
@@ -362,4 +354,4 @@ def check_growth(
     rows = [np.stack((phi.positions, phi.velocities), axis=1) for phi in phis]
     S = np.concatenate(rows) if rows else np.empty((0, 2, 0))
     X, V = S.swapaxes(0, 1)
-    return _report("growth", a, _inner(V, X), 1.0 + _inner(X, X), S)
+    return _check("growth", a, _inner(V, X), 1.0 + _inner(X, X), S)

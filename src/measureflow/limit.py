@@ -28,8 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericDomainError
-from .euler import VerifyReport
-from .fields import PvfSpec, _mean_velocity, _section
+from .fields import Check, PvfSpec, _mean_velocity, _section
 from .measure import DiscreteMeasure, _first_non_finite, coalesce, measures_close
 from .paths import PathEnsemble, Provenance
 from .transport import _SUP_CHUNK_ELEMS, bram_pairing, w2_distance
@@ -364,9 +363,7 @@ def evi_residual(
     return out
 
 
-def sticky_property_check(
-    ensemble: PathEnsemble, mu0: DiscreteMeasure | None = None
-) -> VerifyReport:
+def sticky_property_check(ensemble: PathEnsemble, mu0: DiscreteMeasure | None = None) -> Check:
     """Verifies the sticky path properties P1-P3 on an ensemble's grid times.
 
     P1: paths are pairwise distinct as functions (some grid time separates
@@ -382,24 +379,23 @@ def sticky_property_check(
     if mu0 is not None:
         starts = coalesce(DiscreteMeasure(values[:, 0, :], ensemble.weights), 0.0)
         if not measures_close(starts, coalesce(mu0, 0.0), atom_tol=tol):
-            return VerifyReport(False, "P2: initial points do not match mu0")
+            return Check(False, "P2: initial points do not match mu0")
     for i in range(n):
         for j in range(i + 1, n):
             dist = np.linalg.norm(values[i] - values[j], axis=1)
             if np.all(dist <= tol):
-                return VerifyReport(
-                    False, f"P1: paths {i} and {j} coincide at every grid time", (i, j)
-                )
+                detail = f"P1: paths {i} and {j} coincide at every grid time"
+                return Check(False, detail, witness=(i, j))
             close = np.nonzero(dist <= tol)[0]
             if close.size:
                 first = int(close[0])
                 later = dist[first:]
                 if np.any(later > tol):
                     bad = first + int(np.argmax(later > tol))
-                    return VerifyReport(
+                    return Check(
                         False,
                         f"P3: paths {i} and {j} touch at t = {grid[first]:.6g} "
                         f"but separate at t = {grid[bad]:.6g}",
-                        (i, j, float(grid[first]), float(grid[bad])),
+                        witness=(i, j, float(grid[first]), float(grid[bad])),
                     )
-    return VerifyReport(True, "P1-P3 hold on the grid")
+    return Check(True, "P1-P3 hold on the grid")

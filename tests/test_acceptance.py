@@ -302,11 +302,11 @@ def test_criterion_11_dissipativity_certifiers():
     planted_f = check_pair_dissipativity(lambda x, y: x, quads, 0.0)
 
     clean = rep_b.passed and rep_f.passed and rep_g.passed
-    detected = (not planted_b.passed and len(planted_b.violations) > 0
-                and not planted_f.passed and len(planted_f.violations) > 0)
+    detected = (not planted_b.passed and len(planted_b.witness) > 0
+                and not planted_f.passed and len(planted_f.witness) > 0)
     elapsed = time.perf_counter() - t0
     ok = clean and detected and _within_budget(elapsed, 2.0)
     _report(11, "certifiers: clean fields pass, planted violations witnessed", ok,
-            elapsed, 2.0, f"lam_hat(b)={rep_b.lambda_hat:.3f}")
+            elapsed, 2.0, f"lam_hat(b)={rep_b.value:.3f}")
     assert clean and detected
     assert _within_budget(elapsed, 2.0)

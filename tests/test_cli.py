@@ -18,6 +18,7 @@ import measureflow
 from measureflow.cli import (
     _KEYS,
     EXIT_CONFIG,
+    EXIT_FAIL,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -120,7 +121,16 @@ def test_sweep_artifacts_and_determinism(tmp_path):
         assert tables[0] == tables[1]
 
 
-def test_verify_passes_on_builtin(tmp_path):
+# the checks verify runs on every config, in stdout order; the rest depend on the scenario
+_FIRST_CHECKS = ["marginals", "joint_law", "action_bound", "sticky_properties"]
+
+
+def _printed_checks(capsys) -> list:
+    """The check names of verify's PASS/FAIL lines, in stdout order."""
+    return [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+
+
+def test_verify_passes_on_builtin(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write_cfg(
         tmp_path,
@@ -131,18 +141,24 @@ def test_verify_passes_on_builtin(tmp_path):
     report = json.loads((out / "verify_report.json").read_text())
     assert report["passed"] is True
     assert report["checks"]["marginals"] and report["checks"]["joint_law"]
+    assert _printed_checks(capsys) == _FIRST_CHECKS + ["one_sided_lipschitz", "growth"]
+
+
+_OTHER_SCENARIOS = [
+    ("gradient-sum", 0.25, 1.0, ["one_sided_lipschitz", "growth"]),
+    ("nonlocal-cylinder", 0.25, 1.0, ["growth"]),  # declares no lambda
+    ("idf-attract", 0.25, 1.0, ["one_sided_lipschitz", "pair_dissipativity"]),
+    # an interaction with noise is no InteractionField, so it gets no pair check
+    ("stochastic-idf", 0.5, 1.0, ["one_sided_lipschitz"]),
+]
 
 
 @pytest.mark.parametrize(
-    "name,tau,T",
-    [
-        ("gradient-sum", 0.25, 1.0),
-        ("nonlocal-cylinder", 0.25, 1.0),
-        ("idf-attract", 0.25, 1.0),
-        ("stochastic-idf", 0.5, 1.0),
-    ],
+    "name,tau,T,declared",
+    _OTHER_SCENARIOS,
+    ids=[f"{name}-{tau}-{T}" for name, tau, T, _ in _OTHER_SCENARIOS],
 )
-def test_verify_other_scenarios(tmp_path, name, tau, T):
+def test_verify_other_scenarios(tmp_path, capsys, name, tau, T, declared):
     out = tmp_path / "out"
     cfg = _write_cfg(
         tmp_path,
@@ -150,6 +166,64 @@ def test_verify_other_scenarios(tmp_path, name, tau, T):
         {"scenario": name, "tau": tau, "T": T, "L": 20.0, "out": str(out)},
     )
     assert main(["verify", "--config", cfg]) == EXIT_OK
+    assert _printed_checks(capsys) == _FIRST_CHECKS + declared
+
+
+def test_verify_fails_an_inline_interaction_at_lambda_0(tmp_path, capsys):
+    # f = x - y pushes the two atoms apart: <f(x) - f(y), x - y> = 2 |x - y|^2 > 0, so the
+    # pair check, run at lambda = 0 for an inline interaction field, fails
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path,
+        "verify.json",
+        {
+            "scenario": {"kind": "interaction", "f": "x - y"},
+            "dim": 1,
+            "initial": {"atoms": [[-0.5], [0.5]], "weights": [0.5, 0.5]},
+            "tau": 0.25,
+            "T": 0.5,
+            "L": 5.0,
+            "out": str(out),
+        },
+    )
+    assert main(["verify", "--config", cfg]) == EXIT_FAIL
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["checks"] == {**dict.fromkeys(_FIRST_CHECKS, True), "pair_dissipativity": False}
+    assert report["passed"] is False
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL  pair_dissipativity"
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize(
+    "field,atoms,weights,step",
+    [
+        # the label weights 1e-200 multiply to 1e-400 on the path that draws the light label twice
+        ({"kind": "sampled", "g": "u", "noise": {"labels": [1, -1], "weights": [1e-200, 1.0]}},
+         [[0.0]], [1.0], 1),
+        # the pair of two light atoms has weight 1e-400 at the first step
+        ({"kind": "interaction", "f": "y - x"}, [[0.0], [1.0]], [1e-200, 1.0], 0),
+    ],
+    ids=["sampled", "interaction"],
+)
+def test_an_underflowed_section_weight_exits_5_naming_the_step(
+    tmp_path, capsys, command, field, atoms, weights, step
+):
+    cfg = _write_cfg(
+        tmp_path,
+        "underflow.json",
+        {
+            "scenario": field,
+            "dim": 1,
+            "initial": {"atoms": atoms, "weights": weights},
+            "tau": 0.25,
+            "T": 1.0,
+            "L": 2.0,
+            "out": str(tmp_path / "o"),
+        },
+    )
+    assert main([command, "--config", cfg]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert f"a section weight underflows to 0 at step {step}" in err and "Traceback" not in err
 
 
 def test_bounds_example_values(tmp_path):

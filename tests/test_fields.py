@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measureflow.dsl import _as_velocity, compile_expression, field_from_config
-from measureflow.errors import InputError
+from measureflow.errors import InputError, NumericDomainError
 from measureflow.euler import _predicted_section_atoms, sample_paths_monte_carlo
 from measureflow.fields import (
     InteractionField,
@@ -72,6 +72,14 @@ def test_evaluate_zero_interaction():
     assert measures_close(phi.x_marginal(), mu, atom_tol=0.0)
 
 
+def test_evaluate_refuses_a_row_weight_that_underflows():
+    # the pair (0, 0) of the light atom with itself has weight 1e-400, which rounds to 0
+    light = DiscreteMeasure([[0.0], [1.0]], [1e-200, 1.0])
+    with pytest.raises(NumericDomainError, match="underflows to 0") as info:
+        evaluate_pvf(InteractionField(lambda x, y: y - x), light)
+    assert np.array_equal(info.value.witness, [0.0])
+
+
 def test_x_marginal_law_all_scenarios():
     rng = np.random.default_rng(0)
     for name in scenario_names():
@@ -120,11 +128,11 @@ def test_one_sided_lipschitz_examples():
     rng = np.random.default_rng(2)
     pairs = [(rng.normal(size=1), rng.normal(size=1)) for _ in range(40)]
     rep = check_one_sided_lipschitz(lambda x: -x, pairs, 0.0)
-    assert rep.passed and np.isclose(rep.lambda_hat, -1.0)
+    assert rep.passed and np.isclose(rep.value, -1.0)
 
     rep = check_one_sided_lipschitz(lambda x: x, [(np.zeros(1), np.ones(1))], 0.0)
-    assert not rep.passed and np.isclose(rep.lambda_hat, 1.0)
-    assert len(rep.violations) == 1
+    assert not rep.passed and np.isclose(rep.value, 1.0)
+    assert len(rep.witness) == 1
 
     cube_pairs = [(rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 1)) for _ in range(100)]
     rep = check_one_sided_lipschitz(lambda x: -(x**3), cube_pairs, 0.0)
@@ -250,7 +258,7 @@ def test_total_dissipativity_takes_signed_zeros_for_one_position():
 
     report = check_total_dissipativity(phi(-0.0), psi, 0.0)
     assert report == check_total_dissipativity(phi(0.0), psi, 0.0)
-    assert report.passed and report.samples_tested == 1
+    assert report.passed and report.samples == 1
 
 
 def test_growth_examples():
@@ -260,7 +268,7 @@ def test_growth_examples():
 
     grow = SampledField(lambda x, u: x, uniform_noise([0, 1]))
     rep = check_growth(grow, [dirac(1.0)], 0.0)
-    assert not rep.passed and np.isclose(rep.lambda_hat, 0.5)
+    assert not rep.passed and np.isclose(rep.value, 0.5)
 
     unit = SampledField(lambda x, u: np.array([1.0]) * u, uniform_noise([1.0, -1.0]))
     assert check_growth(unit, mus, 1.0).passed
@@ -362,13 +370,13 @@ def test_array_certifiers_match_per_sample_oracles(data, dim, coef, lam):
     else:  # a BLAS dot may fuse multiply-adds; the arrays sum the products
         same = lambda got, want: math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)  # noqa: E731
     for report, (lam_hat, violations, tested) in cases:
-        assert report.samples_tested == tested
+        assert report.samples == tested
         assert report.passed == (not violations)
-        assert len(report.violations) == len(violations)
-        assert same(report.lambda_hat, lam_hat)
+        assert len(report.witness) == len(violations)
+        assert same(report.value, lam_hat)
         if tested == 0:
-            assert report.passed and report.lambda_hat == -np.inf
-        for got, want in zip(report.violations, violations):
+            assert report.passed and report.value == -np.inf
+        for got, want in zip(report.witness, violations):
             assert _bits(np.asarray(got[:2])) == _bits(np.asarray(want[:2]))
             assert same(got[2], want[2]) and same(got[3], want[3])
 
