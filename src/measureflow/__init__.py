@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .measure import (
     Coupling,
     DiscreteMeasure,
-    TangentCoupling,
     TangentMeasure,
     TuplePlan,
     barycentric_projection,

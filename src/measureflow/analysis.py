@@ -51,7 +51,8 @@ class BoundsReport:
     L: float
     tau_bar: float
     tau: float
-    radii: tuple  # R_{0,tau} .. R_{K,tau}
+    steps: int  # K, the steps to the horizon
+    final_radius: float  # R_{K,tau}, the largest of R_{0,tau} .. R_{K,tau}
 
     def to_json_dict(self) -> dict:
         return {
@@ -59,7 +60,8 @@ class BoundsReport:
             "L": self.L,
             "tau_bar": self.tau_bar,
             "tau": self.tau,
-            "radii": list(self.radii),
+            "steps": self.steps,
+            "final_radius": self.final_radius,
         }
 
 
@@ -84,11 +86,14 @@ def solvability_bounds(
     rho: Callable[[float], float],
     tau: float | None = None,
 ) -> BoundsReport:
-    """Support radius R', velocity bound L = rho(R'), threshold tau_bar, and radii.
+    """Support radius R', velocity bound L = rho(R'), threshold tau_bar, and final radius.
 
     R' and L are ``velocity_bound``'s, tau_bar = min(L^{-2}, T), and the
-    radii follow R_{n+1}^2 = R_n^2 (1 + 2 a tau) + tau^2 L^2 + 2 a tau up to
-    the final step for the given tau (default tau_bar / 2).  ``rho`` must be
+    radii follow R_{n+1}^2 = R_n^2 (1 + 2 a tau) + tau^2 L^2 + 2 a tau over
+    the K steps to the horizon for the given tau (default tau_bar / 2).  As
+    a >= 0 the recursion is nondecreasing, so R_K is the largest radius; it
+    is the closed form R_K^2 = R^2 (1 + g) + (tau L^2 / (2a) + 1) g with
+    g = (1 + 2 a tau)^K - 1, and R^2 + K tau^2 L^2 at a = 0.  ``rho`` must be
     monotone in R; this is asserted per scenario, not checked here.
     """
     R_prime, L = velocity_bound(R, a, T, rho)
@@ -101,11 +106,17 @@ def solvability_bounds(
     if not 0.0 < tau < tau_bar:
         raise InputError(f"tau = {tau} must lie in (0, tau_bar) with tau_bar = {tau_bar}")
     K = int(math.ceil(T / tau - 1e-12))
-    radii = [R]
-    for _ in range(K):
-        nxt = radii[-1] ** 2 * (1.0 + 2.0 * a * tau) + tau * tau * L * L + 2.0 * a * tau
-        radii.append(math.sqrt(nxt))
-    return BoundsReport(R_prime, L, tau_bar, float(tau), tuple(radii))
+    if a == 0.0:
+        sq = R * R + K * tau * tau * L * L
+    else:
+        try:
+            g = math.expm1(K * math.log1p(2.0 * a * tau))
+        except OverflowError:
+            g = math.inf
+        sq = R * R * (1.0 + g) + (tau * L * L / (2.0 * a) + 1.0) * g
+    if not math.isfinite(sq):
+        raise InputError(f"R_K^2 is beyond the float range (K = {K} steps of tau = {tau})")
+    return BoundsReport(R_prime, L, tau_bar, float(tau), K, math.sqrt(sq))
 
 
 def rate_fit(rows: Sequence[tuple], min_rows: int = 2) -> tuple[float, float]:

@@ -267,15 +267,20 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_report(s: dict, name: str, extra: dict) -> None:
-    """Writes ``out/name``: the config, its provenance and unread keys, and ``extra``."""
-    canonical = json.dumps(s["config"], sort_keys=True, separators=(",", ":")).encode()
+    """Writes ``out/name``: the config, its provenance and unread keys, and ``extra``.
+
+    The config is echoed and hashed without ``out``, so a report does not
+    depend on where it is written.
+    """
+    config = {k: v for k, v in s["config"].items() if k != "out"}
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     unread = {"unread_keys": s["unread_keys"]} if s["unread_keys"] else {}
     _write_json(
         s["out"] / name,
         {
             "schema_version": SCHEMA_VERSION,
             "config_hash": hashlib.sha256(canonical).hexdigest(),
-            "config": s["config"],
+            "config": config,
             "tolerances": _TOLERANCES,
             "version": __version__,
             "source_sha256": _source_sha256(),
@@ -376,8 +381,8 @@ def cmd_bounds(s: dict) -> int:
     report = s["report"]
     _write_report(s, "bounds.json", {"command": "bounds", "bounds": report.to_json_dict()})
     print(
-        f"bounds: R' = {report.R_prime:.6g}, L = {report.L:.6g}, "
-        f"tau_bar = {report.tau_bar:.6g}, final radius {report.radii[-1]:.6g}"
+        f"bounds: R' = {report.R_prime:.6g}, L = {report.L:.6g}, tau_bar = {report.tau_bar:.6g}, "
+        f"{report.steps} steps, final radius {report.final_radius:.6g}"
     )
     return EXIT_OK
 

@@ -28,14 +28,13 @@ import numpy as np
 
 from .errors import InputError, NumericDomainError
 from .measure import (
-    Coupling,
     DiscreteMeasure,
-    TangentCoupling,
     TangentMeasure,
     _check_weights,
     _disintegrate,
     _first_non_finite,
     _freeze,
+    barycentric_projection,
     coalesce,
 )
 
@@ -303,45 +302,28 @@ def check_pair_dissipativity(
     return _check("pair-dissipativity", lam, lhs, _inner(dx, dx) + _inner(dy, dy), S)
 
 
-def product_disintegration_coupling(
-    phi: TangentMeasure, psi: TangentMeasure, gamma: Coupling
-) -> TangentCoupling:
-    """The canonical coupling of two tangent measures along a spatial plan.
-
-    Disintegrates each tangent measure over its positions and takes, above
-    every atom of ``gamma``, the product of the two conditional velocity laws:
-    atom by atom of ``gamma``, then row by row of ``phi``, then of ``psi``.
-    """
-    c0, s0, order0, m0 = _disintegrate(phi, gamma.first_atoms)
-    c1, s1, order1, m1 = _disintegrate(psi, gamma.second_atoms)
-    if not (c0.all() and c1.all()):
-        raise InputError("gamma is not a coupling of the tangent x-marginals")
-    c = c0 * c1
-    rep = np.repeat(np.arange(gamma.n_atoms), c)
-    k = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
-    r0 = order0[s0[rep] + k // c1[rep]]
-    r1 = order1[s1[rep] + k % c1[rep]]
-    w = gamma.weights[rep] * (phi.weights[r0] / m0[rep]) * (psi.weights[r1] / m1[rep])
-    return TangentCoupling(
-        gamma.first_atoms[rep], phi.velocities[r0], gamma.second_atoms[rep], psi.velocities[r1],
-        w, phi, psi,
-    )
-
-
 def check_total_dissipativity(phi0: TangentMeasure, phi1: TangentMeasure, lam: float) -> Check:
     """Tests int <v1-v0, x1-x0> <= lam int |x1-x0|^2 on the canonical coupling.
 
-    The plan is the product-of-disintegrations coupling along an optimal
-    coupling of the two x-marginals; its violation witness is ``(0, lhs,
+    The canonical coupling takes, above each atom (x0, x1) of an optimal plan
+    gamma between the positions, the product of the two conditional velocity
+    laws.  Both integrands are affine in each velocity, so the velocities
+    integrate out to their conditional means b0(x0) and b1(x1), the
+    barycentric projections: the integrals are sum gamma <b1(x1) - b0(x0),
+    x1 - x0> and sum gamma |x1 - x0|^2.  gamma is ``optimal_coupling``
+    between the projections' positions; the violation witness is ``(0, lhs,
     lam * sq)``.
     """
     from .transport import optimal_coupling
 
-    gamma = optimal_coupling(phi0.x_marginal(), phi1.x_marginal()).coupling
-    theta = product_disintegration_coupling(phi0, phi1, gamma)
-    dx = theta.x1 - theta.x0
-    lhs = np.sum(theta.weights * np.sum((theta.v1 - theta.v0) * dx, axis=1))
-    sq = np.sum(theta.weights * np.sum(dx * dx, axis=1))
+    p0, p1 = barycentric_projection(phi0), barycentric_projection(phi1)
+    gamma = optimal_coupling(p0.x_marginal(), p1.x_marginal()).coupling
+    _, s0, order0, _ = _disintegrate(p0, gamma.first_atoms)
+    _, s1, order1, _ = _disintegrate(p1, gamma.second_atoms)
+    dx = gamma.second_atoms - gamma.first_atoms
+    dv = p1.velocities[order1[s1]] - p0.velocities[order0[s0]]
+    lhs = np.sum(gamma.weights * np.sum(dv * dx, axis=1))
+    sq = np.sum(gamma.weights * np.sum(dx * dx, axis=1))
     return _check("total-dissipativity", lam, np.array([lhs]), np.array([sq]), [(0,)])
 
 

@@ -212,24 +212,6 @@ class Coupling:
 
 
 @dataclass(frozen=True)
-class TangentCoupling:
-    """Coupling between two tangent measures: atoms ((x0, v0), (x1, v1))."""
-
-    x0: Array
-    v0: Array
-    x1: Array
-    v1: Array
-    weights: Array
-    phi0: TangentMeasure
-    phi1: TangentMeasure
-
-    def __post_init__(self):
-        _set_atoms(self, "x0", "v0", "x1", "v1")
-        _require_equal(TangentMeasure(self.x0, self.v0, self.weights), self.phi0, "first marginal")
-        _require_equal(TangentMeasure(self.x1, self.v1, self.weights), self.phi1, "second marginal")
-
-
-@dataclass(frozen=True)
 class TuplePlan:
     """Weighted atoms on R^{d x (n+1)}: joint laws of discrete trajectories."""
 

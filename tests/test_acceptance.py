@@ -41,6 +41,7 @@ from measureflow.measure import DiscreteMeasure, dirac, mixture, velocity_moment
 from measureflow.paths import PathEnsemble, Provenance, constant_path
 from measureflow.scenarios import scenario
 from measureflow.transport import optimal_coupling, w2_distance, wasserstein2_sup
+from test_analysis import _oracle_radii
 from test_transport import brute_force_w2
 
 
@@ -251,8 +252,10 @@ def test_criterion_09_solvability_bounds():
     r_prime_ok = abs(rep.R_prime - (math.sqrt(2.0) + 1.0)) <= 1e-12
     tau_bar_ok = abs(rep.tau_bar - min((math.sqrt(2.0) + 1.0) ** -2, 1.0)) <= 1e-12
     # default tau is tau_bar / 2; the recursion must stay below R'
-    radii_ok = all(r < rep.R_prime for r in rep.radii)
-    k_ok = len(rep.radii) - 1 == math.ceil(1.0 / rep.tau)
+    radii = _oracle_radii(1.0, 0.0, rep)
+    radii_ok = all(r < rep.R_prime for r in radii)
+    radii_ok &= abs(rep.final_radius - radii[-1]) <= 1e-12 * radii[-1]
+    k_ok = len(radii) - 1 == math.ceil(1.0 / rep.tau)
     elapsed = time.perf_counter() - t0
     ok = r_prime_ok and tau_bar_ok and radii_ok and k_ok and _within_budget(elapsed, 1.0)
     _report(9, "solvability radii: R', tau_bar, bounded recursion", ok, elapsed, 1.0,

@@ -53,37 +53,64 @@ def test_gronwall_envelope_examples():
     assert np.isclose(got, 6.0 * math.e)
 
 
+def _oracle_radii(R, a, rep):
+    """R_0 .. R_K of ``rep``'s radius recursion, run step by step."""
+    radii = [R]
+    for _ in range(rep.steps):
+        nxt = radii[-1] ** 2 * (1.0 + 2.0 * a * rep.tau) + rep.tau**2 * rep.L**2 + 2.0 * a * rep.tau
+        radii.append(math.sqrt(nxt))
+    return radii
+
+
 def test_solvability_bounds_example():
     rep = solvability_bounds(1.0, 0.0, 1.0, lambda R: R)
     assert np.isclose(rep.R_prime, math.sqrt(2.0) + 1.0)
     assert np.isclose(rep.L, rep.R_prime)
     assert np.isclose(rep.tau_bar, min(rep.L**-2, 1.0))
     # radii increase and stay below R' for all steps up to the horizon
-    assert all(b >= a for a, b in zip(rep.radii, rep.radii[1:]))
-    assert all(r < rep.R_prime for r in rep.radii)
+    radii = _oracle_radii(1.0, 0.0, rep)
+    assert all(b >= a for a, b in zip(radii, radii[1:]))
+    assert all(r < rep.R_prime for r in radii)
+    assert abs(rep.final_radius - radii[-1]) <= 1e-12 * radii[-1]
 
 
 def test_solvability_bounds_small_tau_unroll():
     rep = solvability_bounds(1.0, 0.0, 1.0, lambda R: R, tau=1e-3)
     # a = 0: R_n^2 = R^2 + n tau^2 L^2 stays close to R^2
-    n = len(rep.radii) - 1
-    assert np.isclose(rep.radii[-1] ** 2, 1.0 + n * rep.tau**2 * rep.L**2)
-    assert rep.radii[-1] < rep.R_prime
+    radii = _oracle_radii(1.0, 0.0, rep)
+    n = len(radii) - 1
+    assert np.isclose(radii[-1] ** 2, 1.0 + n * rep.tau**2 * rep.L**2)
+    assert radii[-1] < rep.R_prime
+    assert abs(rep.final_radius - radii[-1]) <= 1e-12 * radii[-1]
+
+
+def test_solvability_bounds_final_radius_matches_the_recursion():
+    # a > 0: 2,087 steps of R_{n+1}^2 = R_n^2 (1 + 2 a tau) + tau^2 L^2 + 2 a tau
+    rep = solvability_bounds(1.0, 0.3, 5.0, lambda R: R)
+    radii = _oracle_radii(1.0, 0.3, rep)
+    assert rep.steps == len(radii) - 1 == math.ceil(5.0 / rep.tau) == 2087
+    assert all(b >= a for a, b in zip(radii, radii[1:]))
+    assert all(r < rep.R_prime for r in radii)
+    assert abs(rep.final_radius - radii[-1]) <= 1e-12 * radii[-1]
 
 
 def test_solvability_bounds_zero_field():
     rep = solvability_bounds(2.0, 0.0, 3.0, lambda R: 0.0)
     assert rep.L == 0.0 and rep.tau_bar == 3.0
-    assert all(r == 2.0 for r in rep.radii)
+    assert all(r == 2.0 for r in _oracle_radii(2.0, 0.0, rep))
+    assert rep.final_radius == 2.0
 
 
 def test_solvability_bounds_tiny_and_overflowing_L():
     # L**-2 beyond the float range is above T; R' = e^{aT} ... beyond it is an input error
     rep = solvability_bounds(1.0, 0.0, 1.0, lambda R: 1e-200 * R)
-    assert rep.tau_bar == 1.0 and rep.tau == 0.5 and len(rep.radii) == 3
+    assert rep.tau_bar == 1.0 and rep.tau == 0.5 and rep.steps == 2
     for a, rho in ((1000.0, lambda R: R), (0.5, lambda R: math.inf), (0.5, lambda R: math.nan)):
         with pytest.raises(InputError, match="need a finite"):
             solvability_bounds(1.0, a, 1.0, rho)
+    # R' = e^355 sqrt(711) + 1 is finite, but R_K^2 ~ e^710 is not
+    with pytest.raises(InputError, match="beyond the float range"):
+        solvability_bounds(1.0, 355.0, 1.0, lambda R: 1e-152 * R)
 
 
 def test_rate_fit_examples():

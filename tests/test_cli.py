@@ -242,6 +242,42 @@ def test_bounds_example_values(tmp_path):
     report = json.loads((out / "bounds.json").read_text())["bounds"]
     assert np.isclose(report["R_prime"], np.sqrt(2.0) + 1.0)
     assert np.isclose(report["tau_bar"], (np.sqrt(2.0) + 1.0) ** -2)
+    assert sorted(report) == ["L", "R_prime", "final_radius", "steps", "tau", "tau_bar"]
+
+
+def test_bounds_at_a_long_horizon_writes_a_small_report(tmp_path):
+    # 2,130,556 steps: the report carries the final radius, not every radius
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path,
+        "bounds.json",
+        {"scenario": "sdf-linear", "T": 1000.0, "bounds": {"R": 1.0, "a": 0.0, "rho_linear": 1.0}},
+    )
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert (out / "bounds.json").stat().st_size < 1_000_000
+    assert json.loads((out / "bounds.json").read_text())["bounds"]["steps"] == 2_130_555
+
+
+_REPORTS = {  # command -> (config, the report it writes)
+    "run": ({"scenario": "sdf-linear", "tau": 0.25, "T": 1.0, "L": 2.0}, "manifest.json"),
+    "sweep": (
+        {"scenario": "sdf-linear", "taus": [0.5, 0.25], "steps": 2, "L": 2.0},
+        "manifest.json",
+    ),
+    "verify": ({"scenario": "sdf-linear", "tau": 0.25, "T": 1.0}, "verify_report.json"),
+    "bounds": ({"scenario": "sdf-linear", "T": 1.0, "bounds": {"R": 1.0}}, "bounds.json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPORTS))
+def test_reports_do_not_depend_on_the_output_directory(tmp_path, command):
+    payload, report = _REPORTS[command]
+    short, long = tmp_path / "o1", tmp_path / "o22" / "x"
+    cfg = _write_cfg(tmp_path, "cfg.json", {**payload, "out": str(short)})
+    assert main([command, "--config", cfg]) == EXIT_OK
+    assert main([command, "--config", cfg, "--out", str(long)]) == EXIT_OK
+    assert (short / report).read_bytes() == (long / report).read_bytes()
+    assert "out" not in json.loads((short / report).read_text())["config"]
 
 
 def test_invalid_tau_exits_2(tmp_path):

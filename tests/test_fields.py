@@ -24,7 +24,6 @@ from measureflow.fields import (
     check_pair_dissipativity,
     check_total_dissipativity,
     evaluate_pvf,
-    product_disintegration_coupling,
     uniform_noise,
 )
 from measureflow.limit import _velocity_fn
@@ -41,7 +40,7 @@ from measureflow.measure import (
     velocity_moment,
 )
 from measureflow.scenarios import scenario, scenario_names
-from measureflow.transport import _flow_result, _quantile_result, optimal_coupling
+from measureflow.transport import optimal_coupling
 
 SDF = SampledField(lambda x, u: -x + u, uniform_noise([1.0, -1.0]))
 ATTRACT = InteractionField(lambda x, y: y - x)
@@ -182,22 +181,6 @@ def test_dissbari_product_coupling_inherits_pair_dissipativity():
         assert check_total_dissipativity(phi0, phi1, -c).passed
 
 
-def test_product_disintegration_marginal_validation():
-    phi0 = evaluate_pvf(SDF, dirac(0.0))
-    phi1 = evaluate_pvf(SDF, dirac(1.0))
-    gamma = optimal_coupling(dirac(0.0), dirac(1.0)).coupling
-    theta = product_disintegration_coupling(phi0, phi1, gamma)
-    assert theta.weights.shape[0] == 4  # 2 velocities on each side
-
-
-def test_product_disintegration_refuses_a_gamma_off_the_x_marginals():
-    phi0 = evaluate_pvf(SDF, dirac(0.0))
-    phi1 = evaluate_pvf(SDF, dirac(1.0))
-    gamma = optimal_coupling(dirac(0.5), dirac(1.0)).coupling
-    with pytest.raises(InputError, match="not a coupling"):
-        product_disintegration_coupling(phi0, phi1, gamma)
-
-
 def _oracle_product_disintegration(phi, psi, gamma):
     """Dict-and-loop product of conditionals, positions keyed by ``x + 0.0``."""
 
@@ -239,15 +222,24 @@ def _lattice_tangent(draw, dim):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), route=st.sampled_from([_flow_result, _quantile_result]))
-def test_product_disintegration_matches_dict_keyed_oracle_bitwise(data, route):
-    dim = 1 if route is _quantile_result else data.draw(st.integers(1, 2))
+@given(data=st.data(), lam=st.sampled_from((-1.0, 0.0, 1.0)))
+def test_total_dissipativity_equals_the_product_coupling_integral(data, lam):
+    dim = data.draw(st.integers(1, 2))
     phi, psi = data.draw(_lattice_tangent(dim)), data.draw(_lattice_tangent(dim))
-    gamma = route(phi.x_marginal(), psi.x_marginal()).coupling
-    theta = product_disintegration_coupling(phi, psi, gamma)
-    want = _oracle_product_disintegration(phi, psi, gamma)
-    for name, arr in zip(("x0", "v0", "x1", "v1", "weights"), want):
-        assert _bits(getattr(theta, name)) == _bits(arr), name
+    gamma = optimal_coupling(phi.x_marginal(), psi.x_marginal()).coupling
+    x0, v0, x1, v1, w = _oracle_product_disintegration(phi, psi, gamma)
+    dx = x1 - x0
+    lhs = np.sum(w * np.sum((v1 - v0) * dx, axis=1))
+    sq = np.sum(w * np.sum(dx * dx, axis=1))
+    got = check_total_dissipativity(phi, psi, lam)
+    if sq == 0.0:
+        assert got.value == -np.inf and got.passed
+    else:
+        # relative to the terms before they cancel: a ratio that is 0 exactly
+        # comes out of either sum as a rounding error of their size
+        scale = np.sum(w * np.sum((np.abs(v0) + np.abs(v1)) * np.abs(dx), axis=1)) / sq
+        assert abs(got.value - lhs / sq) <= 1e-14 * scale
+        assert got.passed == (lhs <= lam * sq + 1e-10)
 
 
 def test_total_dissipativity_takes_signed_zeros_for_one_position():

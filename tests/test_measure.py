@@ -10,7 +10,6 @@ from measureflow.fields import NoiseSpace
 from measureflow.measure import (
     Coupling,
     DiscreteMeasure,
-    TangentCoupling,
     TangentMeasure,
     TuplePlan,
     _rows_of,
@@ -39,7 +38,7 @@ def test_construction_validates():
 
 
 _X, _W = np.array([[0.0], [1.0]]), np.array([0.5, 0.5])
-_MU, _PHI = DiscreteMeasure(_X, _W), TangentMeasure(_X, _X, _W)
+_MU = DiscreteMeasure(_X, _W)
 
 # Every type validated by the one rule for weighted atoms, built from (n, 1)
 # coordinates and n weights, with the part of the input it does not have.
@@ -47,7 +46,6 @@ _VALIDATED = {
     "DiscreteMeasure": (lambda x, w: DiscreteMeasure(x, w), None),
     "TangentMeasure": (lambda x, w: TangentMeasure(x, x, w), None),
     "Coupling": (lambda x, w: Coupling(x, x, w, _MU, _MU), None),
-    "TangentCoupling": (lambda x, w: TangentCoupling(x, x, x, x, w, _PHI, _PHI), None),
     "TuplePlan": (lambda x, w: TuplePlan(np.stack([x, x], axis=1), w), None),
     "PathEnsemble": (
         lambda x, w: PathEnsemble(
