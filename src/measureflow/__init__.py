@@ -8,6 +8,18 @@ stability, and convergence properties at desk scale.
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# OpenBLAS reads this once, when numpy loads it, so it is set before the first
+# submodule imports numpy.  The only BLAS calls are `limit._combine`'s
+# `coefs @ ks` over at most 7 Dormand-Prince stages and `analysis.rate_fit`'s
+# `np.polyfit` on one row per tau: far too small for threads to pay, while
+# OpenBLAS's idle workers spin-wait and burn CPU through every command.  A
+# value the user set wins, and a process that loaded numpy first is left alone.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .measure import (
     Coupling,
     DiscreteMeasure,

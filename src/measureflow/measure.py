@@ -371,9 +371,10 @@ def _greedy_clusters(rows: Array, tol: float) -> tuple[Array, Array]:
 def _greedy_pass(rows: Array, weights: Array, tol: float) -> tuple[Array, Array, bool]:
     """One greedy merge pass over :func:`_greedy_clusters`; returns (rows, weights, merged?).
 
-    Singleton clusters keep their row and weight bitwise; only genuine merges
-    move atoms (to the weight-weighted mean of their members, summed in row
-    order).  Python work is per merged row.
+    Singleton clusters, and clusters whose members all equal their seed, keep
+    the seed's row bitwise; only the other merges move atoms (to the
+    weight-weighted mean of their members, summed in row order).  Weights are
+    summed in row order either way.  Python work is per merged row.
     """
     order, seed_of = _greedy_clusters(rows, tol)
     rows_s = rows[order]
@@ -388,7 +389,9 @@ def _greedy_pass(rows: Array, weights: Array, tol: float) -> tuple[Array, Array,
     for s, group in members.items():
         ws = w_s[group]  # summed one np.float64 at a time, in row order
         out_w[slot[s]] = total = sum(ws)
-        out_rows[slot[s]] = sum(rows_s[group] * ws[:, None]) / total
+        rs = rows_s[group]
+        if (rs != rs[0]).any():  # the mean of equal rows can miss them by an ulp
+            out_rows[slot[s]] = sum(rs * ws[:, None]) / total
     return out_rows, out_w, bool(members)
 
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -852,6 +853,29 @@ def test_malformed_field_and_initial_values_exit_2(tmp_path, capsys, key, value)
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _child_env(**overrides) -> dict:
+    """This environment with this checkout's ``src`` first on ``PYTHONPATH``.
+
+    Each override sets a variable, or removes it when given None.
+    """
+    src = str(Path(measureflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for key, value in overrides.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
+def _child_output(code: str, env: dict) -> str:
+    """The stripped stdout of ``python -c code`` under ``env``."""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return out.stdout.strip()
+
+
 _IMPORT_GUARD = """
 import json, sys
 from measureflow.cli import main
@@ -879,13 +903,11 @@ def test_verify_and_sweep_import_neither_scipy_nor_numpy_ma(tmp_path):
             "reference": {"dt": 0.01},
         },
     )
-    src = str(Path(measureflow.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path), verify, sweep],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
         check=True,
     )
     assert json.loads(out.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], []]
@@ -897,9 +919,71 @@ def test_cli_import_loads_neither_the_renderer_nor_orjson():
         "import measureflow.cli, sys; "
         "print([m for m in ('orjson', 'measureflow._render') if m in sys.modules])"
     )
-    src = str(Path(measureflow.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    assert _child_output(code, _child_env()) == "[]"
+
+
+_THREADS = (
+    "import os, measureflow.cli; "
+    "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+)
+_NEEDS_TASKS = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task to count threads"
+)
+
+
+@_NEEDS_TASKS
+def test_cli_import_leaves_one_thread():
+    # OpenBLAS would start a worker per further CPU, spinning through every command;
+    # the variable stays set, so child processes inherit it
+    assert _child_output(_THREADS, _child_env(OPENBLAS_NUM_THREADS=None)) == "1 1"
+
+
+@_NEEDS_TASKS
+def test_a_preset_openblas_thread_count_wins():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        pytest.skip("OpenBLAS starts no second thread on one CPU")
+    assert _child_output(_THREADS, _child_env(OPENBLAS_NUM_THREADS="2")) == "2 2"
+
+
+def test_a_process_that_loaded_numpy_first_keeps_its_environment():
+    code = "import os, numpy, measureflow; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _child_output(code, _child_env(OPENBLAS_NUM_THREADS=None)) == "None"
+
+
+def _without_wall_ms(path: Path) -> str:
+    """The artifact's text with its ``wall_ms`` values, which vary by run, left out."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        assert text.startswith("tau,w2sup,rate_running,wall_ms\n")
+        return re.sub(r",[^,\n]*$", "", text, flags=re.M)
+    return re.sub(r'"wall_ms": [^,\n]*', '"wall_ms"', text)
+
+
+def test_blas_thread_count_never_reaches_the_artifacts(tmp_path):
+    verify = _write_cfg(tmp_path, "verify.json", {"scenario": "sdf-linear", "tau": 0.25, "T": 1.0})
+    sweep = _write_cfg(
+        tmp_path,
+        "sweep.json",
+        {"scenario": "sdf-linear", "taus": [0.25, 0.125, 0.0625], "steps": 4, "L": 3.0},
     )
-    assert out.stdout.strip() == "[]"
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        for command, cfg in (("verify", verify), ("sweep", sweep)):
+            args = [command, "--config", cfg, "--out", str(out / command)]
+            subprocess.run(
+                [sys.executable, "-m", "measureflow.cli", *args],
+                env=_child_env(OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                check=True,
+            )
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        artifacts.append({p.relative_to(out).as_posix(): _without_wall_ms(p) for p in files})
+    assert sorted(artifacts[0]) == [
+        "sweep/manifest.json",
+        "sweep/sweep.csv",
+        "sweep/sweep.json",
+        "verify/verify_report.json",
+    ]
+    assert artifacts[0] == artifacts[1]

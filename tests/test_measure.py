@@ -139,6 +139,22 @@ def test_barycentric_projection_never_increases_velocity_moment():
         assert velocity_moment(barycentric_projection(phi)) <= velocity_moment(phi) + 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=2),
+    st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
+    st.lists(st.integers(1, 1000), min_size=3, max_size=3),
+)
+def test_barycentric_projection_keeps_shared_positions_bitwise(x, v, raw):
+    # two identical rows merge at the projection's 1e-12 pair tolerance; their
+    # weighted mean could miss the shared row by an ulp
+    x = np.asarray(x)
+    v = np.asarray(v[: x.size])
+    w = np.asarray(raw, dtype=float)
+    phi = TangentMeasure(np.stack([x, x, x + 1.0]), np.stack([v, v, 0.0 * v]), w / w.sum())
+    assert barycentric_projection(phi).positions.tobytes() == phi.x_marginal().atoms.tobytes()
+
+
 def test_coalesce_examples():
     m = DiscreteMeasure(np.array([[0.0], [0.0]]), np.array([0.5, 0.5]))
     out = coalesce(m, 0.0)
@@ -193,7 +209,7 @@ def _full_scan_coalesce(m, tol):
         for group in members:
             total = sum(w for _, w in group)
             out_w.append(total)
-            if len(group) == 1:
+            if all((r == group[0][0]).all() for r, _ in group):
                 out_rows.append(group[0][0])
             else:
                 out_rows.append(sum(r * w for r, w in group) / total)
